@@ -18,9 +18,12 @@ from .omp import BeamformerSet, DegenerateChannelError, baseband_zf, effective_c
 from .phase_ops import scale_analog_matrix
 
 
-def sd_analog(F_RF: np.ndarray, eta_m: float) -> np.ndarray:
-    """Virtual subcarrier-dependent analog beamformer (phase-rescaled columns)."""
-    return scale_analog_matrix(F_RF, eta_m)
+def sd_analog(F_RF: np.ndarray, eta) -> np.ndarray:
+    """Virtual subcarrier-dependent analog beamformer (phase-rescaled columns).
+
+    An array of ratios gives the (M, N_T, N_RF) stack from one unwrap.
+    """
+    return scale_analog_matrix(F_RF, eta)
 
 
 def _left_inverse_factors(F_RF: np.ndarray, rcond: float = 1e-12):
@@ -30,6 +33,22 @@ def _left_inverse_factors(F_RF: np.ndarray, rcond: float = 1e-12):
     if diag.min() < rcond * max(diag.max(), 1e-300):
         raise DegenerateChannelError("analog beamformer columns are rank-deficient")
     return q, r
+
+
+def _least_squares_match(F_RF: np.ndarray, target: np.ndarray,
+                         normalize: bool = True) -> np.ndarray:
+    """argmin_X ||F_RF X - target||_F for one (N_T, K) target or an (M, N_T, K) stack.
+
+    Uses the reduced QR of F_RF and one solve over the whole stack. With
+    ``normalize`` each result is rescaled so that ||F_RF X||_F^2 = K.
+    """
+    q, r = _left_inverse_factors(F_RF)
+    corrected = np.linalg.solve(r, q.conj().T @ target)
+    if normalize:
+        K = target.shape[-1]
+        corrected *= np.sqrt(K) / np.linalg.norm(F_RF @ corrected, axis=(-2, -1),
+                                                 keepdims=True)
+    return corrected
 
 
 def bsa_baseband(F_RF: np.ndarray, F_BB_m: np.ndarray, eta_m: float,
@@ -45,51 +64,42 @@ def bsa_baseband(F_RF: np.ndarray, F_BB_m: np.ndarray, eta_m: float,
     """
     if F_bar_m is None:
         F_bar_m = sd_analog(F_RF, eta_m)
-    q, r = _left_inverse_factors(F_RF)
-    target = F_bar_m @ F_BB_m
-    corrected = np.linalg.solve(r, q.conj().T @ target)
-    if normalize:
-        K = F_BB_m.shape[1]
-        corrected *= np.sqrt(K) / np.linalg.norm(F_RF @ corrected)
-    return corrected
+    return _least_squares_match(F_RF, F_bar_m @ F_BB_m, normalize)
 
 
 def apply_bsa(channels: ChannelSet, bf: BeamformerSet,
-              recompute_target: bool = True) -> BeamformerSet:
+              recompute_target: bool = True,
+              target: tuple[np.ndarray, np.ndarray] | None = None) -> BeamformerSet:
     """Fill the corrected baseband stack for every subcarrier.
 
-    The matching target is the ideal subcarrier-dependent hybrid pair: by
-    default its baseband is the zero-forcing solution recomputed on the
-    dilated-analog effective channel (the target the virtual SD beamformer
-    would actually deploy). With ``recompute_target=False`` the existing
-    baseband from the greedy design is matched instead; that variant leaves
-    the rates essentially unchanged and is kept for comparison.
+    The matching target is the ideal subcarrier-dependent hybrid pair
+    (F_bar, F_BB_sd) of :func:`sd_oracle_beamformers`: the dilated analog
+    stack and the zero-forcing baseband recomputed on its effective channel
+    (the target the virtual SD beamformer would actually deploy). A caller
+    that already holds that pair passes it as ``target`` and nothing is
+    recomputed; otherwise it is built here. Without ``target``,
+    ``recompute_target=False`` matches the existing baseband from the
+    greedy design instead; that variant leaves the rates essentially
+    unchanged and is kept for comparison. All subcarriers are corrected by
+    one batched solve.
     """
-    M = channels.M
-    F_bar = np.stack([sd_analog(bf.F_RF, channels.eta[m]) for m in range(M)])
-    if recompute_target:
-        H_eff_sd = effective_channel(channels, bf.W_RF, F_bar)
-        target_bb = baseband_zf(H_eff_sd, F_bar)
+    if target is not None:
+        F_bar, target_bb = target
+    elif recompute_target:
+        F_bar, target_bb = sd_oracle_beamformers(channels, bf)
     else:
-        target_bb = bf.F_BB
-    q, r = _left_inverse_factors(bf.F_RF)
-    K = target_bb.shape[2]
-    F_BB_bsa = np.empty_like(target_bb)
-    for m in range(M):
-        corrected = np.linalg.solve(r, q.conj().T @ (F_bar[m] @ target_bb[m]))
-        corrected *= np.sqrt(K) / np.linalg.norm(bf.F_RF @ corrected)
-        F_BB_bsa[m] = corrected
-    return with_bsa(bf, F_BB_bsa)
+        F_bar, target_bb = sd_analog(bf.F_RF, channels.eta), bf.F_BB
+    return with_bsa(bf, _least_squares_match(bf.F_RF, F_bar @ target_bb))
 
 
 def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet
                           ) -> tuple[np.ndarray, np.ndarray]:
     """Ideal (hardware-infeasible) per-subcarrier analog stack and its ZF baseband.
 
-    Returns (F_bar, F_BB_sd) with F_bar of shape (M, N_T, N_RF); used by the
-    harness as the performance ceiling the correction is matched against.
+    Returns (F_bar, F_BB_sd) with F_bar of shape (M, N_T, N_RF), built by
+    one batched rescaling; used by the harness both as the performance
+    ceiling and as the target :func:`apply_bsa` matches.
     """
-    M = channels.M
-    F_bar = np.stack([sd_analog(bf.F_RF, channels.eta[m]) for m in range(M)])
+    F_bar = sd_analog(bf.F_RF, channels.eta)
     H_eff_sd = effective_channel(channels, bf.W_RF, F_bar)
     return F_bar, baseband_zf(H_eff_sd, F_bar)

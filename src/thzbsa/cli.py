@@ -141,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", type=Path, default=None)
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
     sim.add_argument("--workers", type=int, default=1,
-                     help="trial worker processes (results independent of this)")
+                     help="trial worker processes, 1 to the CPU count "
+                          "(results independent of this)")
     sim.set_defaults(func=cmd_simulate)
 
     gain = sub.add_parser("array-gain", help="emit the array-gain curve")

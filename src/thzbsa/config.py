@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,11 @@ SINR_CONVENTIONS = ("physical", "as_printed")
 
 class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
+
+
+# real-valued fields; NaN slips through every ordering check, so test first
+_FINITE_FIELDS = ("f_c", "B", "P", "sigma_n2", "d_bar", "k_abs", "excess_delay",
+                  "nlos_penalty_db", "d_spacing")
 
 
 @dataclass
@@ -62,6 +68,10 @@ class SystemConfig:
 
     def validate(self) -> "SystemConfig":
         """Check invariants, raising ConfigError on the first violation."""
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if self.N_T < 1 or self.N_R < 1:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,6 +63,10 @@ class SweepSpec:
             raise ValueError("axis values must be strictly monotone")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        cpus = os.cpu_count() or 1
+        if not 1 <= self.workers <= cpus:
+            raise ValueError(f"workers must be in 1..{cpus} (the CPU count), "
+                             f"got {self.workers}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")
@@ -117,12 +122,14 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
             if "omp" in methods:
                 reports["omp"] = sum_rate(channels, bf, "plain", cfg.P, cfg.sigma_n2,
                                           cfg.sinr_convention, seed=trial_seed)
+            if "bsa_omp" in methods or "sd_oracle" in methods:
+                # one SD-oracle pair is both the bsa target and the oracle itself
+                F_bar, F_BB_sd = sd_oracle_beamformers(channels, bf)
             if "bsa_omp" in methods:
-                bf = apply_bsa(channels, bf)
+                bf = apply_bsa(channels, bf, target=(F_bar, F_BB_sd))
                 reports["bsa_omp"] = sum_rate(channels, bf, "bsa", cfg.P, cfg.sigma_n2,
                                               cfg.sinr_convention, seed=trial_seed)
             if "sd_oracle" in methods:
-                F_bar, F_BB_sd = sd_oracle_beamformers(channels, bf)
                 reports["sd_oracle"] = sum_rate_sd_analog(
                     channels, bf.W_RF, F_bar, F_BB_sd, cfg.P, cfg.sigma_n2,
                     cfg.sinr_convention, seed=trial_seed)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ChannelSet, steering_vector
 from .config import SystemConfig
-from .phase_ops import scale_analog_matrix
+from .phase_ops import rescale_phases, scale_analog_matrix, unwrap_analog_matrix
 
 
 class DegenerateChannelError(RuntimeError):
@@ -59,8 +59,10 @@ class BeamformerSet:
 def build_dictionaries(cfg: SystemConfig) -> Dictionary:
     """Uniform [-1, 1] grids with N_F / N_W steering atoms.
 
-    Subcarrier-dilated variants are produced on demand by
-    :func:`sd_dictionary`, not materialized for every m.
+    Only the carrier atoms are stored. :func:`omp_select` unwraps their
+    phases once per call and dilates them one subcarrier at a time, so no
+    (M, N, grid) stack is ever held; :func:`sd_dictionary` gives one
+    dilated dictionary on its own.
     """
     if cfg.N_F < 1 or cfg.N_W < 1:
         raise ValueError("dictionary grid sizes must be >= 1")
@@ -89,19 +91,16 @@ def unconstrained_precoders(channels: ChannelSet) -> np.ndarray:
     H = channels.H
     if not np.all(np.isfinite(H)):
         raise ValueError("channel contains non-finite entries")
-    K, M = H.shape[0], H.shape[1]
     vh = np.linalg.svd(H, full_matrices=False)[2]     # (K, M, min, N_T)
-    F_opt = np.empty((M, H.shape[3], K), dtype=complex)
-    for k in range(K):
-        for m in range(M):
-            F_opt[m, :, k] = _fix_phase(vh[k, m, 0].conj())
-    return F_opt
+    return np.ascontiguousarray(np.transpose(_fix_phase(vh[:, :, 0].conj()), (1, 2, 0)))
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    idx = np.argmax(np.abs(v) > 1e-9 * np.abs(v).max())
-    pivot = v[idx]
-    return v * (pivot.conjugate() / abs(pivot))
+    """Rotate each vector (last axis) so its first significant entry is real positive."""
+    mags = np.abs(v)
+    idx = np.argmax(mags > 1e-9 * mags.max(axis=-1, keepdims=True), axis=-1)
+    pivot = np.take_along_axis(v, idx[..., None], axis=-1)
+    return v * (pivot.conjugate() / np.abs(pivot))
 
 
 def unconstrained_combiners(channels: ChannelSet, F_opt: np.ndarray,
@@ -123,6 +122,10 @@ def omp_select(F_opt: np.ndarray, W_opt: np.ndarray, dictionary: Dictionary,
                eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Per-user joint atom selection against the dilated dictionaries.
 
+    Both dictionaries are checked and unwrapped once; each subcarrier then
+    costs one rescaling exp and one small correlation matmul per side, and
+    only that subcarrier's dilated dictionary is alive at a time.
+
     For user k the pair (p*, q*) maximizes
     sum_m |d_{p,q}[m]^H g_k[m]| with d the Kronecker dictionary atom and
     g_k[m] = conj(f_k[m]) kron w_k[m]; the Kronecker inner product factors as
@@ -138,11 +141,13 @@ def omp_select(F_opt: np.ndarray, W_opt: np.ndarray, dictionary: Dictionary,
         raise ValueError("empty dictionary")
     if K > min(N_F, N_W):
         raise ValueError(f"need K <= min(N_F, N_W), got K={K}")
+    phases_f = unwrap_analog_matrix(dictionary.D_F)
+    phases_w = unwrap_analog_matrix(dictionary.D_W)
     corr_f = np.empty((M, N_F, K))
     corr_w = np.empty((M, N_W, K))
     for m in range(M):
-        corr_f[m] = np.abs(sd_dictionary(dictionary.D_F, eta[m]).conj().T @ F_opt[m])
-        corr_w[m] = np.abs(sd_dictionary(dictionary.D_W, eta[m]).conj().T @ W_opt[m])
+        corr_f[m] = np.abs(rescale_phases(phases_f, eta[m]).conj().T @ F_opt[m])
+        corr_w[m] = np.abs(rescale_phases(phases_w, eta[m]).conj().T @ W_opt[m])
 
     F_RF = np.empty((dictionary.D_F.shape[0], K), dtype=complex)
     W_RF = np.empty((dictionary.D_W.shape[0], K), dtype=complex)
@@ -179,21 +184,21 @@ def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray,
     """Zero-forcing baseband: pseudo-inverse of each H_eff[m], renormalized.
 
     Each subcarrier is scaled by a common factor so that
-    ||F_RF F_BB[m]||_F^2 = K, making the total over m equal MK. Raises
-    DegenerateChannelError when an effective channel is rank-deficient.
+    ||F_RF F_BB[m]||_F^2 = K, making the total over m equal MK. All
+    subcarriers share one batched SVD. Raises DegenerateChannelError, naming
+    the first such subcarrier, when an effective channel is rank-deficient.
     """
-    M, K = H_eff.shape[0], H_eff.shape[1]
-    F_BB = np.empty((M, H_eff.shape[2], K), dtype=complex)
-    for m in range(M):
-        u, s, vh = np.linalg.svd(H_eff[m], full_matrices=False)
-        if s[0] == 0 or s[-1] < rcond * s[0]:
-            raise DegenerateChannelError(
-                f"effective channel at subcarrier {m} is rank-deficient "
-                f"(singular values {s.min():.3e} .. {s.max():.3e})"
-            )
-        F_BB[m] = (vh.conj().T / s) @ u.conj().T
-        analog = F_RF[m] if F_RF.ndim == 3 else F_RF
-        F_BB[m] *= np.sqrt(K) / np.linalg.norm(analog @ F_BB[m])
+    K = H_eff.shape[1]
+    u, s, vh = np.linalg.svd(H_eff, full_matrices=False)
+    degenerate = np.flatnonzero((s[:, 0] == 0) | (s[:, -1] < rcond * s[:, 0]))
+    if degenerate.size:
+        m = degenerate[0]
+        raise DegenerateChannelError(
+            f"effective channel at subcarrier {m} is rank-deficient "
+            f"(singular values {s[m].min():.3e} .. {s[m].max():.3e})"
+        )
+    F_BB = (np.swapaxes(vh.conj(), 1, 2) / s[:, None, :]) @ np.swapaxes(u.conj(), 1, 2)
+    F_BB *= np.sqrt(K) / np.linalg.norm(F_RF @ F_BB, axis=(1, 2), keepdims=True)
     return F_BB
 
 

@@ -36,16 +36,23 @@ def _unwrap_columns(angles: np.ndarray) -> np.ndarray:
 
 
 def _check_constant_modulus(a: np.ndarray, rel_tol: float) -> None:
+    """Reject a vector, or a matrix with any column, whose moduli are not equal.
+
+    The check is per column (axis 0); the first offending column is reported.
+    """
     mods = np.abs(a)
-    peak = mods.max()
-    if peak == 0:
+    peak = mods.max(axis=0)
+    with np.errstate(invalid="ignore"):
+        deviation = np.ptp(mods, axis=0) / peak
+    bad = np.flatnonzero((peak == 0) | (deviation > rel_tol))
+    if bad.size == 0:
+        return
+    if peak.flat[bad[0]] == 0:
         raise ValueError("zero vector is not constant-modulus")
-    deviation = np.ptp(mods) / peak
-    if deviation > rel_tol:
-        raise ValueError(
-            f"input is not constant-modulus: relative modulus spread {deviation:.3e} "
-            f"exceeds {rel_tol:.0e}"
-        )
+    raise ValueError(
+        f"input is not constant-modulus: relative modulus spread {deviation.flat[bad[0]]:.3e} "
+        f"exceeds {rel_tol:.0e}"
+    )
 
 
 def unwrap_phases(a: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
@@ -90,15 +97,43 @@ def scale_beamformer(f: np.ndarray, ratio: float) -> np.ndarray:
     return from_phases(unwrap_phases(f) * ratio)
 
 
-def scale_analog_matrix(F_RF: np.ndarray, eta_m: float, rel_tol: float = 1e-6) -> np.ndarray:
-    """Column-wise phase rescaling of a constant-modulus matrix."""
+def unwrap_analog_matrix(F_RF: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
+    """Unwrapped phases of every column of a constant-modulus matrix.
+
+    Each column is checked for constant modulus (a zero column is rejected)
+    and unwrapped down the antenna index. The result depends only on the
+    matrix, so callers that rescale it for many subcarriers unwrap it once
+    and pass the phases to :func:`rescale_phases`.
+    """
     F_RF = np.asarray(F_RF, dtype=complex)
-    if F_RF.ndim == 1:
-        return scale_beamformer(F_RF, eta_m)
-    if eta_m <= 0:
-        raise ValueError(f"eta_m must be positive, got {eta_m}")
-    n_rows = F_RF.shape[0]
-    for j in range(F_RF.shape[1]):
-        _check_constant_modulus(F_RF[:, j], rel_tol)
-    phases = _unwrap_columns(np.angle(F_RF))
-    return np.exp(1j * phases * eta_m) / np.sqrt(n_rows)
+    _check_constant_modulus(F_RF, rel_tol)
+    return _unwrap_columns(np.angle(F_RF))
+
+
+def rescale_phases(phases: np.ndarray, eta) -> np.ndarray:
+    """Constant-modulus entries exp(j phases eta) / sqrt(N) from unwrapped phases.
+
+    ``eta`` is one ratio, or an array of ratios giving a leading axis of
+    the same length.
+    """
+    eta = np.asarray(eta, dtype=float)
+    eta = eta.reshape(eta.shape + (1,) * phases.ndim)
+    return np.exp(1j * phases * eta) / np.sqrt(phases.shape[0])
+
+
+def scale_analog_matrix(F_RF: np.ndarray, eta, rel_tol: float = 1e-6) -> np.ndarray:
+    """Column-wise phase rescaling of a constant-modulus matrix.
+
+    With a scalar ``eta`` the result has the shape of ``F_RF``. With an
+    array of ratios (one per subcarrier) the matrix is checked and unwrapped
+    once and the result is the ``(len(eta), N, cols)`` stack, equal entry
+    for entry to the per-ratio calls.
+    """
+    F_RF = np.asarray(F_RF, dtype=complex)
+    if F_RF.ndim == 1 and np.ndim(eta) == 0:
+        return scale_beamformer(F_RF, eta)
+    ratios = np.asarray(eta, dtype=float)
+    bad = np.flatnonzero(ratios <= 0)
+    if bad.size:
+        raise ValueError(f"eta_m must be positive, got {ratios.flat[bad[0]]}")
+    return rescale_phases(unwrap_analog_matrix(F_RF, rel_tol), ratios)

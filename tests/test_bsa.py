@@ -154,6 +154,22 @@ class TestApplyBsa:
         assert np.all(np.isfinite(out.F_BB_bsa))
         assert t.power_constraint_residual(out.F_RF, out.F_BB_bsa) <= 1e-10
 
+    def test_shared_target_equals_standalone(self):
+        cfg = t.SystemConfig(N_T=32, N_R=4, K=3, N_RF=3, L=3, M=8).validate()
+        ch, bf = self._pipeline(cfg, 12)
+        shared = t.apply_bsa(ch, bf, target=t.sd_oracle_beamformers(ch, bf))
+        np.testing.assert_array_equal(shared.F_BB_bsa, t.apply_bsa(ch, bf).F_BB_bsa)
+
+    def test_batched_correction_matches_per_subcarrier(self):
+        cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=2, M=6).validate()
+        ch, bf = self._pipeline(cfg, 6)
+        F_bar, F_BB_sd = t.sd_oracle_beamformers(ch, bf)
+        out = t.apply_bsa(ch, bf)
+        for m in range(cfg.M):
+            expected = np.linalg.lstsq(bf.F_RF, F_bar[m] @ F_BB_sd[m], rcond=None)[0]
+            expected *= np.sqrt(cfg.K) / np.linalg.norm(bf.F_RF @ expected)
+            np.testing.assert_allclose(out.F_BB_bsa[m], expected, atol=1e-10)
+
     def test_preserves_inputs(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=2, M=4).validate()
         ch, bf = self._pipeline(cfg, 5)

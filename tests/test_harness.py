@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -81,6 +82,30 @@ class TestRunTrial:
         assert res.redraws == 1
 
 
+    def test_sd_oracle_pair_computed_once(self, monkeypatch):
+        # bsa_omp matches the SD-oracle pair that sd_oracle reports; it is
+        # built once and its zero-forcing solve is not repeated
+        from thzbsa import bsa, harness, omp
+
+        calls = {"baseband_zf": 0, "sd_oracle_beamformers": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        zf = counted("baseband_zf", omp.baseband_zf)
+        for module in (omp, bsa):
+            monkeypatch.setattr(module, "baseband_zf", zf)
+        monkeypatch.setattr(harness, "sd_oracle_beamformers",
+                            counted("sd_oracle_beamformers", bsa.sd_oracle_beamformers))
+        res = t.run_trial(small_cfg(), 7)
+        assert res.redraws == 0
+        assert set(res.reports) == set(t.METHODS)
+        assert calls == {"baseband_zf": 2, "sd_oracle_beamformers": 1}
+
+
 class TestConfigForAxis:
     def test_snr_maps_to_noise_power(self):
         cfg = config_for_axis_value(small_cfg(), "snr_db", 10.0)
@@ -111,6 +136,18 @@ class TestSweepSpec:
                            base_config=small_cfg())
         with pytest.raises(ValueError, match="unknown methods"):
             spec.validate()
+
+    def test_workers_bounded_by_cpu_count(self, monkeypatch):
+        # validation only: no pool is started
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for workers in (1, 4):
+            t.SweepSpec(axis="snr_db", values=[0], workers=workers,
+                        base_config=small_cfg()).validate()
+        for workers in (0, -1, 5):
+            spec = t.SweepSpec(axis="snr_db", values=[0], workers=workers,
+                               base_config=small_cfg())
+            with pytest.raises(ValueError, match="workers must be in 1..4"):
+                spec.validate()
 
     def test_rejects_unknown_axis(self):
         spec = t.SweepSpec(axis="frequency", values=[0], base_config=small_cfg())
@@ -232,6 +269,13 @@ seed = 9
         cfg = t.build_config("desk", overrides, {"seed": 77})
         assert cfg.N_T == 16 and cfg.seed == 77
 
+    @pytest.mark.parametrize("name", ["f_c", "B", "P", "sigma_n2", "d_bar", "k_abs",
+                                      "excess_delay", "nlos_penalty_db", "d_spacing"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(t.ConfigError, match=f"{name} must be finite"):
+            t.SystemConfig(**{name: value}).validate()
+
     def test_config_file_rejects_unknown_key(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("antennas = 12\n")
@@ -339,6 +383,26 @@ class TestCli:
     def test_array_gain_bad_subcarrier(self, tmp_path, capsys):
         code = cli.main(["array-gain", "--phi", "0.1", "--subcarrier", "9999"])
         assert code == 2
+
+    def test_non_finite_config_exit_code(self, tmp_path, capsys):
+        cfg_file = _write_small_cfg(tmp_path)
+        cfg_file.write_text(cfg_file.read_text() + "sigma_n2 = nan\n")
+        code = cli.main(["simulate", "--sweep", "snr", "--values", "0", "--trials", "1",
+                         "--methods", "omp", "--config", str(cfg_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "sigma_n2 must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("workers", ["0", "-2", "3"])
+    def test_workers_out_of_range_exit_code(self, monkeypatch, capsys, workers):
+        # rejected at validation, before any pool exists
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("sweep started"))
+        code = cli.main(["simulate", "--sweep", "snr", "--values", "0", "--trials", "1",
+                         "--methods", "omp", "--workers", workers])
+        assert code == 2
+        assert "workers must be in 1..2" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def exhausted(spec):

@@ -283,6 +283,33 @@ class TestBasebandZF:
         assert np.angle(F_BB[0, 0, 0]) == pytest.approx(np.angle(np.conj(0.3 - 0.4j)),
                                                         abs=1e-12)
 
+    @staticmethod
+    def _per_subcarrier_reference(H_eff, F_RF):
+        K = H_eff.shape[1]
+        out = np.empty((H_eff.shape[0], H_eff.shape[2], K), dtype=complex)
+        for m in range(H_eff.shape[0]):
+            u, s, vh = np.linalg.svd(H_eff[m], full_matrices=False)
+            out[m] = (vh.conj().T / s) @ u.conj().T
+            analog = F_RF[m] if F_RF.ndim == 3 else F_RF
+            out[m] *= np.sqrt(K) / np.linalg.norm(analog @ out[m])
+        return out
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_batched_matches_per_subcarrier_reference(self, rng, stacked):
+        H_eff = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
+        shape = (6, 10, 3) if stacked else (10, 3)
+        F_RF = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        F_BB = t.baseband_zf(H_eff, F_RF)
+        expected = self._per_subcarrier_reference(H_eff, F_RF)
+        np.testing.assert_allclose(F_BB, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+    def test_names_first_degenerate_subcarrier(self, rng):
+        H_eff = rng.standard_normal((5, 2, 2)) + 1j * rng.standard_normal((5, 2, 2))
+        for m in (1, 3):
+            H_eff[m, 1] = 2 * H_eff[m, 0]
+        with pytest.raises(DegenerateChannelError, match="at subcarrier 1 is rank-deficient"):
+            t.baseband_zf(H_eff, np.eye(2, dtype=complex))
+
     def test_rank_deficient_raises(self):
         H_eff = np.zeros((1, 2, 2), complex)
         H_eff[0, 0, 0] = 1.0

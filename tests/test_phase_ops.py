@@ -157,6 +157,38 @@ class TestScaleAnalogMatrix:
         out = t.scale_analog_matrix(F, eta)
         np.testing.assert_allclose(np.linalg.norm(out, axis=0), 1.0, atol=1e-12)
 
+    def test_ratio_array_equals_per_ratio_calls(self):
+        F = np.stack([t.steering_vector(32, x) for x in (-1.0, -0.3, 0.4, 1.0)], axis=1)
+        eta = t.frequency_ratios(t.SystemConfig(M=16))
+        stack = t.scale_analog_matrix(F, eta)
+        assert stack.shape == (16, 32, 4)
+        per_ratio = np.stack([t.scale_analog_matrix(F, e) for e in eta])
+        np.testing.assert_array_equal(stack, per_ratio)
+
+    @pytest.mark.parametrize("col", [0, 2, 4])
+    def test_ratio_array_rejects_one_bad_column(self, col):
+        F = np.stack([t.steering_vector(16, x) for x in np.linspace(-0.8, 0.8, 5)], axis=1)
+        F[3, col] *= 1.5
+        with pytest.raises(ValueError, match="relative modulus spread 3.333e-01"):
+            t.scale_analog_matrix(F, np.array([0.98, 1.0, 1.02]))
+
+    def test_ratio_array_rejects_zero_column(self):
+        F = np.stack([t.steering_vector(16, x) for x in (-0.5, 0.0, 0.5)], axis=1)
+        F[:, 1] = 0
+        with pytest.raises(ValueError, match="zero vector"):
+            t.scale_analog_matrix(F, np.array([0.98, 1.02]))
+
+    def test_modulus_criterion_is_per_column(self):
+        # columns of different (constant) moduli are each constant-modulus
+        F = np.stack([t.steering_vector(8, -0.2), 3 * t.steering_vector(8, 0.6)], axis=1)
+        assert t.scale_analog_matrix(F, np.array([0.99, 1.01])).shape == (2, 8, 2)
+
+    @pytest.mark.parametrize("eta", [[0.0, 1.0, 1.1], [1.0, 1.02, -1.0], [-0.5]])
+    def test_ratio_array_rejects_nonpositive(self, eta):
+        F = np.stack([t.steering_vector(8, x) for x in (-0.5, 0.5)], axis=1)
+        with pytest.raises(ValueError, match="eta_m must be positive"):
+            t.scale_analog_matrix(F, np.array(eta))
+
     def test_vector_input_delegates(self):
         a = t.steering_vector(8, 0.4)
         np.testing.assert_allclose(t.scale_analog_matrix(a, 1.02),
