@@ -13,7 +13,6 @@ are kept as-is (they describe beams steered outside visible space).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -180,7 +179,6 @@ class ChannelSet:
     H: np.ndarray           # (K, M, N_R, N_T)
     freqs: np.ndarray       # (M,)
     eta: np.ndarray         # (M,)
-    H_bar: np.ndarray | None = None   # split-free counterpart, same shape
 
     @property
     def K(self) -> int:
@@ -191,42 +189,15 @@ class ChannelSet:
         return self.H.shape[1]
 
 
-class AbsorptionTable:
-    """Per-frequency absorption coefficients with linear interpolation."""
-
-    def __init__(self, freqs_hz: np.ndarray, k_abs_per_m: np.ndarray):
-        freqs_hz = np.asarray(freqs_hz, dtype=float)
-        k_abs_per_m = np.asarray(k_abs_per_m, dtype=float)
-        if freqs_hz.ndim != 1 or freqs_hz.shape != k_abs_per_m.shape or freqs_hz.size < 1:
-            raise ValueError("absorption table needs matching 1-D columns")
-        order = np.argsort(freqs_hz)
-        self.freqs = freqs_hz[order]
-        self.k_abs = k_abs_per_m[order]
-
-    def __call__(self, f):
-        return np.interp(f, self.freqs, self.k_abs)
-
-
-def load_absorption_table(path: str | Path) -> AbsorptionTable:
-    """Load a two-column CSV (frequency_hz, k_abs_per_m)."""
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
-    if rows.shape[1] != 2:
-        raise ValueError(f"expected two columns in {path}, got {rows.shape[1]}")
-    return AbsorptionTable(rows[:, 0], rows[:, 1])
-
-
-def generate_channel(cfg: SystemConfig, paths: PathParams, split_free: bool = False,
-                     include_split_free: bool = False,
-                     k_abs_table: AbsorptionTable | None = None) -> ChannelSet:
+def generate_channel(cfg: SystemConfig, paths: PathParams,
+                     split_free: bool = False) -> ChannelSet:
     """Synthesize all K*M channel matrices.
 
     H_k[m] = zeta * sum_l alpha_{k,m,l} a_R(theta) a_T(vartheta)^H
              * exp(-j 2 pi tau_{k,l} f_m),  zeta = sqrt(N_R N_T / L),
 
     with steering arguments theta = eta_m * phi, vartheta = eta_m * varphi
-    (the physical directions when ``split_free``). ``include_split_free``
-    additionally fills ``H_bar``. ``k_abs_table`` overrides the scalar
-    cfg.k_abs with per-subcarrier values.
+    (the physical directions when ``split_free``).
     """
     if paths.num_users != cfg.K or paths.num_paths != cfg.L:
         raise ValueError(
@@ -235,26 +206,20 @@ def generate_channel(cfg: SystemConfig, paths: PathParams, split_free: bool = Fa
         )
     freqs = subcarrier_frequencies(cfg)
     eta = freqs / cfg.f_c
-    k_abs = k_abs_table(freqs) if k_abs_table is not None else cfg.k_abs
-    rms = path_gain(freqs, cfg.d_bar, k_abs)          # (M,)
+    rms = path_gain(freqs, cfg.d_bar, cfg.k_abs)      # (M,)
     if cfg.normalize_gain:
         rms = rms / path_gain(cfg.f_c, cfg.d_bar, cfg.k_abs)
-
-    def assemble(dilate: bool) -> np.ndarray:
-        scale = eta if dilate else np.ones_like(eta)
-        # directions per (k, l, m)
-        theta = paths.phi[:, :, None] * scale[None, None, :]
-        vartheta = paths.varphi[:, :, None] * scale[None, None, :]
-        a_r = np.moveaxis(steering_vector(cfg.N_R, theta), 0, -1)   # (K, L, M, N_R)
-        a_t = np.moveaxis(steering_vector(cfg.N_T, vartheta), 0, -1)
-        coeff = (paths.alpha[:, :, None] * rms[None, None, :]
-                 * np.exp(-2j * np.pi * paths.tau[:, :, None] * freqs[None, None, :]))
-        zeta = np.sqrt(cfg.N_R * cfg.N_T / cfg.L)
-        return zeta * np.einsum("klm,klmr,klmt->kmrt", coeff, a_r, a_t.conj())
-
-    H = assemble(dilate=not split_free)
-    H_bar = assemble(dilate=False) if (include_split_free and not split_free) else None
-    return ChannelSet(H=H, freqs=freqs, eta=eta, H_bar=H_bar)
+    scale = np.ones_like(eta) if split_free else eta
+    # directions per (k, l, m)
+    theta = paths.phi[:, :, None] * scale[None, None, :]
+    vartheta = paths.varphi[:, :, None] * scale[None, None, :]
+    a_r = np.moveaxis(steering_vector(cfg.N_R, theta), 0, -1)   # (K, L, M, N_R)
+    a_t = np.moveaxis(steering_vector(cfg.N_T, vartheta), 0, -1)
+    coeff = (paths.alpha[:, :, None] * rms[None, None, :]
+             * np.exp(-2j * np.pi * paths.tau[:, :, None] * freqs[None, None, :]))
+    zeta = np.sqrt(cfg.N_R * cfg.N_T / cfg.L)
+    H = zeta * np.einsum("klm,klmr,klmt->kmrt", coeff, a_r, a_t.conj())
+    return ChannelSet(H=H, freqs=freqs, eta=eta)
 
 
 def array_gain(u: np.ndarray, phi_bar, m: int, cfg: SystemConfig):

@@ -7,8 +7,8 @@ Subcommands:
                over a probe-direction grid
   show-config  print the fully resolved configuration
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure after the
-redraw cap.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (the
+redraw cap was reached, or a sum rate came out non-finite).
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except RedrawExhausted as err:
+    except (RedrawExhausted, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except OSError as err:

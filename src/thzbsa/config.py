@@ -144,13 +144,7 @@ def _coerce(name: str, raw: str, target_type) -> object:
     return raw
 
 
-_FIELD_TYPES = {
-    "f_c": float, "B": float, "M": int, "N_T": int, "N_R": int, "N_RF": int,
-    "K": int, "L": int, "d_spacing": float, "P": float, "sigma_n2": float,
-    "d_bar": float, "k_abs": float, "N_F": int, "N_W": int, "seed": int,
-    "nlos_penalty_db": float, "excess_delay": float, "normalize_gain": bool,
-    "sinr_convention": str,
-}
+_FIELD_TYPES = {k: type(v) for k, v in SystemConfig().to_dict().items()}
 
 
 def parse_config_file(path: str | Path) -> dict:

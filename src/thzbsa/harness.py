@@ -174,12 +174,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Channel draws are shared by all methods within a trial and independent
     across axis values; aggregation order is fixed by (axis value, trial
-    index) so worker-pool execution cannot change the result.
+    index) so worker-pool execution cannot change the result. Raises
+    FloatingPointError when any trial's sum rate comes out non-finite.
     """
     spec.validate()
+    configs = [config_for_axis_value(spec.base_config, spec.axis, value)
+               for value in spec.values]
     tasks = []
-    for ai, value in enumerate(spec.values):
-        cfg = config_for_axis_value(spec.base_config, spec.axis, value)
+    for ai, cfg in enumerate(configs):
         for ti in range(spec.trials):
             seed = _trial_seed(spec.seed, ai, ti)
             tasks.append((ai, ti, cfg, seed, tuple(spec.methods), spec.max_redraws))
@@ -195,13 +197,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             results[(ai, ti)] = res
 
     rows: list[SweepRow] = []
-    for ai, value in enumerate(spec.values):
-        cfg = config_for_axis_value(spec.base_config, spec.axis, value)
+    for ai, (value, cfg) in enumerate(zip(spec.values, configs)):
         chash = config_hash(cfg)
         redraws = sum(results[(ai, ti)].redraws for ti in range(spec.trials))
         for method in spec.methods:
             rates = np.array([results[(ai, ti)].reports[method].sum_rate
                               for ti in range(spec.trials)])
+            if not np.all(np.isfinite(rates)):
+                raise FloatingPointError(
+                    f"non-finite {method} sum rate at {spec.axis} = {value}")
             std = float(np.std(rates, ddof=1)) if spec.trials > 1 else 0.0
             rows.append(SweepRow(
                 axis_value=float(value),

@@ -11,9 +11,7 @@ rate is Sum_m Sum_k log2(1 + gamma).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -32,37 +30,16 @@ class RateReport:
     power_residual: float
     seed: int | None = None
 
-    @property
-    def per_subcarrier_avg(self) -> float:
-        return self.sum_rate / self.per_user_rate.shape[1]
-
-    def to_json_dict(self) -> dict:
-        K, M = self.per_user_rate.shape
-        return {
-            "method": self.method_tag,
-            "sum_rate_bits": self.sum_rate,
-            "per_subcarrier_avg": self.per_subcarrier_avg,
-            "K": K,
-            "M": M,
-            "seed": self.seed,
-        }
-
-    def to_json(self, path: str | Path | None = None) -> str:
-        text = json.dumps(self.to_json_dict(), indent=2)
-        if path is not None:
-            Path(path).write_text(text + "\n")
-        return text
-
 
 def _coupling_matrices(channels: ChannelSet, W_RF: np.ndarray, F_RF: np.ndarray,
                        F_BB: np.ndarray) -> np.ndarray:
     """T[m, k, i] = w_k^H H_k[m] F_RF F_BB[m] e_i; F_RF may be per-subcarrier."""
-    F_tot = F_RF @ F_BB if F_RF.ndim == 3 else np.matmul(F_RF, F_BB)
-    return np.einsum("rk,kmrt,mti->mki", W_RF.conj(), channels.H, F_tot)
+    return np.einsum("rk,kmrt,mti->mki", W_RF.conj(), channels.H, F_RF @ F_BB)
 
 
-def _rates_from_coupling(T: np.ndarray, P: float, sigma_n2: float,
-                         convention: str) -> np.ndarray:
+def _sinr_from_coupling(T: np.ndarray, P: float, sigma_n2: float,
+                        convention: str) -> np.ndarray:
+    """gamma[m, k] from an (M, K, K) coupling stack under either convention."""
     if convention not in SINR_CONVENTIONS:
         raise ValueError(f"unknown sinr convention {convention!r}")
     K = T.shape[1]
@@ -72,38 +49,42 @@ def _rates_from_coupling(T: np.ndarray, P: float, sigma_n2: float,
         interference = powers.sum(axis=2) - desired
     else:
         interference = desired.sum(axis=1, keepdims=True) - desired
-    gamma = (P / K) * desired / ((P / K) * interference + sigma_n2)
-    return np.log2(1.0 + gamma).T                 # (K, M)
+    return (P / K) * desired / ((P / K) * interference + sigma_n2)
 
 
 def sinr(channels: ChannelSet, W_RF: np.ndarray, F_RF: np.ndarray,
          F_BB_m: np.ndarray, k: int, m: int, P: float, sigma_n2: float,
          convention: str = "physical") -> float:
     """SINR of user k at subcarrier m (0-based indices) for one precoder."""
-    if convention not in SINR_CONVENTIONS:
-        raise ValueError(f"unknown sinr convention {convention!r}")
     K = F_BB_m.shape[1]
     if not 0 <= k < K:
         raise ValueError(f"user index {k} outside 0..{K - 1}")
     if not 0 <= m < channels.M:
         raise ValueError(f"subcarrier index {m} outside 0..{channels.M - 1}")
-    F_tot = F_RF @ F_BB_m
-    T = np.einsum("rk,krt,ti->ki", W_RF.conj(), channels.H[:, m], F_tot)
-    powers = np.abs(T) ** 2
-    desired = powers[k, k]
-    if convention == "physical":
-        interference = powers[k].sum() - desired
-    else:
-        interference = np.einsum("ii->i", powers).sum() - desired
-    return float((P / K) * desired / ((P / K) * interference + sigma_n2))
+    T = np.einsum("rk,krt,ti->ki", W_RF.conj(), channels.H[:, m], F_RF @ F_BB_m)
+    return float(_sinr_from_coupling(T[None], P, sigma_n2, convention)[0, k])
 
 
 def power_constraint_residual(F_RF: np.ndarray, F_BB: np.ndarray) -> float:
     """Relative deviation of Sum_m ||F_RF F_BB[m]||_F^2 from MK."""
-    F_tot = F_RF @ F_BB if F_RF.ndim == 3 else np.matmul(F_RF, F_BB)
     M, _, K = F_BB.shape
-    total = float(np.sum(np.abs(F_tot) ** 2))
+    total = float(np.sum(np.abs(F_RF @ F_BB) ** 2))
     return abs(total - M * K) / (M * K)
+
+
+def _hybrid_report(channels: ChannelSet, W_RF: np.ndarray, F_RF: np.ndarray,
+                   F_BB: np.ndarray, P: float, sigma_n2: float, convention: str,
+                   method_tag: str, seed: int | None) -> RateReport:
+    """Rates of one hybrid precoder; ``F_RF`` is fixed or per-subcarrier."""
+    T = _coupling_matrices(channels, W_RF, F_RF, F_BB)
+    per_user = np.log2(1.0 + _sinr_from_coupling(T, P, sigma_n2, convention)).T   # (K, M)
+    return RateReport(
+        per_user_rate=per_user,
+        sum_rate=float(per_user.sum()),
+        method_tag=method_tag,
+        power_residual=power_constraint_residual(F_RF, F_BB),
+        seed=seed,
+    )
 
 
 def sum_rate(channels: ChannelSet, bf: BeamformerSet, which: str,
@@ -111,16 +92,9 @@ def sum_rate(channels: ChannelSet, bf: BeamformerSet, which: str,
              seed: int | None = None) -> RateReport:
     """Multi-user sum rate for the plain or BSA-corrected baseband."""
     F_BB = bf.baseband(which)
-    T = _coupling_matrices(channels, bf.W_RF, bf.F_RF, F_BB)
-    per_user = _rates_from_coupling(T, P, sigma_n2, convention)
     tag = {"plain": "omp", "bsa": "bsa_omp"}[which]
-    return RateReport(
-        per_user_rate=per_user,
-        sum_rate=float(per_user.sum()),
-        method_tag=tag,
-        power_residual=power_constraint_residual(bf.F_RF, F_BB),
-        seed=seed,
-    )
+    return _hybrid_report(channels, bf.W_RF, bf.F_RF, F_BB, P, sigma_n2, convention,
+                          tag, seed)
 
 
 def sum_rate_sd_analog(channels: ChannelSet, W_RF: np.ndarray, F_bar: np.ndarray,
@@ -128,15 +102,8 @@ def sum_rate_sd_analog(channels: ChannelSet, W_RF: np.ndarray, F_bar: np.ndarray
                        convention: str = "physical", seed: int | None = None,
                        method_tag: str = "sd_oracle") -> RateReport:
     """Sum rate with a per-subcarrier analog stack (the ideal-hardware ceiling)."""
-    T = _coupling_matrices(channels, W_RF, F_bar, F_BB)
-    per_user = _rates_from_coupling(T, P, sigma_n2, convention)
-    return RateReport(
-        per_user_rate=per_user,
-        sum_rate=float(per_user.sum()),
-        method_tag=method_tag,
-        power_residual=power_constraint_residual(F_bar, F_BB),
-        seed=seed,
-    )
+    return _hybrid_report(channels, W_RF, F_bar, F_BB, P, sigma_n2, convention,
+                          method_tag, seed)
 
 
 def fully_digital_yardstick(channels: ChannelSet, P: float, sigma_n2: float,

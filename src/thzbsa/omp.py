@@ -9,7 +9,7 @@ a per-subcarrier power normalization enforcing the MK total constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -213,7 +213,3 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
     H_eff = effective_channel(channels, W_RF, F_RF)
     F_BB = baseband_zf(H_eff, F_RF)
     return BeamformerSet(F_RF=F_RF, W_RF=W_RF, F_BB=F_BB, selected_atoms=selected)
-
-
-def with_bsa(bf: BeamformerSet, F_BB_bsa: np.ndarray) -> BeamformerSet:
-    return replace(bf, F_BB_bsa=F_BB_bsa)

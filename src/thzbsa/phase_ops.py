@@ -63,11 +63,9 @@ def unwrap_phases(a: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
     vector at direction psi the result is the exact linear phase
     -pi (n-1) psi.
     """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 1:
+    if np.ndim(a) != 1:
         raise ValueError("unwrap_phases expects a vector")
-    _check_constant_modulus(a, rel_tol)
-    return _unwrap_columns(np.angle(a))
+    return unwrap_analog_matrix(a, rel_tol)
 
 
 def from_phases(psi: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -129,9 +127,6 @@ def scale_analog_matrix(F_RF: np.ndarray, eta, rel_tol: float = 1e-6) -> np.ndar
     once and the result is the ``(len(eta), N, cols)`` stack, equal entry
     for entry to the per-ratio calls.
     """
-    F_RF = np.asarray(F_RF, dtype=complex)
-    if F_RF.ndim == 1 and np.ndim(eta) == 0:
-        return scale_beamformer(F_RF, eta)
     ratios = np.asarray(eta, dtype=float)
     bad = np.flatnonzero(ratios <= 0)
     if bad.size:

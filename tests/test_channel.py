@@ -193,8 +193,7 @@ class TestGenerateChannel:
     def test_zero_bandwidth_equals_split_free(self, rng):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=3, M=8, B=0.0).validate()
         paths = t.draw_paths(cfg, rng)
-        ch = t.generate_channel(cfg, paths, include_split_free=True)
-        np.testing.assert_allclose(ch.H, ch.H_bar, atol=1e-12)
+        ch = t.generate_channel(cfg, paths)
         split = t.generate_channel(cfg, paths, split_free=True)
         np.testing.assert_allclose(ch.H, split.H, atol=1e-12)
 
@@ -295,33 +294,3 @@ class TestArrayGain:
         u[0] = 1.0
         # single active element: flat beampattern, no dilation possible
         assert t.array_gain(u, 0.3, 1, desk_cfg) == pytest.approx(1 / desk_cfg.N_T)
-
-
-class TestAbsorptionTable:
-    def test_interpolation(self, tmp_path):
-        csv_path = tmp_path / "kabs.csv"
-        csv_path.write_text("290e9,0.001\n310e9,0.003\n")
-        table = t.load_absorption_table(csv_path)
-        assert table(290e9) == pytest.approx(0.001)
-        assert table(300e9) == pytest.approx(0.002)
-        assert table(310e9) == pytest.approx(0.003)
-
-    def test_used_by_generate_channel(self, tmp_path, rng):
-        cfg = t.SystemConfig(N_T=8, N_R=2, K=1, N_RF=1, L=1, M=3,
-                             normalize_gain=False).validate()
-        paths = t.draw_paths(cfg, rng)
-        csv_path = tmp_path / "kabs.csv"
-        csv_path.write_text("{},{}\n{},{}\n".format(2e11, 0.0, 4e11, 0.0))
-        flat = t.generate_channel(cfg, paths, k_abs_table=t.load_absorption_table(csv_path))
-        plain = t.generate_channel(cfg, paths)
-        np.testing.assert_allclose(flat.H, plain.H, atol=1e-14)
-        csv_path.write_text("{},{}\n{},{}\n".format(2e11, 0.02, 4e11, 0.02))
-        lossy = t.generate_channel(cfg, paths, k_abs_table=t.load_absorption_table(csv_path))
-        factor = math.exp(-0.02 * cfg.d_bar / 2)
-        np.testing.assert_allclose(lossy.H, plain.H * factor, atol=1e-14)
-
-    def test_malformed_csv_rejected(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("1,2,3\n")
-        with pytest.raises(ValueError):
-            t.load_absorption_table(bad)

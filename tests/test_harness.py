@@ -1,7 +1,9 @@
 import csv
+import importlib.util
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -276,6 +278,14 @@ seed = 9
         with pytest.raises(t.ConfigError, match=f"{name} must be finite"):
             t.SystemConfig(**{name: value}).validate()
 
+    def test_every_field_round_trips_through_config_file(self, tmp_path):
+        base = t.SystemConfig()
+        cfg_file = tmp_path / "all.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in base.to_dict().items()))
+        overrides = t.parse_config_file(cfg_file)
+        assert overrides == base.to_dict()
+        assert t.SystemConfig(**overrides) == base
+
     def test_config_file_rejects_unknown_key(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("antennas = 12\n")
@@ -404,6 +414,18 @@ class TestCli:
         assert code == 2
         assert "workers must be in 1..2" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_result_exit_code(self, tmp_path, capsys):
+        # finite and positive, so validation accepts it, but the SINRs overflow
+        cfg_file = tmp_path / "tiny_noise.cfg"
+        cfg_file.write_text("sigma_n2 = 1e-320\n")
+        code = cli.main(["simulate", "--sweep", "bandwidth", "--values", "1e9",
+                         "--trials", "2", "--config", str(cfg_file)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "non-finite omp sum rate" in captured.err
+        assert captured.out == ""
+
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def exhausted(spec):
             raise t.RedrawExhausted("every draw degenerate")
@@ -413,6 +435,20 @@ class TestCli:
                          "--trials", "1", "--methods", "omp"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+
+class TestBenchmarkContract:
+    def test_traced_names_resolve(self):
+        # the benchmark traces by replacing these module-level names; a
+        # deleted or renamed one would break its per-module trace
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        assert spans.PATCHES
+        for module_name, name, _ in spans.PATCHES:
+            assert callable(getattr(importlib.import_module(module_name), name)), \
+                f"{module_name}.{name}"
 
 
 def _write_small_cfg(tmp_path):

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -50,6 +49,25 @@ class TestSinr:
             desired = np.abs(np.diag(T)) ** 2
             off = np.abs(T) ** 2 - np.diag(desired)
             assert np.max(off.sum(axis=1) / desired) <= 1e-12
+
+    @pytest.mark.parametrize("convention", ["physical", "as_printed"])
+    def test_sum_rate_entries_match_sinr(self, convention):
+        cfg = t.SystemConfig().validate()
+        ch, bf = _desk_pipeline(cfg, 5)
+        # perturb the baseband so the interference terms are nonzero
+        rng = np.random.default_rng(1)
+        bf.F_BB += 0.2 * (rng.standard_normal(bf.F_BB.shape)
+                          + 1j * rng.standard_normal(bf.F_BB.shape))
+        T = np.einsum("rk,kmrt,mti->mki", bf.W_RF.conj(), ch.H, bf.F_RF @ bf.F_BB)
+        leakage = (np.abs(T) ** 2 * (1 - np.eye(cfg.K))).sum(axis=2)
+        assert np.all(leakage > 1e-6 * np.abs(np.einsum("mkk->mk", T)) ** 2)
+        report = t.sum_rate(ch, bf, "plain", cfg.P, cfg.sigma_n2, convention)
+        for m in range(cfg.M):
+            for k in range(cfg.K):
+                gamma = t.sinr(ch, bf.W_RF, bf.F_RF, bf.F_BB[m], k, m, cfg.P,
+                               cfg.sigma_n2, convention)
+                assert report.per_user_rate[k, m] == pytest.approx(math.log2(1 + gamma),
+                                                                   abs=1e-12)
 
     def test_convention_switch_changes_interference(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=2, M=2).validate()
@@ -162,19 +180,3 @@ class TestPowerResidual:
         F_RF = np.array([[1.0]], dtype=complex)
         F_BB = np.ones((3, 1, 1), dtype=complex)
         assert t.power_constraint_residual(F_RF, F_BB) == 0.0
-
-
-class TestRateReport:
-    def test_json_fields(self, tmp_path):
-        cfg, ch, bf, _ = _matched_single_user()
-        report = t.sum_rate(ch, bf, "plain", 1.0, 1.0, seed=42)
-        payload = json.loads(report.to_json())
-        assert set(payload) == {"method", "sum_rate_bits", "per_subcarrier_avg",
-                                "K", "M", "seed"}
-        assert payload["method"] == "omp"
-        assert payload["K"] == 1 and payload["M"] == 4
-        assert payload["seed"] == 42
-        assert payload["per_subcarrier_avg"] == pytest.approx(payload["sum_rate_bits"] / 4)
-        out = tmp_path / "report.json"
-        report.to_json(out)
-        assert json.loads(out.read_text()) == payload
