@@ -23,11 +23,6 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-# real-valued fields; NaN slips through every ordering check, so test first
-_FINITE_FIELDS = ("f_c", "B", "P", "sigma_n2", "d_bar", "k_abs", "excess_delay",
-                  "nlos_penalty_db", "d_spacing")
-
-
 @dataclass
 class SystemConfig:
     """Parameters of the multi-user wideband downlink.
@@ -145,6 +140,8 @@ def _coerce(name: str, raw: str, target_type) -> object:
 
 
 _FIELD_TYPES = {k: type(v) for k, v in SystemConfig().to_dict().items()}
+# real-valued fields; NaN slips through every ordering check, so test first
+_FINITE_FIELDS = tuple(k for k, v in _FIELD_TYPES.items() if v is float)
 
 
 def parse_config_file(path: str | Path) -> dict:

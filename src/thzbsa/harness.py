@@ -16,14 +16,14 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .bsa import apply_bsa, sd_oracle_beamformers
 from .channel import draw_paths, generate_channel
-from .config import SystemConfig, config_hash
+from .config import ConfigError, SystemConfig, config_hash
 from .metrics import RateReport, fully_digital_yardstick, sum_rate, sum_rate_sd_analog
 from .omp import DegenerateChannelError, build_dictionaries, omp_hybrid_beamformer
 
@@ -50,26 +50,25 @@ class SweepSpec:
     methods: tuple[str, ...] = METHODS
     base_config: SystemConfig = field(default_factory=SystemConfig)
     seed: int = 1
-    max_redraws: int = 10
     workers: int = 1
 
     def validate(self) -> "SweepSpec":
         if self.axis not in AXES:
-            raise ValueError(f"axis must be one of {AXES}, got {self.axis!r}")
+            raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if len(self.values) == 0:
-            raise ValueError("sweep needs at least one axis value")
+            raise ConfigError("sweep needs at least one axis value")
         diffs = np.diff(np.asarray(self.values, dtype=float))
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
-            raise ValueError("axis values must be strictly monotone")
+            raise ConfigError("axis values must be strictly monotone")
         if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+            raise ConfigError("trials must be >= 1")
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
-            raise ValueError(f"workers must be in 1..{cpus} (the CPU count), "
-                             f"got {self.workers}")
+            raise ConfigError(f"workers must be in 1..{cpus} (the CPU count), "
+                              f"got {self.workers}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
-            raise ValueError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")
+            raise ConfigError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")
         self.base_config.validate()
         return self
 
@@ -105,7 +104,10 @@ class TrialResult:
 def run_trial(cfg: SystemConfig, trial_seed: int,
               methods: tuple[str, ...] = METHODS,
               max_redraws: int = 10) -> TrialResult:
-    """Evaluate all requested methods on one seeded channel realization."""
+    """Evaluate all requested methods on one seeded channel realization.
+
+    Raises FloatingPointError as soon as a report's sum rate is non-finite.
+    """
     cfg.validate()
     hybrid_needed = any(m in HYBRID_METHODS for m in methods)
     dictionary = build_dictionaries(cfg) if hybrid_needed else None
@@ -136,6 +138,10 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
             if "fully_digital" in methods:
                 reports["fully_digital"] = fully_digital_yardstick(
                     channels, cfg.P, cfg.sigma_n2, seed=trial_seed)
+            for method, report in reports.items():
+                if not np.isfinite(report.sum_rate):
+                    raise FloatingPointError(
+                        f"non-finite {method} sum rate in trial seed {trial_seed}")
             return TrialResult(reports=reports, redraws=attempt)
         except DegenerateChannelError as err:
             last_error = err
@@ -164,9 +170,8 @@ def _trial_seed(master_seed: int, axis_index: int, trial_index: int) -> int:
 
 
 def _sweep_task(args) -> tuple[int, int, TrialResult]:
-    axis_index, trial_index, cfg, seed, methods, max_redraws = args
-    result = run_trial(cfg, seed, methods, max_redraws)
-    return axis_index, trial_index, result
+    axis_index, trial_index, cfg, seed, methods = args
+    return axis_index, trial_index, run_trial(cfg, seed, methods)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
@@ -174,8 +179,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
     Channel draws are shared by all methods within a trial and independent
     across axis values; aggregation order is fixed by (axis value, trial
-    index) so worker-pool execution cannot change the result. Raises
-    FloatingPointError when any trial's sum rate comes out non-finite.
+    index) so worker-pool execution cannot change the result.
     """
     spec.validate()
     configs = [config_for_axis_value(spec.base_config, spec.axis, value)
@@ -184,17 +188,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     for ai, cfg in enumerate(configs):
         for ti in range(spec.trials):
             seed = _trial_seed(spec.seed, ai, ti)
-            tasks.append((ai, ti, cfg, seed, tuple(spec.methods), spec.max_redraws))
+            tasks.append((ai, ti, cfg, seed, tuple(spec.methods)))
 
-    results: dict[tuple[int, int], TrialResult] = {}
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            for ai, ti, res in pool.map(_sweep_task, tasks):
-                results[(ai, ti)] = res
+            outcomes = list(pool.map(_sweep_task, tasks))
     else:
-        for task in tasks:
-            ai, ti, res = _sweep_task(task)
-            results[(ai, ti)] = res
+        outcomes = map(_sweep_task, tasks)
+    results = {(ai, ti): res for ai, ti, res in outcomes}
 
     rows: list[SweepRow] = []
     for ai, (value, cfg) in enumerate(zip(spec.values, configs)):
@@ -203,9 +204,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for method in spec.methods:
             rates = np.array([results[(ai, ti)].reports[method].sum_rate
                               for ti in range(spec.trials)])
-            if not np.all(np.isfinite(rates)):
-                raise FloatingPointError(
-                    f"non-finite {method} sum rate at {spec.axis} = {value}")
             std = float(np.std(rates, ddof=1)) if spec.trials > 1 else 0.0
             rows.append(SweepRow(
                 axis_value=float(value),
@@ -224,28 +222,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 
 def emit(result: SweepResult, fmt: str, path: str | Path | None = None) -> str:
     """Serialize a sweep to CSV or JSON; write to ``path`` when given."""
+    rows = [{"axis": result.axis, **asdict(row)} for row in result.rows]
     if fmt == "csv":
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(CSV_COLUMNS)
-        for row in result.rows:
-            writer.writerow([result.axis, row.axis_value, row.method,
-                             repr(row.mean_sum_rate), repr(row.std_sum_rate),
-                             repr(row.per_subcarrier_avg), row.trials, row.seed,
-                             row.config_hash])
+        writer = csv.DictWriter(buf, CSV_COLUMNS, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
         text = buf.getvalue()
     elif fmt == "json":
-        payload = {
-            "axis": result.axis,
-            "config": result.base_config,
-            "rows": [
-                {"axis": result.axis, "axis_value": r.axis_value, "method": r.method,
-                 "mean_sum_rate": r.mean_sum_rate, "std_sum_rate": r.std_sum_rate,
-                 "per_subcarrier_avg": r.per_subcarrier_avg, "trials": r.trials,
-                 "seed": r.seed, "config_hash": r.config_hash, "redraws": r.redraws}
-                for r in result.rows
-            ],
-        }
+        payload = {"axis": result.axis, "config": result.base_config, "rows": rows}
         text = json.dumps(payload, indent=2) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'json'")
@@ -257,10 +242,6 @@ def emit(result: SweepResult, fmt: str, path: str | Path | None = None) -> str:
 def load_sweep_json(source: str | Path) -> SweepResult:
     """Re-parse a JSON emission back into an equal SweepResult."""
     payload = json.loads(Path(source).read_text())
-    rows = [SweepRow(
-        axis_value=r["axis_value"], method=r["method"],
-        mean_sum_rate=r["mean_sum_rate"], std_sum_rate=r["std_sum_rate"],
-        per_subcarrier_avg=r["per_subcarrier_avg"], trials=r["trials"],
-        seed=r["seed"], config_hash=r["config_hash"], redraws=r.get("redraws", 0),
-    ) for r in payload["rows"]]
+    rows = [SweepRow(**{k: v for k, v in r.items() if k != "axis"})
+            for r in payload["rows"]]
     return SweepResult(axis=payload["axis"], rows=rows, base_config=payload["config"])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .config import SINR_CONVENTIONS
-from .omp import BeamformerSet
+from .omp import BeamformerSet, effective_channel
 
 
 @dataclass
@@ -29,12 +29,6 @@ class RateReport:
     method_tag: str
     power_residual: float
     seed: int | None = None
-
-
-def _coupling_matrices(channels: ChannelSet, W_RF: np.ndarray, F_RF: np.ndarray,
-                       F_BB: np.ndarray) -> np.ndarray:
-    """T[m, k, i] = w_k^H H_k[m] F_RF F_BB[m] e_i; F_RF may be per-subcarrier."""
-    return np.einsum("rk,kmrt,mti->mki", W_RF.conj(), channels.H, F_RF @ F_BB)
 
 
 def _sinr_from_coupling(T: np.ndarray, P: float, sigma_n2: float,
@@ -49,7 +43,8 @@ def _sinr_from_coupling(T: np.ndarray, P: float, sigma_n2: float,
         interference = powers.sum(axis=2) - desired
     else:
         interference = desired.sum(axis=1, keepdims=True) - desired
-    return (P / K) * desired / ((P / K) * interference + sigma_n2)
+    with np.errstate(over="ignore"):     # run_trial rejects the non-finite rate
+        return (P / K) * desired / ((P / K) * interference + sigma_n2)
 
 
 def sinr(channels: ChannelSet, W_RF: np.ndarray, F_RF: np.ndarray,
@@ -61,7 +56,7 @@ def sinr(channels: ChannelSet, W_RF: np.ndarray, F_RF: np.ndarray,
         raise ValueError(f"user index {k} outside 0..{K - 1}")
     if not 0 <= m < channels.M:
         raise ValueError(f"subcarrier index {m} outside 0..{channels.M - 1}")
-    T = np.einsum("rk,krt,ti->ki", W_RF.conj(), channels.H[:, m], F_RF @ F_BB_m)
+    T = effective_channel(channels, W_RF, F_RF)[m] @ F_BB_m
     return float(_sinr_from_coupling(T[None], P, sigma_n2, convention)[0, k])
 
 
@@ -75,8 +70,12 @@ def power_constraint_residual(F_RF: np.ndarray, F_BB: np.ndarray) -> float:
 def _hybrid_report(channels: ChannelSet, W_RF: np.ndarray, F_RF: np.ndarray,
                    F_BB: np.ndarray, P: float, sigma_n2: float, convention: str,
                    method_tag: str, seed: int | None) -> RateReport:
-    """Rates of one hybrid precoder; ``F_RF`` is fixed or per-subcarrier."""
-    T = _coupling_matrices(channels, W_RF, F_RF, F_BB)
+    """Rates of one hybrid precoder; ``F_RF`` is fixed or per-subcarrier.
+
+    T[m, k, i] = w_k^H H_k[m] F_RF F_BB[m] e_i is the coupling all hybrid
+    methods are scored by.
+    """
+    T = effective_channel(channels, W_RF, F_RF) @ F_BB
     per_user = np.log2(1.0 + _sinr_from_coupling(T, P, sigma_n2, convention)).T   # (K, M)
     return RateReport(
         per_user_rate=per_user,
@@ -99,11 +98,10 @@ def sum_rate(channels: ChannelSet, bf: BeamformerSet, which: str,
 
 def sum_rate_sd_analog(channels: ChannelSet, W_RF: np.ndarray, F_bar: np.ndarray,
                        F_BB: np.ndarray, P: float, sigma_n2: float,
-                       convention: str = "physical", seed: int | None = None,
-                       method_tag: str = "sd_oracle") -> RateReport:
+                       convention: str = "physical", seed: int | None = None) -> RateReport:
     """Sum rate with a per-subcarrier analog stack (the ideal-hardware ceiling)."""
     return _hybrid_report(channels, W_RF, F_bar, F_BB, P, sigma_n2, convention,
-                          method_tag, seed)
+                          "sd_oracle", seed)
 
 
 def fully_digital_yardstick(channels: ChannelSet, P: float, sigma_n2: float,
@@ -116,7 +114,8 @@ def fully_digital_yardstick(channels: ChannelSet, P: float, sigma_n2: float,
     H = channels.H
     K = H.shape[0]
     s_max = np.linalg.svd(H, compute_uv=False)[..., 0]     # (K, M)
-    per_user = np.log2(1.0 + (P / K) * s_max**2 / sigma_n2)
+    with np.errstate(over="ignore"):     # run_trial rejects the non-finite rate
+        per_user = np.log2(1.0 + (P / K) * s_max**2 / sigma_n2)
     return RateReport(
         per_user_rate=per_user,
         sum_rate=float(per_user.sum()),

@@ -18,6 +18,9 @@ from .config import SystemConfig
 from .phase_ops import rescale_phases, scale_analog_matrix, unwrap_analog_matrix
 
 
+_RCOND = 1e-12
+
+
 class DegenerateChannelError(RuntimeError):
     """Effective channel lost rank; the draw should be retried."""
 
@@ -169,18 +172,16 @@ def effective_channel(channels: ChannelSet, W_RF: np.ndarray,
     """Per-subcarrier K x N_RF effective channel, row k = w_k^H H_k[m] F_RF.
 
     ``F_RF`` may be a single (N_T, N_RF) matrix or an (M, N_T, N_RF) stack
-    of subcarrier-dependent beamformers.
+    of subcarrier-dependent beamformers; a single matrix is broadcast over m.
     """
     H = channels.H
     if W_RF.shape != (H.shape[2], H.shape[0]):
         raise ValueError(f"W_RF must be (N_R, K) = {(H.shape[2], H.shape[0])}, got {W_RF.shape}")
-    if F_RF.ndim == 2:
-        return np.einsum("rk,kmrt,tj->mkj", W_RF.conj(), H, F_RF)
+    F_RF = np.broadcast_to(F_RF, (H.shape[1],) + F_RF.shape[-2:])
     return np.einsum("rk,kmrt,mtj->mkj", W_RF.conj(), H, F_RF)
 
 
-def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray,
-                rcond: float = 1e-12) -> np.ndarray:
+def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray) -> np.ndarray:
     """Zero-forcing baseband: pseudo-inverse of each H_eff[m], renormalized.
 
     Each subcarrier is scaled by a common factor so that
@@ -190,7 +191,7 @@ def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray,
     """
     K = H_eff.shape[1]
     u, s, vh = np.linalg.svd(H_eff, full_matrices=False)
-    degenerate = np.flatnonzero((s[:, 0] == 0) | (s[:, -1] < rcond * s[:, 0]))
+    degenerate = np.flatnonzero((s[:, 0] == 0) | (s[:, -1] < _RCOND * s[:, 0]))
     if degenerate.size:
         m = degenerate[0]
         raise DegenerateChannelError(

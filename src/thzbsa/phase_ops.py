@@ -16,6 +16,7 @@ import numpy as np
 
 
 _PI_TIE_TOL = 1e-12
+_MODULUS_REL_TOL = 1e-6
 
 
 def _unwrap_columns(angles: np.ndarray) -> np.ndarray:
@@ -35,7 +36,7 @@ def _unwrap_columns(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_constant_modulus(a: np.ndarray, rel_tol: float) -> None:
+def _check_constant_modulus(a: np.ndarray) -> None:
     """Reject a vector, or a matrix with any column, whose moduli are not equal.
 
     The check is per column (axis 0); the first offending column is reported.
@@ -44,18 +45,18 @@ def _check_constant_modulus(a: np.ndarray, rel_tol: float) -> None:
     peak = mods.max(axis=0)
     with np.errstate(invalid="ignore"):
         deviation = np.ptp(mods, axis=0) / peak
-    bad = np.flatnonzero((peak == 0) | (deviation > rel_tol))
+    bad = np.flatnonzero((peak == 0) | (deviation > _MODULUS_REL_TOL))
     if bad.size == 0:
         return
     if peak.flat[bad[0]] == 0:
         raise ValueError("zero vector is not constant-modulus")
     raise ValueError(
         f"input is not constant-modulus: relative modulus spread {deviation.flat[bad[0]]:.3e} "
-        f"exceeds {rel_tol:.0e}"
+        f"exceeds {_MODULUS_REL_TOL:.0e}"
     )
 
 
-def unwrap_phases(a: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
+def unwrap_phases(a: np.ndarray) -> np.ndarray:
     """Unwrapped phases of a constant-modulus vector.
 
     The first entry anchors at arg(a_1) in (-pi, pi]; each successive phase
@@ -65,7 +66,7 @@ def unwrap_phases(a: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
     """
     if np.ndim(a) != 1:
         raise ValueError("unwrap_phases expects a vector")
-    return unwrap_analog_matrix(a, rel_tol)
+    return unwrap_analog_matrix(a)
 
 
 def from_phases(psi: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -95,7 +96,7 @@ def scale_beamformer(f: np.ndarray, ratio: float) -> np.ndarray:
     return from_phases(unwrap_phases(f) * ratio)
 
 
-def unwrap_analog_matrix(F_RF: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
+def unwrap_analog_matrix(F_RF: np.ndarray) -> np.ndarray:
     """Unwrapped phases of every column of a constant-modulus matrix.
 
     Each column is checked for constant modulus (a zero column is rejected)
@@ -104,7 +105,7 @@ def unwrap_analog_matrix(F_RF: np.ndarray, rel_tol: float = 1e-6) -> np.ndarray:
     and pass the phases to :func:`rescale_phases`.
     """
     F_RF = np.asarray(F_RF, dtype=complex)
-    _check_constant_modulus(F_RF, rel_tol)
+    _check_constant_modulus(F_RF)
     return _unwrap_columns(np.angle(F_RF))
 
 
@@ -119,7 +120,7 @@ def rescale_phases(phases: np.ndarray, eta) -> np.ndarray:
     return np.exp(1j * phases * eta) / np.sqrt(phases.shape[0])
 
 
-def scale_analog_matrix(F_RF: np.ndarray, eta, rel_tol: float = 1e-6) -> np.ndarray:
+def scale_analog_matrix(F_RF: np.ndarray, eta) -> np.ndarray:
     """Column-wise phase rescaling of a constant-modulus matrix.
 
     With a scalar ``eta`` the result has the shape of ``F_RF``. With an
@@ -131,4 +132,4 @@ def scale_analog_matrix(F_RF: np.ndarray, eta, rel_tol: float = 1e-6) -> np.ndar
     bad = np.flatnonzero(ratios <= 0)
     if bad.size:
         raise ValueError(f"eta_m must be positive, got {ratios.flat[bad[0]]}")
-    return rescale_phases(unwrap_analog_matrix(F_RF, rel_tol), ratios)
+    return rescale_phases(unwrap_analog_matrix(F_RF), ratios)

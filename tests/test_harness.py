@@ -10,7 +10,8 @@ import pytest
 
 import thzbsa as t
 from thzbsa import cli
-from thzbsa.harness import CSV_COLUMNS, config_for_axis_value
+from thzbsa.harness import (CSV_COLUMNS, HYBRID_METHODS, SweepRow,
+                            config_for_axis_value)
 
 
 SMALL = dict(N_T=32, N_R=4, K=2, N_RF=2, L=2, M=8)
@@ -106,6 +107,21 @@ class TestRunTrial:
         assert res.redraws == 0
         assert set(res.reports) == set(t.METHODS)
         assert calls == {"baseband_zf": 2, "sd_oracle_beamformers": 1}
+
+    def test_golden_desk_trials(self):
+        # the seeded per-report values the benchmark pins, checked in tier 1
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+        golden = json.loads(path.read_text())
+        cfg = t.build_config("desk")
+        for entry in golden["desk"][:8]:
+            res = t.run_trial(cfg, entry["seed"])
+            assert res.redraws == entry["redraws"]
+            assert set(res.reports) == set(entry["sum_rate"])
+            for method, rate in entry["sum_rate"].items():
+                report = res.reports[method]
+                assert report.sum_rate == pytest.approx(rate, rel=1e-9, abs=0), method
+                if method in HYBRID_METHODS:
+                    assert report.power_residual <= 1e-9, method
 
 
 class TestConfigForAxis:
@@ -233,6 +249,66 @@ class TestEmit:
     def test_unknown_format(self):
         with pytest.raises(ValueError, match="format"):
             t.emit(self._small_result(), "yaml")
+
+    def _two_rows(self):
+        return t.SweepResult(axis="snr_db", rows=[
+            SweepRow(-5.0, "omp", 1 / 3, 0.1, 1 / 96, 3, 7, "abcdef012345", 2),
+            SweepRow(5.0, "fully_digital", 12.5, 0.0, 0.390625, 1, 7, "abcdef012345", 0),
+        ], base_config={"K": 2, "sinr_convention": "physical"})
+
+    def test_csv_bytes(self):
+        assert t.emit(self._two_rows(), "csv") == (
+            "axis,axis_value,method,mean_sum_rate,std_sum_rate,per_subcarrier_avg,"
+            "trials,seed,config_hash\r\n"
+            "snr_db,-5.0,omp,0.3333333333333333,0.1,0.010416666666666666,3,7,"
+            "abcdef012345\r\n"
+            "snr_db,5.0,fully_digital,12.5,0.0,0.390625,1,7,abcdef012345\r\n"
+        )
+
+    def test_json_bytes(self):
+        assert t.emit(self._two_rows(), "json") == """{
+  "axis": "snr_db",
+  "config": {
+    "K": 2,
+    "sinr_convention": "physical"
+  },
+  "rows": [
+    {
+      "axis": "snr_db",
+      "axis_value": -5.0,
+      "method": "omp",
+      "mean_sum_rate": 0.3333333333333333,
+      "std_sum_rate": 0.1,
+      "per_subcarrier_avg": 0.010416666666666666,
+      "trials": 3,
+      "seed": 7,
+      "config_hash": "abcdef012345",
+      "redraws": 2
+    },
+    {
+      "axis": "snr_db",
+      "axis_value": 5.0,
+      "method": "fully_digital",
+      "mean_sum_rate": 12.5,
+      "std_sum_rate": 0.0,
+      "per_subcarrier_avg": 0.390625,
+      "trials": 1,
+      "seed": 7,
+      "config_hash": "abcdef012345",
+      "redraws": 0
+    }
+  ]
+}
+"""
+
+    def test_json_row_without_redraws_loads_as_zero(self, tmp_path):
+        payload = json.loads(t.emit(self._two_rows(), "json"))
+        del payload["rows"][0]["redraws"]
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        rows = t.load_sweep_json(path).rows
+        assert [r.redraws for r in rows] == [0, 0]
+        assert rows[0] == SweepRow(-5.0, "omp", 1 / 3, 0.1, 1 / 96, 3, 7, "abcdef012345")
 
 
 class TestConfigModule:
@@ -414,7 +490,6 @@ class TestCli:
         assert code == 2
         assert "workers must be in 1..2" in capsys.readouterr().err
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_result_exit_code(self, tmp_path, capsys):
         # finite and positive, so validation accepts it, but the SINRs overflow
         cfg_file = tmp_path / "tiny_noise.cfg"
@@ -424,7 +499,27 @@ class TestCli:
         assert code == 3
         captured = capsys.readouterr()
         assert "non-finite omp sum rate" in captured.err
+        assert "RuntimeWarning" not in captured.err
         assert captured.out == ""
+
+    def test_non_finite_result_stops_at_first_trial(self, monkeypatch, tmp_path, capsys):
+        from thzbsa import harness
+
+        calls = {"n": 0}
+        original = harness.run_trial
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "run_trial", counted)
+        cfg_file = tmp_path / "tiny_noise.cfg"
+        cfg_file.write_text("sigma_n2 = 1e-320\n")
+        code = cli.main(["simulate", "--sweep", "bandwidth", "--values", "1e9,2e9",
+                         "--trials", "2", "--config", str(cfg_file)])
+        assert code == 3
+        assert calls["n"] == 1
+        assert "numerical failure: non-finite omp sum rate" in capsys.readouterr().err
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def exhausted(spec):
