@@ -61,30 +61,25 @@ def bsa_baseband(F_RF: np.ndarray, F_BB_m: np.ndarray, eta_m: float,
     return _least_squares_match(F_RF, sd_analog(F_RF, eta_m) @ F_BB_m, normalize)
 
 
-def apply_bsa(channels: ChannelSet, bf: BeamformerSet,
-              target: tuple[np.ndarray, np.ndarray] | None = None) -> BeamformerSet:
-    """Fill the corrected baseband stack for every subcarrier.
+def apply_bsa(bf: BeamformerSet, target: BeamformerSet) -> BeamformerSet:
+    """Replace the baseband of ``bf`` with the corrected stack for every subcarrier.
 
-    The matching target is the ideal subcarrier-dependent hybrid pair
-    (F_bar, F_BB_sd) of :func:`sd_oracle_beamformers`: the dilated analog
-    stack and the zero-forcing baseband recomputed on its effective channel
-    (the target the virtual SD beamformer would actually deploy). A caller
-    that already holds that pair passes it as ``target`` and nothing is
-    recomputed; otherwise it is built here. All subcarriers are corrected
-    by one batched solve.
+    ``target`` is the ideal subcarrier-dependent hybrid precoder of
+    :func:`sd_oracle_beamformers`: the dilated analog stack and the
+    zero-forcing baseband solved on its effective channel (what the virtual
+    SD beamformer would actually deploy). All subcarriers are matched by one
+    batched solve; the analog stage and ``H_eff`` of ``bf`` are kept.
     """
-    F_bar, target_bb = target if target is not None else sd_oracle_beamformers(channels, bf)
-    return replace(bf, F_BB_bsa=_least_squares_match(bf.F_RF, F_bar @ target_bb))
+    return replace(bf, F_BB=_least_squares_match(bf.F_RF, target.F_RF @ target.F_BB))
 
 
-def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet
-                          ) -> tuple[np.ndarray, np.ndarray]:
+def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> BeamformerSet:
     """Ideal (hardware-infeasible) per-subcarrier analog stack and its ZF baseband.
 
-    Returns (F_bar, F_BB_sd) with F_bar of shape (M, N_T, N_RF), built by
-    one batched rescaling; used by the harness both as the performance
-    ceiling and as the target :func:`apply_bsa` matches.
+    The returned set has ``F_RF`` of shape (M, N_T, N_RF), built by one
+    batched rescaling; used by the harness both as the performance ceiling
+    and as the target :func:`apply_bsa` matches.
     """
     F_bar = sd_analog(bf.F_RF, channels.eta)
-    H_eff_sd = effective_channel(channels, bf.W_RF, F_bar)
-    return F_bar, baseband_zf(H_eff_sd, F_bar)
+    H_eff = effective_channel(channels, bf.W_RF, F_bar)
+    return replace(bf, F_RF=F_bar, H_eff=H_eff, F_BB=baseband_zf(H_eff, F_bar))

@@ -27,9 +27,8 @@ class ConfigError(ValueError):
 class SystemConfig:
     """Parameters of the multi-user wideband downlink.
 
-    Defaults are the desk-scale profile. ``d_spacing`` defaults to
-    half-wavelength at the carrier, ``N_F``/``N_W`` default to 2x the antenna
-    counts; ``None`` means "derive from the other fields".
+    Defaults are the desk-scale profile. ``N_F``/``N_W`` default to 2x the
+    antenna counts; ``None`` means "derive from the other fields".
     """
 
     f_c: float = 300e9          # carrier frequency [Hz]
@@ -40,7 +39,6 @@ class SystemConfig:
     N_RF: int = 4               # RF chains (= K, one stream per user)
     K: int = 4                  # users
     L: int = 3                  # paths per user (first one LoS)
-    d_spacing: float | None = None   # element spacing [m], default c0/(2 f_c)
     P: float = 1.0              # total transmit power (linear)
     sigma_n2: float = 1.0       # noise power (linear)
     d_bar: float = 10.0         # link distance [m]
@@ -54,12 +52,15 @@ class SystemConfig:
     sinr_convention: str = "physical"
 
     def __post_init__(self) -> None:
-        if self.d_spacing is None:
-            self.d_spacing = SPEED_OF_LIGHT / (2.0 * self.f_c)
         if self.N_F is None:
             self.N_F = 2 * self.N_T
         if self.N_W is None:
             self.N_W = 2 * self.N_R
+
+    @property
+    def d_spacing(self) -> float:
+        """Element spacing [m]: half a wavelength at f_c, as steering vectors assume."""
+        return SPEED_OF_LIGHT / (2.0 * self.f_c)
 
     def validate(self) -> "SystemConfig":
         """Check invariants, raising ConfigError on the first violation."""
@@ -91,8 +92,6 @@ class SystemConfig:
             raise ConfigError(f"N_F must be >= N_RF, got N_F={self.N_F}")
         if self.N_W < max(1, self.K):
             raise ConfigError(f"N_W must be >= K, got N_W={self.N_W}")
-        if self.d_spacing <= 0:
-            raise ConfigError("d_spacing must be positive")
         if self.excess_delay < 0:
             raise ConfigError("excess_delay must be nonnegative")
         if self.sinr_convention not in SINR_CONVENTIONS:

@@ -57,7 +57,12 @@ class SweepSpec:
             raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
         if len(self.values) == 0:
             raise ConfigError("sweep needs at least one axis value")
-        diffs = np.diff(np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"axis values must be finite, got {self.values}")
+        if self.axis == "num_users" and np.any(values != np.round(values)):
+            raise ConfigError(f"num_users values must be integers, got {self.values}")
+        diffs = np.diff(values)
         if len(diffs) and not (np.all(diffs > 0) or np.all(diffs < 0)):
             raise ConfigError("axis values must be strictly monotone")
         if self.trials < 1:
@@ -122,19 +127,19 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
             if hybrid_needed:
                 bf = omp_hybrid_beamformer(cfg, channels, dictionary)
             if "omp" in methods:
-                reports["omp"] = sum_rate(channels, bf, "plain", cfg.P, cfg.sigma_n2,
+                reports["omp"] = sum_rate(bf, "omp", cfg.P, cfg.sigma_n2,
                                           cfg.sinr_convention, seed=trial_seed)
             if "bsa_omp" in methods or "sd_oracle" in methods:
-                # one SD-oracle pair is both the bsa target and the oracle itself
-                F_bar, F_BB_sd = sd_oracle_beamformers(channels, bf)
+                # one SD-oracle precoder is both the bsa target and the oracle itself
+                sd = sd_oracle_beamformers(channels, bf)
             if "bsa_omp" in methods:
-                bf = apply_bsa(channels, bf, target=(F_bar, F_BB_sd))
-                reports["bsa_omp"] = sum_rate(channels, bf, "bsa", cfg.P, cfg.sigma_n2,
-                                              cfg.sinr_convention, seed=trial_seed)
+                reports["bsa_omp"] = sum_rate(apply_bsa(bf, sd), "bsa_omp", cfg.P,
+                                              cfg.sigma_n2, cfg.sinr_convention,
+                                              seed=trial_seed)
             if "sd_oracle" in methods:
-                reports["sd_oracle"] = sum_rate_sd_analog(
-                    channels, bf.W_RF, F_bar, F_BB_sd, cfg.P, cfg.sigma_n2,
-                    cfg.sinr_convention, seed=trial_seed)
+                reports["sd_oracle"] = sum_rate_sd_analog(sd, cfg.P, cfg.sigma_n2,
+                                                          cfg.sinr_convention,
+                                                          seed=trial_seed)
             if "fully_digital" in methods:
                 reports["fully_digital"] = fully_digital_yardstick(
                     channels, cfg.P, cfg.sigma_n2, seed=trial_seed)
@@ -157,10 +162,7 @@ def config_for_axis_value(base: SystemConfig, axis: str, value: float) -> System
     if axis == "bandwidth_hz":
         return base.replace(B=float(value)).validate()
     if axis == "num_users":
-        k = int(value)
-        if k != value:
-            raise ValueError(f"num_users values must be integers, got {value}")
-        return base.replace(K=k, N_RF=k).validate()
+        return base.replace(K=int(value), N_RF=int(value)).validate()
     raise ValueError(f"unknown axis {axis!r}")
 
 

@@ -67,41 +67,28 @@ def power_constraint_residual(F_RF: np.ndarray, F_BB: np.ndarray) -> float:
     return abs(total - M * K) / (M * K)
 
 
-def _hybrid_report(channels: ChannelSet, W_RF: np.ndarray, F_RF: np.ndarray,
-                   F_BB: np.ndarray, P: float, sigma_n2: float, convention: str,
-                   method_tag: str, seed: int | None) -> RateReport:
-    """Rates of one hybrid precoder; ``F_RF`` is fixed or per-subcarrier.
+def sum_rate(bf: BeamformerSet, method: str, P: float, sigma_n2: float,
+             convention: str = "physical", seed: int | None = None) -> RateReport:
+    """Multi-user sum rate of one hybrid precoder, tagged with ``method``.
 
-    T[m, k, i] = w_k^H H_k[m] F_RF F_BB[m] e_i is the coupling all hybrid
-    methods are scored by.
+    T[m, k, i] = w_k^H H_k[m] F_RF F_BB[m] e_i = (H_eff[m] F_BB[m])[k, i] is
+    the coupling all hybrid methods are scored by.
     """
-    T = effective_channel(channels, W_RF, F_RF) @ F_BB
+    T = bf.H_eff @ bf.F_BB
     per_user = np.log2(1.0 + _sinr_from_coupling(T, P, sigma_n2, convention)).T   # (K, M)
     return RateReport(
         per_user_rate=per_user,
         sum_rate=float(per_user.sum()),
-        method_tag=method_tag,
-        power_residual=power_constraint_residual(F_RF, F_BB),
+        method_tag=method,
+        power_residual=power_constraint_residual(bf.F_RF, bf.F_BB),
         seed=seed,
     )
 
 
-def sum_rate(channels: ChannelSet, bf: BeamformerSet, which: str,
-             P: float, sigma_n2: float, convention: str = "physical",
-             seed: int | None = None) -> RateReport:
-    """Multi-user sum rate for the plain or BSA-corrected baseband."""
-    F_BB = bf.baseband(which)
-    tag = {"plain": "omp", "bsa": "bsa_omp"}[which]
-    return _hybrid_report(channels, bf.W_RF, bf.F_RF, F_BB, P, sigma_n2, convention,
-                          tag, seed)
-
-
-def sum_rate_sd_analog(channels: ChannelSet, W_RF: np.ndarray, F_bar: np.ndarray,
-                       F_BB: np.ndarray, P: float, sigma_n2: float,
+def sum_rate_sd_analog(sd: BeamformerSet, P: float, sigma_n2: float,
                        convention: str = "physical", seed: int | None = None) -> RateReport:
     """Sum rate with a per-subcarrier analog stack (the ideal-hardware ceiling)."""
-    return _hybrid_report(channels, W_RF, F_bar, F_BB, P, sigma_n2, convention,
-                          "sd_oracle", seed)
+    return sum_rate(sd, "sd_oracle", P, sigma_n2, convention, seed)
 
 
 def fully_digital_yardstick(channels: ChannelSet, P: float, sigma_n2: float,

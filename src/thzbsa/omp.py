@@ -37,26 +37,18 @@ class Dictionary:
 
 @dataclass
 class BeamformerSet:
-    """Hybrid beamformers for one channel realization.
+    """One hybrid precoder (omp, bsa_omp or the SD oracle) for one realization.
 
-    ``F_BB`` is the per-subcarrier zero-forcing baseband stack (M, N_RF, K);
-    ``F_BB_bsa`` is filled by the beam-split-aware correction.
+    ``F_RF`` is a single (N_T, N_RF) matrix or the SD oracle's
+    (M, N_T, N_RF) stack; ``H_eff`` is the effective channel ``F_BB`` was
+    solved on, so every method is scored by the coupling H_eff[m] F_BB[m].
     """
 
-    F_RF: np.ndarray                     # (N_T, N_RF), constant modulus
-    W_RF: np.ndarray                     # (N_R, K), constant-modulus columns
-    F_BB: np.ndarray                     # (M, N_RF, K)
-    F_BB_bsa: np.ndarray | None = None   # (M, N_RF, K)
+    F_RF: np.ndarray        # (N_T, N_RF) or (M, N_T, N_RF), constant modulus
+    W_RF: np.ndarray        # (N_R, K), constant-modulus columns
+    H_eff: np.ndarray       # (M, K, N_RF)
+    F_BB: np.ndarray        # (M, N_RF, K)
     selected_atoms: list[tuple[int, int]] = field(default_factory=list)
-
-    def baseband(self, which: str) -> np.ndarray:
-        if which == "plain":
-            return self.F_BB
-        if which == "bsa":
-            if self.F_BB_bsa is None:
-                raise ValueError("BSA baseband not computed; run apply_bsa first")
-            return self.F_BB_bsa
-        raise ValueError(f"unknown baseband variant {which!r}")
 
 
 def build_dictionaries(cfg: SystemConfig) -> Dictionary:
@@ -213,4 +205,4 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
     F_RF, W_RF, selected = omp_select(F_opt, W_opt, dictionary, channels.eta)
     H_eff = effective_channel(channels, W_RF, F_RF)
     F_BB = baseband_zf(H_eff, F_RF)
-    return BeamformerSet(F_RF=F_RF, W_RF=W_RF, F_BB=F_BB, selected_atoms=selected)
+    return BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB, selected_atoms=selected)

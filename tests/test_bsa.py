@@ -116,14 +116,14 @@ class TestApplyBsa:
     def test_single_carrier_identity(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=2, M=1, B=0.0).validate()
         ch, bf = self._pipeline(cfg, 3)
-        bf = t.apply_bsa(ch, bf)
-        np.testing.assert_allclose(bf.F_BB_bsa, bf.F_BB, atol=1e-10)
+        out = t.apply_bsa(bf, t.sd_oracle_beamformers(ch, bf))
+        np.testing.assert_allclose(out.F_BB, bf.F_BB, atol=1e-10)
 
     def test_zero_bandwidth_identity_all_subcarriers(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=2, M=8, B=0.0).validate()
         ch, bf = self._pipeline(cfg, 4)
-        out = t.apply_bsa(ch, bf)
-        np.testing.assert_allclose(out.F_BB_bsa, bf.F_BB, atol=1e-10)
+        out = t.apply_bsa(bf, t.sd_oracle_beamformers(ch, bf))
+        np.testing.assert_allclose(out.F_BB, bf.F_BB, atol=1e-10)
 
     def test_statistical_gain_over_plain(self):
         # B chosen so the split deviation spans several beamwidths of a
@@ -134,39 +134,34 @@ class TestApplyBsa:
         ratios = []
         for seed in range(24):
             ch, bf = self._pipeline(cfg, 100 + seed)
-            bf = t.apply_bsa(ch, bf)
-            plain = t.sum_rate(ch, bf, "plain", cfg.P, cfg.sigma_n2)
-            corrected = t.sum_rate(ch, bf, "bsa", cfg.P, cfg.sigma_n2)
+            plain = t.sum_rate(bf, "omp", cfg.P, cfg.sigma_n2)
+            corrected = t.sum_rate(t.apply_bsa(bf, t.sd_oracle_beamformers(ch, bf)),
+                                   "bsa_omp", cfg.P, cfg.sigma_n2)
             ratios.append(corrected.sum_rate / plain.sum_rate)
             if corrected.sum_rate >= plain.sum_rate * (1 - 1e-9):
                 wins += 1
         assert wins >= 16, f"correction won only {wins}/24 seeds"
         assert np.mean(ratios) > 1.1, f"mean ratio {np.mean(ratios):.4f}"
 
-    def test_shared_target_equals_standalone(self):
-        cfg = t.SystemConfig(N_T=32, N_R=4, K=3, N_RF=3, L=3, M=8).validate()
-        ch, bf = self._pipeline(cfg, 12)
-        shared = t.apply_bsa(ch, bf, target=t.sd_oracle_beamformers(ch, bf))
-        np.testing.assert_array_equal(shared.F_BB_bsa, t.apply_bsa(ch, bf).F_BB_bsa)
-
     def test_batched_correction_matches_per_subcarrier(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=2, M=6).validate()
         ch, bf = self._pipeline(cfg, 6)
-        F_bar, F_BB_sd = t.sd_oracle_beamformers(ch, bf)
-        out = t.apply_bsa(ch, bf)
+        sd = t.sd_oracle_beamformers(ch, bf)
+        out = t.apply_bsa(bf, sd)
         for m in range(cfg.M):
-            expected = np.linalg.lstsq(bf.F_RF, F_bar[m] @ F_BB_sd[m], rcond=None)[0]
+            expected = np.linalg.lstsq(bf.F_RF, sd.F_RF[m] @ sd.F_BB[m], rcond=None)[0]
             expected *= np.sqrt(cfg.K) / np.linalg.norm(bf.F_RF @ expected)
-            np.testing.assert_allclose(out.F_BB_bsa[m], expected, atol=1e-10)
+            np.testing.assert_allclose(out.F_BB[m], expected, atol=1e-10)
 
     def test_preserves_inputs(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=2, M=4).validate()
         ch, bf = self._pipeline(cfg, 5)
         before = bf.F_BB.copy()
-        out = t.apply_bsa(ch, bf)
-        assert bf.F_BB_bsa is None
+        out = t.apply_bsa(bf, t.sd_oracle_beamformers(ch, bf))
         np.testing.assert_array_equal(bf.F_BB, before)
-        assert out.F_BB_bsa is not None
+        assert not np.array_equal(out.F_BB, before)
+        # only the baseband changes: the analog stage and its H_eff are kept
+        assert out.F_RF is bf.F_RF and out.W_RF is bf.W_RF and out.H_eff is bf.H_eff
 
 
 class TestSdOracleBeamformers:
@@ -175,8 +170,23 @@ class TestSdOracleBeamformers:
         rng = np.random.default_rng(8)
         ch = t.generate_channel(cfg, t.draw_paths(cfg, rng))
         bf = t.omp_hybrid_beamformer(cfg, ch)
-        F_bar, F_BB_sd = t.sd_oracle_beamformers(ch, bf)
-        assert F_bar.shape == (4, 16, 2)
-        assert F_BB_sd.shape == (4, 2, 2)
-        assert t.power_constraint_residual(F_bar, F_BB_sd) <= 1e-10
-        np.testing.assert_allclose(np.abs(F_bar), 1 / np.sqrt(16), atol=1e-9)
+        sd = t.sd_oracle_beamformers(ch, bf)
+        assert sd.F_RF.shape == (4, 16, 2)
+        assert sd.H_eff.shape == (4, 2, 2)
+        assert sd.F_BB.shape == (4, 2, 2)
+        assert sd.W_RF is bf.W_RF
+        assert t.power_constraint_residual(sd.F_RF, sd.F_BB) <= 1e-10
+        np.testing.assert_allclose(np.abs(sd.F_RF), 1 / np.sqrt(16), atol=1e-9)
+
+
+class TestStoredEffectiveChannel:
+    def test_each_set_carries_its_own_effective_channel(self):
+        # H_eff is what every hybrid rate is scored by; it must be exactly
+        # the effective channel of the set's own analog stage
+        cfg = t.build_config("desk")
+        ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(21)))
+        bf = t.omp_hybrid_beamformer(cfg, ch)
+        sd = t.sd_oracle_beamformers(ch, bf)
+        for name, one in (("omp", bf), ("bsa_omp", t.apply_bsa(bf, sd)), ("sd", sd)):
+            np.testing.assert_array_equal(
+                one.H_eff, t.effective_channel(ch, one.W_RF, one.F_RF), err_msg=name)

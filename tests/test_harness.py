@@ -108,13 +108,35 @@ class TestRunTrial:
         assert set(res.reports) == set(t.METHODS)
         assert calls == {"baseband_zf": 2, "sd_oracle_beamformers": 1}
 
+    @pytest.mark.parametrize("methods,calls", [(t.METHODS, 2), (("omp",), 1),
+                                               (("fully_digital",), 0)])
+    def test_effective_channel_once_per_analog_matrix(self, monkeypatch, methods, calls):
+        # one contraction for the fixed analog matrix (shared by omp and
+        # bsa_omp through the stored H_eff) and one for the SD-oracle stack
+        from thzbsa import bsa, metrics, omp
+
+        count = {"n": 0}
+        original = omp.effective_channel
+
+        def counted(*args, **kwargs):
+            count["n"] += 1
+            return original(*args, **kwargs)
+
+        for module in (omp, bsa, metrics):
+            monkeypatch.setattr(module, "effective_channel", counted)
+        res = t.run_trial(small_cfg(), 7, methods=methods)
+        assert set(res.reports) == set(methods)
+        assert count["n"] == calls
+
     def test_golden_desk_trials(self):
-        # the seeded per-report values the benchmark pins, checked in tier 1
+        # the seeded per-report values the benchmark pins, checked in tier 1:
+        # eight desk entries plus one paper entry (N_T=128, K=8, M=128 shapes)
         path = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
         golden = json.loads(path.read_text())
-        cfg = t.build_config("desk")
-        for entry in golden["desk"][:8]:
-            res = t.run_trial(cfg, entry["seed"])
+        cases = [("desk", entry) for entry in golden["desk"][:8]]
+        cases.append(("paper", golden["paper"][0]))
+        for profile, entry in cases:
+            res = t.run_trial(t.build_config(profile), entry["seed"])
             assert res.redraws == entry["redraws"]
             assert set(res.reports) == set(entry["sum_rate"])
             for method, rate in entry["sum_rate"].items():
@@ -138,15 +160,23 @@ class TestConfigForAxis:
         cfg = config_for_axis_value(small_cfg(), "num_users", 4)
         assert cfg.K == 4 and cfg.N_RF == 4
 
-    def test_users_requires_integer(self):
-        with pytest.raises(ValueError):
-            config_for_axis_value(small_cfg(), "num_users", 2.5)
-
 
 class TestSweepSpec:
     def test_rejects_non_monotone_values(self):
         spec = t.SweepSpec(axis="snr_db", values=[0, 10, 5], base_config=small_cfg())
         with pytest.raises(ValueError, match="monotone"):
+            spec.validate()
+
+    def test_users_requires_integer(self):
+        spec = t.SweepSpec(axis="num_users", values=[2, 2.5], base_config=small_cfg())
+        with pytest.raises(t.ConfigError, match="integers"):
+            spec.validate()
+
+    @pytest.mark.parametrize("axis", ["snr_db", "bandwidth_hz", "num_users"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_values(self, axis, value):
+        spec = t.SweepSpec(axis=axis, values=[value], base_config=small_cfg())
+        with pytest.raises(t.ConfigError, match="finite"):
             spec.validate()
 
     def test_rejects_unknown_method(self):
@@ -348,7 +378,7 @@ seed = 9
         assert cfg.N_T == 16 and cfg.seed == 77
 
     @pytest.mark.parametrize("name", ["f_c", "B", "P", "sigma_n2", "d_bar", "k_abs",
-                                      "excess_delay", "nlos_penalty_db", "d_spacing"])
+                                      "excess_delay", "nlos_penalty_db"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(t.ConfigError, match=f"{name} must be finite"):
@@ -378,7 +408,7 @@ seed = 9
                        {"N_F": 64}, {"N_W": 4}, {"seed": 2},
                        {"nlos_penalty_db": 6.0}, {"excess_delay": 1e-9},
                        {"normalize_gain": False},
-                       {"sinr_convention": "as_printed"}, {"d_spacing": 1e-3}):
+                       {"sinr_convention": "as_printed"}):
             h = t.config_hash(base.replace(**change))
             assert h not in seen, f"hash collision for {change}"
             seen.add(h)
@@ -428,6 +458,21 @@ class TestCli:
         code = cli.main(["simulate", "--sweep", "snr", "--values", "0,zero",
                          "--trials", "1"])
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "2.5"])
+    def test_bad_users_value_exit_code(self, capsys, value):
+        code = cli.main(["simulate", "--sweep", "users", "--values", value,
+                         "--trials", "1"])
+        assert code == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_d_spacing_is_not_a_config_key(self, tmp_path, capsys):
+        # the spacing is always half a wavelength; a file cannot set it
+        cfg_file = tmp_path / "spacing.cfg"
+        cfg_file.write_text("d_spacing = 0.001\n")
+        code = cli.main(["show-config", "--config", str(cfg_file)])
+        assert code == 2
+        assert "unknown config key 'd_spacing'" in capsys.readouterr().err
 
     def test_non_monotone_values_exit_code(self, capsys):
         code = cli.main(["simulate", "--sweep", "snr", "--values", "0,10,5",
@@ -536,14 +581,35 @@ class TestBenchmarkContract:
     def test_traced_names_resolve(self):
         # the benchmark traces by replacing these module-level names; a
         # deleted or renamed one would break its per-module trace
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = _load_spans()
         assert spans.PATCHES
         for module_name, name, _ in spans.PATCHES:
             assert callable(getattr(importlib.import_module(module_name), name)), \
                 f"{module_name}.{name}"
+
+    def test_trial_reaches_every_traced_trial_name(self):
+        # a name the trial stops calling would leave its per-layer metric
+        # reading 0; the set-up, sweep and emit names sit outside a trial
+        spans = _load_spans()
+        outside = {"config.build_config", "harness.run_sweep", "harness.emit",
+                   "harness.run_trial"}
+        tracer = spans.Tracer()
+        spans.install(tracer)
+        try:
+            t.run_trial(small_cfg(), 7)
+        finally:
+            spans.uninstall()
+        recorded = {span[0] for span in tracer.spans}
+        missing = {name for _, _, name in spans.PATCHES} - outside - recorded
+        assert not missing
+
+
+def _load_spans():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def _write_small_cfg(tmp_path):
