@@ -1,11 +1,9 @@
 """Wideband THz multi-user hybrid beamforming with beam-split-aware correction."""
 
 from .bsa import apply_bsa, bsa_baseband, sd_analog, sd_oracle_beamformers
-from .channel import (ChannelSet, PathParams, array_gain, beam_split_deviation,
-                      central_subcarrier_index, dirichlet_sinc, draw_paths,
-                      frequency_ratios, generate_channel, path_gain,
-                      spatial_direction, steering_vector,
-                      subcarrier_frequencies)
+from .channel import (ChannelSet, PathParams, array_gain, dirichlet_sinc,
+                      draw_paths, frequency_ratios, generate_channel,
+                      steering_vector, subcarrier_frequencies)
 from .config import (ConfigError, PROFILES, SystemConfig, build_config,
                      config_hash, parse_config_file)
 from .harness import (METHODS, RedrawExhausted, SweepResult, SweepSpec,

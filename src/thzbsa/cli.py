@@ -34,14 +34,10 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
                         help="flat key = value config file")
     parser.add_argument("--profile", choices=sorted(PROFILES), default="desk",
                         help="parameter preset (desk: CI scale, paper: full scale)")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="master seed (overrides config file)")
 
 
 def _resolve_config(args: argparse.Namespace):
-    file_overrides = parse_config_file(args.config) if args.config else None
-    cli_overrides = {"seed": args.seed} if args.seed is not None else None
-    return build_config(args.profile, file_overrides, cli_overrides)
+    return build_config(args.profile, parse_config_file(args.config) if args.config else None)
 
 
 def _parse_values(raw: str) -> list[float]:
@@ -65,7 +61,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         trials=trials,
         methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
         base_config=cfg,
-        seed=cfg.seed,
+        seed=args.seed,
         workers=args.workers,
     ).validate()
     result = run_sweep(spec)
@@ -81,6 +77,10 @@ def cmd_array_gain(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if not 1 <= args.subcarrier <= cfg.M:
         raise ConfigError(f"--subcarrier must be in 1..{cfg.M}")
+    if not np.isfinite(args.phi):
+        raise ConfigError(f"--phi must be finite, got {args.phi}")
+    if args.grid_points is not None and args.grid_points < 1:
+        raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     m = args.subcarrier - 1
     u = channel.steering_vector(cfg.N_T, args.phi)
     grid = np.linspace(-1.0, 1.0, args.grid_points or 16 * cfg.N_T + 1)
@@ -122,6 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=None,
                      help="Monte-Carlo trials per axis value (default per profile)")
     sim.add_argument("--methods", type=str, default=",".join(METHODS))
+    sim.add_argument("--seed", type=int, default=1, help="master seed of the sweep")
     sim.add_argument("--out", type=Path, default=None)
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
     sim.add_argument("--workers", type=int, default=1,

@@ -1,8 +1,9 @@
 """System configuration: the single source of dimensional truth.
 
-All array sizes, the subcarrier grid, powers and RNG seeding flow from
-``SystemConfig``. Two named parameter presets are provided: ``desk`` (small,
-CI-friendly) and ``paper`` (full-scale reference profile).
+All array sizes, the subcarrier grid and powers flow from ``SystemConfig``;
+the master seed belongs to the sweep (``SweepSpec.seed``), not to the system.
+Two named parameter presets are provided: ``desk`` (small, CI-friendly) and
+``paper`` (full-scale reference profile).
 """
 
 from __future__ import annotations
@@ -41,14 +42,10 @@ class SystemConfig:
     L: int = 3                  # paths per user (first one LoS)
     P: float = 1.0              # total transmit power (linear)
     sigma_n2: float = 1.0       # noise power (linear)
-    d_bar: float = 10.0         # link distance [m]
-    k_abs: float = 0.0          # absorption coefficient [1/m]
     N_F: int | None = None      # transmit dictionary grid size, default 2 N_T
     N_W: int | None = None      # receive dictionary grid size, default 2 N_R
-    seed: int = 1
     nlos_penalty_db: float = 10.0    # extra NLoS attenuation
-    excess_delay: float = 20e-9      # max NLoS excess delay [s]
-    normalize_gain: bool = True      # divide path gains by the RMS gain at f_c
+    excess_delay: float = 20e-9      # max NLoS delay after the LoS arrival [s]
     sinr_convention: str = "physical"
 
     def __post_init__(self) -> None:
@@ -84,10 +81,6 @@ class SystemConfig:
             raise ConfigError(f"need 0 <= B < 2 f_c, got B={self.B}, f_c={self.f_c}")
         if self.P <= 0 or self.sigma_n2 <= 0:
             raise ConfigError("P and sigma_n2 must be positive")
-        if self.d_bar <= 0:
-            raise ConfigError("d_bar must be positive")
-        if self.k_abs < 0:
-            raise ConfigError("k_abs must be nonnegative")
         if self.N_F < max(1, self.N_RF):
             raise ConfigError(f"N_F must be >= N_RF, got N_F={self.N_F}")
         if self.N_W < max(1, self.K):
@@ -117,17 +110,9 @@ PROFILES: dict[str, dict] = {
 
 PROFILE_TRIALS = {"desk": 20, "paper": 100}
 
-_BOOL_STRINGS = {"true": True, "1": True, "yes": True,
-                 "false": False, "0": False, "no": False}
-
 
 def _coerce(name: str, raw: str, target_type) -> object:
     raw = raw.strip()
-    if target_type is bool:
-        try:
-            return _BOOL_STRINGS[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"cannot parse boolean {name}={raw!r}") from None
     try:
         if target_type is int:
             return int(raw)
@@ -166,15 +151,11 @@ def parse_config_file(path: str | Path) -> dict:
 
 
 def build_config(profile: str = "desk",
-                 file_overrides: dict | None = None,
-                 cli_overrides: dict | None = None) -> SystemConfig:
-    """Resolve a config: profile defaults, then file, then CLI flags."""
+                 file_overrides: dict | None = None) -> SystemConfig:
+    """Resolve a config: profile defaults, then the config file's keys."""
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
-    fields: dict = dict(PROFILES[profile])
-    for layer in (file_overrides, cli_overrides):
-        if layer:
-            fields.update({k: v for k, v in layer.items() if v is not None})
+    fields: dict = {**PROFILES[profile], **(file_overrides or {})}
     return SystemConfig(**fields).validate()
 
 

@@ -71,6 +71,9 @@ class SweepSpec:
         if not 1 <= self.workers <= cpus:
             raise ConfigError(f"workers must be in 1..{cpus} (the CPU count), "
                               f"got {self.workers}")
+        if not self.methods or len(set(self.methods)) != len(self.methods):
+            raise ConfigError(f"methods must be a non-empty list without repeats, "
+                              f"got {list(self.methods)}")
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ConfigError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")

@@ -69,7 +69,7 @@ def unwrap_phases(a: np.ndarray) -> np.ndarray:
     return unwrap_analog_matrix(a)
 
 
-def from_phases(psi: np.ndarray, n: int | None = None) -> np.ndarray:
+def from_phases(psi: np.ndarray) -> np.ndarray:
     """Reconstruct the constant-modulus vector (1/sqrt(N)) exp(j psi_n).
 
     Inverse of unwrap_phases for any vector with entrywise modulus
@@ -78,11 +78,7 @@ def from_phases(psi: np.ndarray, n: int | None = None) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     if not np.all(np.isfinite(psi)):
         raise ValueError("phases must be finite")
-    if n is None:
-        n = psi.shape[0]
-    elif n != psi.shape[0]:
-        raise ValueError(f"length mismatch: psi has {psi.shape[0]} entries, n={n}")
-    return np.exp(1j * psi) / np.sqrt(n)
+    return np.exp(1j * psi) / np.sqrt(psi.shape[0])
 
 
 def scale_beamformer(f: np.ndarray, ratio: float) -> np.ndarray:

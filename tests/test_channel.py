@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 import thzbsa as t
@@ -32,26 +32,16 @@ class TestSubcarrierGrid:
         for M in (1, 3, 31, 129):
             cfg = t.SystemConfig(M=M)
             eta = t.frequency_ratios(cfg)
-            assert eta[t.central_subcarrier_index(M)] == pytest.approx(1.0, abs=1e-15)
+            assert eta[(M - 1) // 2] == pytest.approx(1.0, abs=1e-15)
 
     def test_central_index_even_M(self):
         cfg = t.SystemConfig(M=32)
         eta = t.frequency_ratios(cfg)
-        mc = t.central_subcarrier_index(32)
+        mc = (32 - 1) // 2
         assert abs(eta[mc] - 1) == pytest.approx(np.min(np.abs(eta - 1)), abs=1e-14)
 
 
 class TestDirections:
-    def test_spatial_direction(self):
-        assert t.spatial_direction(0.0, 1.05) == 0.0
-        assert t.spatial_direction(0.8, 1.0) == pytest.approx(0.8)
-        assert t.spatial_direction(0.8, 1.049609375) == pytest.approx(0.8396875, abs=1e-12)
-
-    def test_beam_split_deviation(self):
-        assert t.beam_split_deviation(0.8, 1.05) == pytest.approx(0.04, abs=1e-15)
-        assert t.beam_split_deviation(0.0, 1.3) == 0.0
-        assert t.beam_split_deviation(0.5, 0.95) == pytest.approx(-0.025, abs=1e-15)
-
     def test_deviation_angle_magnitude(self):
         # sine-space 0.04 at phi=0.8 is about four degrees of physical angle
         dev = math.degrees(math.asin(0.84) - math.asin(0.8))
@@ -82,42 +72,6 @@ class TestSteeringVector:
             t.steering_vector(0, 0.5)
 
 
-class TestPathGain:
-    def test_free_space_value(self):
-        # independent evaluation of the spreading law
-        expected = SPEED_OF_LIGHT / (4 * math.pi * 300e9 * 10.0)
-        assert t.path_gain(300e9, 10.0, 0.0) == pytest.approx(expected, rel=1e-12)
-        assert expected == pytest.approx(7.952e-6, rel=1e-3)
-
-    def test_inverse_distance(self):
-        assert t.path_gain(300e9, 20.0) == pytest.approx(t.path_gain(300e9, 10.0) / 2)
-
-    def test_absorption_factor(self):
-        base = t.path_gain(300e9, 10.0, 0.0)
-        attenuated = t.path_gain(300e9, 10.0, 0.01)
-        assert attenuated / base == pytest.approx(math.exp(-0.05), rel=1e-12)
-
-    @given(st.floats(1.0, 100.0), st.floats(1.0, 100.0))
-    def test_strictly_decreasing_in_distance(self, d1, d2):
-        if d1 == d2:
-            return
-        lo, hi = sorted((d1, d2))
-        assert t.path_gain(300e9, hi, 0.01) < t.path_gain(300e9, lo, 0.01)
-
-    @given(st.floats(0.0, 0.5), st.floats(0.0, 0.5))
-    def test_strictly_decreasing_in_absorption(self, k1, k2):
-        lo, hi = sorted((k1, k2))
-        # the exponent difference must be representable in float64
-        assume((hi - lo) * 10.0 / 2.0 > 1e-12)
-        assert t.path_gain(300e9, 10.0, hi) < t.path_gain(300e9, 10.0, lo)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            t.path_gain(0.0, 10.0)
-        with pytest.raises(ValueError):
-            t.path_gain(300e9, -1.0)
-
-
 class TestDirichletSinc:
     def test_limit_at_zero(self):
         assert t.dirichlet_sinc(0.0, 64) == 1.0
@@ -144,9 +98,7 @@ def _oracle_channel_entry(cfg, paths, k, m, r, c, split_free):
     """Per-entry triple-sum evaluation with scalar arithmetic only."""
     f_m = cfg.f_c + (cfg.B / cfg.M) * (m + 1 - 1 - (cfg.M - 1) / 2)
     eta_m = f_m / cfg.f_c
-    rms = SPEED_OF_LIGHT / (4 * math.pi * f_m * cfg.d_bar) * math.exp(-cfg.k_abs * cfg.d_bar / 2)
-    if cfg.normalize_gain:
-        rms /= SPEED_OF_LIGHT / (4 * math.pi * cfg.f_c * cfg.d_bar) * math.exp(-cfg.k_abs * cfg.d_bar / 2)
+    gain = cfg.f_c / f_m            # free-space spreading, normalised at the carrier
     zeta = math.sqrt(cfg.N_R * cfg.N_T / cfg.L)
     total = 0j
     for l in range(cfg.L):
@@ -154,21 +106,21 @@ def _oracle_channel_entry(cfg, paths, k, m, r, c, split_free):
         a_r = cmath.exp(-1j * math.pi * r * scale * paths.phi[k, l]) / math.sqrt(cfg.N_R)
         a_t = cmath.exp(-1j * math.pi * c * scale * paths.varphi[k, l]) / math.sqrt(cfg.N_T)
         delay = cmath.exp(-2j * math.pi * paths.tau[k, l] * f_m)
-        total += complex(paths.alpha[k, l]) * rms * a_r * a_t.conjugate() * delay
+        total += complex(paths.alpha[k, l]) * gain * a_r * a_t.conjugate() * delay
     return zeta * total
 
 
 class TestGenerateChannel:
     def test_single_path_closed_form(self):
-        cfg = t.SystemConfig(N_T=8, N_R=4, K=1, N_RF=1, L=1, M=1, B=0.0,
-                             normalize_gain=True)
-        paths = t.PathParams(alpha=[[1.0]], phi=[[0.3]], varphi=[[-0.5]],
-                             tau=[[0.0]], is_los=[[True]])
+        # gain alpha / eta_m on the dilated directions eta_m * phi, eta_m * varphi
+        cfg = t.SystemConfig(N_T=8, N_R=4, K=1, N_RF=1, L=1, M=3, B=30e9)
+        paths = t.PathParams(alpha=[[1.0]], phi=[[0.3]], varphi=[[-0.5]], tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
-        expected = math.sqrt(32) * np.outer(t.steering_vector(4, 0.3),
-                                            t.steering_vector(8, -0.5).conj())
-        np.testing.assert_allclose(ch.H[0, 0], expected, atol=1e-12)
-        assert np.linalg.norm(ch.H[0, 0]) == pytest.approx(math.sqrt(32), rel=1e-12)
+        for m, eta_m in enumerate((29 / 30, 1.0, 31 / 30)):     # f_m = 290, 300, 310 GHz
+            expected = math.sqrt(32) / eta_m * np.outer(
+                t.steering_vector(4, 0.3 * eta_m), t.steering_vector(8, -0.5 * eta_m).conj())
+            np.testing.assert_allclose(ch.H[0, m], expected, atol=1e-12)
+            assert np.linalg.norm(ch.H[0, m]) == pytest.approx(math.sqrt(32) / eta_m, rel=1e-12)
 
     def test_single_path_rank_one(self, rng):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=1, M=4).validate()
@@ -203,43 +155,27 @@ class TestGenerateChannel:
         with pytest.raises(ValueError, match="dimension"):
             t.generate_channel(tiny_cfg, paths)
 
-    def test_unnormalized_gain_scale(self, rng):
-        cfg = t.SystemConfig(N_T=8, N_R=2, K=1, N_RF=1, L=1, M=1, B=0.0,
-                             normalize_gain=False)
-        paths = t.PathParams(alpha=[[1.0]], phi=[[0.0]], varphi=[[0.0]],
-                             tau=[[0.0]], is_los=[[True]])
-        ch = t.generate_channel(cfg, paths)
-        rms = t.path_gain(cfg.f_c, cfg.d_bar, cfg.k_abs)
-        assert np.linalg.norm(ch.H[0, 0]) == pytest.approx(4 * rms, rel=1e-12)
-
 
 class TestPathParams:
-    def test_exactly_one_los_required(self):
-        with pytest.raises(ValueError, match="LoS"):
-            t.PathParams(alpha=[[1.0, 1.0]], phi=[[0.1, 0.2]], varphi=[[0.1, 0.2]],
-                         tau=[[0.0, 1e-9]], is_los=[[True, True]])
-
     def test_directions_bounded(self):
         with pytest.raises(ValueError, match="sine-space"):
-            t.PathParams(alpha=[[1.0]], phi=[[1.5]], varphi=[[0.0]],
-                         tau=[[0.0]], is_los=[[True]])
+            t.PathParams(alpha=[[1.0]], phi=[[1.5]], varphi=[[0.0]], tau=[[0.0]])
 
     def test_draw_paths_properties(self, desk_cfg, rng):
         paths = t.draw_paths(desk_cfg, rng)
         assert paths.alpha.shape == (desk_cfg.K, desk_cfg.L)
         assert np.all(np.abs(paths.phi) <= 1)
-        assert np.all(paths.is_los[:, 0]) and not np.any(paths.is_los[:, 1:])
-        los_delay = desk_cfg.d_bar / SPEED_OF_LIGHT
-        assert np.allclose(paths.tau[:, 0], los_delay)
-        assert np.all(paths.tau[:, 1:] >= los_delay)
-        assert np.all(paths.tau[:, 1:] <= los_delay + desk_cfg.excess_delay)
+        # delays run from the LoS arrival on path 0
+        assert np.all(paths.tau[:, 0] == 0)
+        assert np.all(paths.tau[:, 1:] >= 0)
+        assert np.all(paths.tau[:, 1:] <= desk_cfg.excess_delay)
 
 
 class TestArrayGain:
     def test_matched_pair_at_center(self):
         cfg = t.SystemConfig(N_T=32, M=33)       # odd M: center has eta = 1
         u = t.steering_vector(32, 0.7)
-        mc = t.central_subcarrier_index(cfg.M)
+        mc = (cfg.M - 1) // 2
         assert t.array_gain(u, 0.7, mc, cfg) == pytest.approx(1.0, abs=1e-12)
 
     def test_peak_tracks_dilated_direction(self):

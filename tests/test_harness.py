@@ -10,7 +10,7 @@ import pytest
 
 import thzbsa as t
 from thzbsa import cli
-from thzbsa.harness import (CSV_COLUMNS, HYBRID_METHODS, SweepRow,
+from thzbsa.harness import (CSV_COLUMNS, HYBRID_METHODS, METHODS, SweepRow,
                             config_for_axis_value)
 
 
@@ -183,6 +183,13 @@ class TestSweepSpec:
         spec = t.SweepSpec(axis="snr_db", values=[0], methods=("nope",),
                            base_config=small_cfg())
         with pytest.raises(ValueError, match="unknown methods"):
+            spec.validate()
+
+    @pytest.mark.parametrize("methods", [(), ("omp", "omp"), ("omp", "fully_digital", "omp")])
+    def test_rejects_empty_or_repeated_methods(self, methods):
+        spec = t.SweepSpec(axis="snr_db", values=[0], methods=methods,
+                           base_config=small_cfg())
+        with pytest.raises(t.ConfigError, match="non-empty list without repeats"):
             spec.validate()
 
     def test_workers_bounded_by_cpu_count(self, monkeypatch):
@@ -369,15 +376,14 @@ class TestConfigModule:
 # comment line
 N_T = 16
 B = 1.5e9         # inline comment
-normalize_gain = false
-seed = 9
+sinr_convention = as_printed
 """)
         overrides = t.parse_config_file(cfg_file)
-        assert overrides == {"N_T": 16, "B": 1.5e9, "normalize_gain": False, "seed": 9}
-        cfg = t.build_config("desk", overrides, {"seed": 77})
-        assert cfg.N_T == 16 and cfg.seed == 77
+        assert overrides == {"N_T": 16, "B": 1.5e9, "sinr_convention": "as_printed"}
+        cfg = t.build_config("desk", overrides)
+        assert (cfg.N_T, cfg.B, cfg.sinr_convention) == (16, 1.5e9, "as_printed")
 
-    @pytest.mark.parametrize("name", ["f_c", "B", "P", "sigma_n2", "d_bar", "k_abs",
+    @pytest.mark.parametrize("name", ["f_c", "B", "P", "sigma_n2",
                                       "excess_delay", "nlos_penalty_db"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, name, value):
@@ -404,14 +410,37 @@ seed = 9
         seen = {t.config_hash(base)}
         for change in ({"f_c": 299e9}, {"B": 1e9}, {"M": 16}, {"N_T": 32},
                        {"N_R": 2}, {"K": 2, "N_RF": 2}, {"L": 1}, {"P": 2.0},
-                       {"sigma_n2": 0.5}, {"d_bar": 5.0}, {"k_abs": 0.1},
-                       {"N_F": 64}, {"N_W": 4}, {"seed": 2},
+                       {"sigma_n2": 0.5}, {"N_F": 64}, {"N_W": 4},
                        {"nlos_penalty_db": 6.0}, {"excess_delay": 1e-9},
-                       {"normalize_gain": False},
                        {"sinr_convention": "as_printed"}):
             h = t.config_hash(base.replace(**change))
             assert h not in seen, f"hash collision for {change}"
             seen.add(h)
+
+    def test_every_field_moves_a_rate(self):
+        # a field that changes no sum rate is dead weight in the config file,
+        # the validation and the hash; K and N_RF must move together
+        base = small_cfg()
+        perturbations = {
+            "f_c": {"f_c": 150e9}, "B": {"B": 5e9}, "M": {"M": 5},
+            "N_T": {"N_T": 24}, "N_R": {"N_R": 3},
+            "N_RF": {"K": 3, "N_RF": 3}, "K": {"K": 3, "N_RF": 3}, "L": {"L": 3},
+            "P": {"P": 2.0}, "sigma_n2": {"sigma_n2": 0.5},
+            "N_F": {"N_F": 40}, "N_W": {"N_W": 6},
+            "nlos_penalty_db": {"nlos_penalty_db": 3.0},
+            "excess_delay": {"excess_delay": 5e-9},
+            "sinr_convention": {"sinr_convention": "as_printed"},
+        }
+        assert set(perturbations) == set(base.to_dict())
+
+        def rates(cfg):
+            reports = t.run_trial(cfg.validate(), 3).reports
+            return np.array([reports[m].sum_rate for m in METHODS])
+
+        ref = rates(base)
+        for name, change in perturbations.items():
+            moved = np.abs(rates(base.replace(**change)) - ref) / ref
+            assert moved.max() > 1e-6, f"{name} moves no sum rate"
 
 
 class TestCli:
@@ -467,12 +496,22 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_d_spacing_is_not_a_config_key(self, tmp_path, capsys):
-        # the spacing is always half a wavelength; a file cannot set it
-        cfg_file = tmp_path / "spacing.cfg"
-        cfg_file.write_text("d_spacing = 0.001\n")
-        code = cli.main(["show-config", "--config", str(cfg_file)])
-        assert code == 2
-        assert "unknown config key 'd_spacing'" in capsys.readouterr().err
+        # the spacing is always half a wavelength, distance and absorption
+        # cancel in the carrier-normalised gain, and the seed is the sweep's
+        for key, value in (("d_spacing", "0.001"), ("d_bar", "10.0"), ("k_abs", "0.0"),
+                           ("normalize_gain", "true"), ("seed", "1")):
+            cfg_file = tmp_path / f"{key}.cfg"
+            cfg_file.write_text(f"{key} = {value}\n")
+            code = cli.main(["show-config", "--config", str(cfg_file)])
+            assert code == 2
+            assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["show-config"],
+                                         ["array-gain", "--phi", "0.1", "--subcarrier", "1"]])
+    def test_seed_is_a_simulate_flag_only(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(command + ["--seed", "3"])
+        assert exit_info.value.code == 2
 
     def test_non_monotone_values_exit_code(self, capsys):
         code = cli.main(["simulate", "--sweep", "snr", "--values", "0,10,5",
@@ -483,6 +522,14 @@ class TestCli:
         code = cli.main(["simulate", "--sweep", "snr", "--values", "0",
                          "--methods", "magic"])
         assert code == 2
+
+    @pytest.mark.parametrize("methods", [",", "omp,omp"])
+    def test_empty_or_repeated_methods_exit_code(self, monkeypatch, capsys, methods):
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("sweep started"))
+        code = cli.main(["simulate", "--sweep", "snr", "--values", "0", "--trials", "1",
+                         "--methods", methods])
+        assert code == 2
+        assert "non-empty list without repeats" in capsys.readouterr().err
 
     def test_array_gain_csv(self, tmp_path, capsys):
         out = tmp_path / "gain.csv"
@@ -514,6 +561,19 @@ class TestCli:
     def test_array_gain_bad_subcarrier(self, tmp_path, capsys):
         code = cli.main(["array-gain", "--phi", "0.1", "--subcarrier", "9999"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--phi", "nan"], "--phi must be finite"),
+        (["--phi", "inf"], "--phi must be finite"),
+        (["--phi", "0.5", "--grid-points", "0"], "--grid-points must be >= 1"),
+        (["--phi", "0.5", "--grid-points", "-3"], "--grid-points must be >= 1"),
+    ])
+    def test_array_gain_bad_numbers_exit_code(self, capsys, flags, message):
+        code = cli.main(["array-gain", "--subcarrier", "1"] + flags)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         cfg_file = _write_small_cfg(tmp_path)

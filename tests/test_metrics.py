@@ -9,7 +9,7 @@ import thzbsa as t
 def _matched_single_user(alpha=0.7, tau=2e-9, M=4):
     cfg = t.SystemConfig(N_T=16, N_R=4, K=1, N_RF=1, L=1, M=M, B=0.0).validate()
     paths = t.PathParams(alpha=[[alpha]], phi=[[0.3]], varphi=[[-0.2]],
-                         tau=[[tau]], is_los=[[True]])
+                         tau=[[tau]])
     ch = t.generate_channel(cfg, paths)
     F_RF = t.steering_vector(16, -0.2)[:, None]
     W_RF = t.steering_vector(4, 0.3)[:, None]

@@ -46,7 +46,7 @@ class TestUnconstrainedPrecoders:
     def test_rank_one_recovers_transmit_steering(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=1, N_RF=1, L=1, M=1, B=0.0)
         paths = t.PathParams(alpha=[[1.0]], phi=[[0.2]], varphi=[[-0.35]],
-                             tau=[[0.0]], is_los=[[True]])
+                             tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
         f = t.unconstrained_precoders(ch)[0, :, 0]
         target = t.steering_vector(16, -0.35)
@@ -100,7 +100,7 @@ class TestUnconstrainedCombiners:
     def test_rank_one_scalar_closed_form(self):
         cfg = t.SystemConfig(N_T=8, N_R=4, K=1, N_RF=1, L=1, M=1, B=0.0)
         paths = t.PathParams(alpha=[[0.5]], phi=[[0.2]], varphi=[[0.1]],
-                             tau=[[0.0]], is_los=[[True]])
+                             tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
         F_opt = t.unconstrained_precoders(ch)
         P, sigma_n2 = 2.0, 0.3
@@ -134,7 +134,7 @@ class TestOmpSelect:
         d = t.build_dictionaries(cfg)
         p0, q0 = 40, 11
         paths = t.PathParams(alpha=[[1.0]], phi=[[d.grid_w[q0]]],
-                             varphi=[[d.grid_f[p0]]], tau=[[0.0]], is_los=[[True]])
+                             varphi=[[d.grid_f[p0]]], tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
         F_opt = t.unconstrained_precoders(ch)
         W_opt = t.unconstrained_combiners(ch, F_opt, cfg.P, cfg.sigma_n2)
@@ -188,7 +188,6 @@ class TestOmpSelect:
             phi=[[d.grid_w[3]], [d.grid_w[3]]],
             varphi=[[d.grid_f[10]], [d.grid_f[10]]],
             tau=[[0.0], [0.0]],
-            is_los=[[True], [True]],
         )
         ch = t.generate_channel(cfg, paths)
         F_opt = t.unconstrained_precoders(ch)
@@ -216,7 +215,7 @@ class TestEffectiveChannel:
     def test_matched_rank_one_closed_form(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=1, N_RF=1, L=1, M=1, B=0.0)
         paths = t.PathParams(alpha=[[0.8]], phi=[[0.25]], varphi=[[-0.5]],
-                             tau=[[1e-9]], is_los=[[True]])
+                             tau=[[1e-9]])
         ch = t.generate_channel(cfg, paths)
         F_RF = t.steering_vector(16, -0.5)[:, None]
         W_RF = t.steering_vector(4, 0.25)[:, None]
