@@ -20,12 +20,8 @@ from .omp import BeamformerSet, DegenerateChannelError, baseband_zf, effective_c
 from .phase_ops import scale_analog_matrix
 
 
-def sd_analog(F_RF: np.ndarray, eta) -> np.ndarray:
-    """Virtual subcarrier-dependent analog beamformer (phase-rescaled columns).
-
-    An array of ratios gives the (M, N_T, N_RF) stack from one unwrap.
-    """
-    return scale_analog_matrix(F_RF, eta)
+# the virtual SD analog beamformer is the one dilation; the acceptance suite imports this name
+sd_analog = scale_analog_matrix
 
 
 def _least_squares_match(F_RF: np.ndarray, target: np.ndarray,
@@ -58,7 +54,7 @@ def bsa_baseband(F_RF: np.ndarray, F_BB_m: np.ndarray, eta_m: float,
     convention as the zero-forcing stage (||F_RF X||_F^2 = K); disable it to
     inspect the raw minimizer.
     """
-    return _least_squares_match(F_RF, sd_analog(F_RF, eta_m) @ F_BB_m, normalize)
+    return _least_squares_match(F_RF, scale_analog_matrix(F_RF, eta_m) @ F_BB_m, normalize)
 
 
 def apply_bsa(bf: BeamformerSet, target: BeamformerSet) -> BeamformerSet:
@@ -80,6 +76,6 @@ def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> Beamformer
     batched rescaling; used by the harness both as the performance ceiling
     and as the target :func:`apply_bsa` matches.
     """
-    F_bar = sd_analog(bf.F_RF, channels.eta)
+    F_bar = scale_analog_matrix(bf.F_RF, channels.eta)
     H_eff = effective_channel(channels, bf.W_RF, F_bar)
     return replace(bf, F_RF=F_bar, H_eff=H_eff, F_BB=baseband_zf(H_eff, F_bar))

@@ -97,16 +97,12 @@ class PathParams:
         shapes = {a.shape for a in (self.alpha, self.phi, self.varphi, self.tau)}
         if len(shapes) != 1:
             raise ValueError(f"inconsistent PathParams shapes: {shapes}")
+        # NaN slips past the ordering check below, so test finiteness first
+        for name in ("alpha", "phi", "varphi", "tau"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"PathParams.{name} must be finite")
         if np.any(np.abs(self.phi) > 1) or np.any(np.abs(self.varphi) > 1):
             raise ValueError("sine-space directions must lie in [-1, 1]")
-
-    @property
-    def num_users(self) -> int:
-        return self.alpha.shape[0]
-
-    @property
-    def num_paths(self) -> int:
-        return self.alpha.shape[1]
 
 
 def draw_paths(cfg: SystemConfig, rng: np.random.Generator) -> PathParams:
@@ -136,35 +132,27 @@ class ChannelSet:
     eta: np.ndarray         # (M,)
 
     @property
-    def K(self) -> int:
-        return self.H.shape[0]
-
-    @property
     def M(self) -> int:
         return self.H.shape[1]
 
 
-def generate_channel(cfg: SystemConfig, paths: PathParams,
-                     split_free: bool = False) -> ChannelSet:
+def generate_channel(cfg: SystemConfig, paths: PathParams) -> ChannelSet:
     """Synthesize all K*M channel matrices.
 
     H_k[m] = zeta * sum_l (alpha_{k,l} / eta_m) a_R(theta) a_T(vartheta)^H
              * exp(-j 2 pi tau_{k,l} f_m),  zeta = sqrt(N_R N_T / L),
 
-    with steering arguments theta = eta_m * phi, vartheta = eta_m * varphi
-    (the physical directions when ``split_free``).
+    with the beam-split steering arguments theta = eta_m * phi and
+    vartheta = eta_m * varphi. ``paths`` must be dimensioned K x L.
     """
-    if paths.num_users != cfg.K or paths.num_paths != cfg.L:
-        raise ValueError(
-            f"paths dimensioned {paths.num_users} x {paths.num_paths}, "
-            f"config expects {cfg.K} x {cfg.L}"
-        )
+    if paths.alpha.shape != (cfg.K, cfg.L):
+        raise ValueError(f"paths dimensioned {paths.alpha.shape}, "
+                         f"config expects {(cfg.K, cfg.L)}")
     freqs = subcarrier_frequencies(cfg)
     eta = freqs / cfg.f_c
-    scale = np.ones_like(eta) if split_free else eta
     # directions per (k, l, m)
-    theta = paths.phi[:, :, None] * scale[None, None, :]
-    vartheta = paths.varphi[:, :, None] * scale[None, None, :]
+    theta = paths.phi[:, :, None] * eta[None, None, :]
+    vartheta = paths.varphi[:, :, None] * eta[None, None, :]
     a_r = np.moveaxis(steering_vector(cfg.N_R, theta), 0, -1)   # (K, L, M, N_R)
     a_t = np.moveaxis(steering_vector(cfg.N_T, vartheta), 0, -1)
     coeff = (paths.alpha[:, :, None] / eta[None, None, :]
@@ -184,24 +172,16 @@ def array_gain(u: np.ndarray, phi_bar, m: int, cfg: SystemConfig):
     direction phi it equals |Sigma(mu_m)|^2 with
     mu_m = d (f_m phi - f_c phi_bar) / c0, peaking at phi_bar = eta_m * phi.
 
-    Constant-modulus ``u`` is dilated via phase rescaling; an arbitrary
-    ``u`` is correlated as-is against the probe. ``phi_bar`` may be an array
-    of probe directions, in which case a matching array of gains is returned.
+    ``u`` must be constant-modulus (a ValueError otherwise): it is dilated
+    by phase rescaling. ``phi_bar`` may be an array of probe directions, in
+    which case a matching array of gains is returned.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 1 or u.shape[0] != cfg.N_T:
         raise ValueError(f"u must be a length-{cfg.N_T} vector")
-    norm_u = np.linalg.norm(u)
-    if norm_u == 0:
-        raise ValueError("zero beamformer has no defined gain")
     if not 0 <= m < cfg.M:
         raise ValueError(f"subcarrier index {m} outside 0..{cfg.M - 1}")
-    eta_m = frequency_ratios(cfg)[m]
-    mods = np.abs(u)
-    if np.ptp(mods) <= 1e-9 * mods.max():
-        u_m = scale_beamformer(u, eta_m)
-    else:
-        u_m = u / norm_u
+    u_m = scale_beamformer(u, frequency_ratios(cfg)[m])
     probe = steering_vector(cfg.N_T, phi_bar)
     gains = np.abs(np.tensordot(u_m.conj(), probe, axes=(0, 0))) ** 2
     return float(gains) if np.ndim(phi_bar) == 0 else gains

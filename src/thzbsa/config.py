@@ -132,7 +132,7 @@ def parse_config_file(path: str | Path) -> dict:
     """Parse a flat ``key = value`` config file into a field dict.
 
     Blank lines and ``#`` comments are ignored; keys must be SystemConfig
-    field names.
+    field names, each set at most once.
     """
     overrides: dict = {}
     text = Path(path).read_text()
@@ -146,6 +146,8 @@ def parse_config_file(path: str | Path) -> dict:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in overrides:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is set twice")
         overrides[key] = _coerce(key, value, _FIELD_TYPES[key])
     return overrides
 

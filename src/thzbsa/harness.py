@@ -32,6 +32,8 @@ HYBRID_METHODS = ("omp", "bsa_omp", "sd_oracle")
 
 AXES = ("snr_db", "bandwidth_hz", "num_users")
 
+MAX_REDRAWS = 10        # degenerate draws retried per trial before giving up
+
 CSV_COLUMNS = ("axis", "axis_value", "method", "mean_sum_rate", "std_sum_rate",
                "per_subcarrier_avg", "trials", "seed", "config_hash")
 
@@ -110,8 +112,7 @@ class TrialResult:
 
 
 def run_trial(cfg: SystemConfig, trial_seed: int,
-              methods: tuple[str, ...] = METHODS,
-              max_redraws: int = 10) -> TrialResult:
+              methods: tuple[str, ...] = METHODS) -> TrialResult:
     """Evaluate all requested methods on one seeded channel realization.
 
     Raises FloatingPointError as soon as a report's sum rate is non-finite.
@@ -120,7 +121,7 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
     hybrid_needed = any(m in HYBRID_METHODS for m in methods)
     dictionary = build_dictionaries(cfg) if hybrid_needed else None
     last_error: Exception | None = None
-    for attempt in range(max_redraws + 1):
+    for attempt in range(MAX_REDRAWS + 1):
         rng = np.random.default_rng(np.random.SeedSequence([trial_seed, attempt]))
         paths = draw_paths(cfg, rng)
         channels = generate_channel(cfg, paths)
@@ -130,22 +131,19 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
             if hybrid_needed:
                 bf = omp_hybrid_beamformer(cfg, channels, dictionary)
             if "omp" in methods:
-                reports["omp"] = sum_rate(bf, "omp", cfg.P, cfg.sigma_n2,
-                                          cfg.sinr_convention, seed=trial_seed)
+                reports["omp"] = sum_rate(bf, cfg.P, cfg.sigma_n2, cfg.sinr_convention)
             if "bsa_omp" in methods or "sd_oracle" in methods:
                 # one SD-oracle precoder is both the bsa target and the oracle itself
                 sd = sd_oracle_beamformers(channels, bf)
             if "bsa_omp" in methods:
-                reports["bsa_omp"] = sum_rate(apply_bsa(bf, sd), "bsa_omp", cfg.P,
-                                              cfg.sigma_n2, cfg.sinr_convention,
-                                              seed=trial_seed)
+                reports["bsa_omp"] = sum_rate(apply_bsa(bf, sd), cfg.P, cfg.sigma_n2,
+                                              cfg.sinr_convention)
             if "sd_oracle" in methods:
                 reports["sd_oracle"] = sum_rate_sd_analog(sd, cfg.P, cfg.sigma_n2,
-                                                          cfg.sinr_convention,
-                                                          seed=trial_seed)
+                                                          cfg.sinr_convention)
             if "fully_digital" in methods:
-                reports["fully_digital"] = fully_digital_yardstick(
-                    channels, cfg.P, cfg.sigma_n2, seed=trial_seed)
+                reports["fully_digital"] = fully_digital_yardstick(channels, cfg.P,
+                                                                   cfg.sigma_n2)
             for method, report in reports.items():
                 if not np.isfinite(report.sum_rate):
                     raise FloatingPointError(
@@ -154,7 +152,7 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
         except DegenerateChannelError as err:
             last_error = err
     raise RedrawExhausted(
-        f"no usable channel after {max_redraws + 1} attempts (seed {trial_seed}): {last_error}"
+        f"no usable channel after {MAX_REDRAWS + 1} attempts (seed {trial_seed}): {last_error}"
     )
 
 

@@ -26,9 +26,7 @@ class RateReport:
 
     per_user_rate: np.ndarray        # (K, M), bits/s/Hz
     sum_rate: float
-    method_tag: str
     power_residual: float
-    seed: int | None = None
 
 
 def _sinr_from_coupling(T: np.ndarray, P: float, sigma_n2: float,
@@ -67,9 +65,9 @@ def power_constraint_residual(F_RF: np.ndarray, F_BB: np.ndarray) -> float:
     return abs(total - M * K) / (M * K)
 
 
-def sum_rate(bf: BeamformerSet, method: str, P: float, sigma_n2: float,
-             convention: str = "physical", seed: int | None = None) -> RateReport:
-    """Multi-user sum rate of one hybrid precoder, tagged with ``method``.
+def sum_rate(bf: BeamformerSet, P: float, sigma_n2: float,
+             convention: str = "physical") -> RateReport:
+    """Multi-user sum rate of one hybrid precoder.
 
     T[m, k, i] = w_k^H H_k[m] F_RF F_BB[m] e_i = (H_eff[m] F_BB[m])[k, i] is
     the coupling all hybrid methods are scored by.
@@ -79,20 +77,15 @@ def sum_rate(bf: BeamformerSet, method: str, P: float, sigma_n2: float,
     return RateReport(
         per_user_rate=per_user,
         sum_rate=float(per_user.sum()),
-        method_tag=method,
         power_residual=power_constraint_residual(bf.F_RF, bf.F_BB),
-        seed=seed,
     )
 
 
-def sum_rate_sd_analog(sd: BeamformerSet, P: float, sigma_n2: float,
-                       convention: str = "physical", seed: int | None = None) -> RateReport:
-    """Sum rate with a per-subcarrier analog stack (the ideal-hardware ceiling)."""
-    return sum_rate(sd, "sd_oracle", P, sigma_n2, convention, seed)
+# the SD oracle is scored like any precoder; the benchmark traces it under this name
+sum_rate_sd_analog = sum_rate
 
 
-def fully_digital_yardstick(channels: ChannelSet, P: float, sigma_n2: float,
-                            seed: int | None = None) -> RateReport:
+def fully_digital_yardstick(channels: ChannelSet, P: float, sigma_n2: float) -> RateReport:
     """Interference-free dominant-singular-mode bound with equal power split.
 
     R = Sum_m Sum_k log2(1 + (P/K) sigma_max^2(H_k[m]) / sigma_n2); no
@@ -106,7 +99,5 @@ def fully_digital_yardstick(channels: ChannelSet, P: float, sigma_n2: float,
     return RateReport(
         per_user_rate=per_user,
         sum_rate=float(per_user.sum()),
-        method_tag="fully_digital",
         power_residual=0.0,
-        seed=seed,
     )

@@ -40,7 +40,11 @@ def _check_constant_modulus(a: np.ndarray) -> None:
     """Reject a vector, or a matrix with any column, whose moduli are not equal.
 
     The check is per column (axis 0); the first offending column is reported.
+    A NaN or infinite entry makes the spread below NaN, which no comparison
+    catches, so it is refused first.
     """
+    if not np.all(np.isfinite(a)):
+        raise ValueError("input has a non-finite entry, so it is not constant-modulus")
     mods = np.abs(a)
     peak = mods.max(axis=0)
     with np.errstate(invalid="ignore"):
@@ -78,18 +82,7 @@ def from_phases(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     if not np.all(np.isfinite(psi)):
         raise ValueError("phases must be finite")
-    return np.exp(1j * psi) / np.sqrt(psi.shape[0])
-
-
-def scale_beamformer(f: np.ndarray, ratio: float) -> np.ndarray:
-    """Rescale a constant-modulus beamformer's phases by ``ratio``.
-
-    Maps steering_vector(N, psi) to steering_vector(N, ratio * psi) exactly;
-    output entries have modulus 1/sqrt(N).
-    """
-    if ratio <= 0:
-        raise ValueError(f"ratio must be positive, got {ratio}")
-    return from_phases(unwrap_phases(f) * ratio)
+    return rescale_phases(psi, 1.0)
 
 
 def unwrap_analog_matrix(F_RF: np.ndarray) -> np.ndarray:
@@ -117,15 +110,21 @@ def rescale_phases(phases: np.ndarray, eta) -> np.ndarray:
 
 
 def scale_analog_matrix(F_RF: np.ndarray, eta) -> np.ndarray:
-    """Column-wise phase rescaling of a constant-modulus matrix.
+    """Column-wise phase rescaling of a constant-modulus matrix (or vector).
 
-    With a scalar ``eta`` the result has the shape of ``F_RF``. With an
-    array of ratios (one per subcarrier) the matrix is checked and unwrapped
-    once and the result is the ``(len(eta), N, cols)`` stack, equal entry
-    for entry to the per-ratio calls.
+    Maps steering_vector(N, psi) to steering_vector(N, eta * psi) exactly,
+    column by column, with entries of modulus 1/sqrt(N). With a scalar
+    ``eta`` the result has the shape of ``F_RF``. With an array of ratios
+    (one per subcarrier) the matrix is checked and unwrapped once and the
+    result is the ``(len(eta), N, cols)`` stack, equal entry for entry to
+    the per-ratio calls.
     """
     ratios = np.asarray(eta, dtype=float)
-    bad = np.flatnonzero(ratios <= 0)
+    bad = np.flatnonzero(~np.isfinite(ratios) | (ratios <= 0))
     if bad.size:
-        raise ValueError(f"eta_m must be positive, got {ratios.flat[bad[0]]}")
+        raise ValueError(f"eta_m must be positive and finite, got {ratios.flat[bad[0]]}")
     return rescale_phases(unwrap_analog_matrix(F_RF), ratios)
+
+
+# the acceptance suite imports this name for the one dilation above
+scale_beamformer = scale_analog_matrix

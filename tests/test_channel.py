@@ -94,7 +94,7 @@ class TestDirichletSinc:
         assert np.all(np.isfinite(t.dirichlet_sinc(a, 32)))
 
 
-def _oracle_channel_entry(cfg, paths, k, m, r, c, split_free):
+def _oracle_channel_entry(cfg, paths, k, m, r, c):
     """Per-entry triple-sum evaluation with scalar arithmetic only."""
     f_m = cfg.f_c + (cfg.B / cfg.M) * (m + 1 - 1 - (cfg.M - 1) / 2)
     eta_m = f_m / cfg.f_c
@@ -102,9 +102,8 @@ def _oracle_channel_entry(cfg, paths, k, m, r, c, split_free):
     zeta = math.sqrt(cfg.N_R * cfg.N_T / cfg.L)
     total = 0j
     for l in range(cfg.L):
-        scale = 1.0 if split_free else eta_m
-        a_r = cmath.exp(-1j * math.pi * r * scale * paths.phi[k, l]) / math.sqrt(cfg.N_R)
-        a_t = cmath.exp(-1j * math.pi * c * scale * paths.varphi[k, l]) / math.sqrt(cfg.N_T)
+        a_r = cmath.exp(-1j * math.pi * r * eta_m * paths.phi[k, l]) / math.sqrt(cfg.N_R)
+        a_t = cmath.exp(-1j * math.pi * c * eta_m * paths.varphi[k, l]) / math.sqrt(cfg.N_T)
         delay = cmath.exp(-2j * math.pi * paths.tau[k, l] * f_m)
         total += complex(paths.alpha[k, l]) * gain * a_r * a_t.conjugate() * delay
     return zeta * total
@@ -132,22 +131,13 @@ class TestGenerateChannel:
 
     def test_entrywise_brute_force_oracle(self, tiny_cfg, rng):
         paths = t.draw_paths(tiny_cfg, rng)
-        for split_free in (False, True):
-            ch = t.generate_channel(tiny_cfg, paths, split_free=split_free)
-            for k in range(tiny_cfg.K):
-                for m in range(tiny_cfg.M):
-                    for r in range(0, tiny_cfg.N_R, 2):
-                        for c in range(0, tiny_cfg.N_T, 5):
-                            expected = _oracle_channel_entry(
-                                tiny_cfg, paths, k, m, r, c, split_free)
-                            assert ch.H[k, m, r, c] == pytest.approx(expected, abs=1e-12)
-
-    def test_zero_bandwidth_equals_split_free(self, rng):
-        cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=3, M=8, B=0.0).validate()
-        paths = t.draw_paths(cfg, rng)
-        ch = t.generate_channel(cfg, paths)
-        split = t.generate_channel(cfg, paths, split_free=True)
-        np.testing.assert_allclose(ch.H, split.H, atol=1e-12)
+        ch = t.generate_channel(tiny_cfg, paths)
+        for k in range(tiny_cfg.K):
+            for m in range(tiny_cfg.M):
+                for r in range(0, tiny_cfg.N_R, 2):
+                    for c in range(0, tiny_cfg.N_T, 5):
+                        expected = _oracle_channel_entry(tiny_cfg, paths, k, m, r, c)
+                        assert ch.H[k, m, r, c] == pytest.approx(expected, abs=1e-12)
 
     def test_dimension_mismatch_rejected(self, tiny_cfg, rng):
         other = t.SystemConfig(N_T=16, N_R=4, K=3, N_RF=3, L=3, M=4).validate()
@@ -160,6 +150,16 @@ class TestPathParams:
     def test_directions_bounded(self):
         with pytest.raises(ValueError, match="sine-space"):
             t.PathParams(alpha=[[1.0]], phi=[[1.5]], varphi=[[0.0]], tau=[[0.0]])
+
+    @pytest.mark.parametrize("field", ["alpha", "phi", "varphi", "tau"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_draw_rejected(self, field, bad):
+        # |nan| > 1 is False, so a NaN direction would pass the sine-space check
+        values = {"alpha": [[1.0, 0.5]], "phi": [[0.2, -0.3]], "varphi": [[0.0, 0.4]],
+                  "tau": [[0.0, 1e-9]]}
+        values[field][0][1] = bad
+        with pytest.raises(ValueError, match=f"PathParams.{field} must be finite"):
+            t.PathParams(**values)
 
     def test_draw_paths_properties(self, desk_cfg, rng):
         paths = t.draw_paths(desk_cfg, rng)
@@ -225,8 +225,16 @@ class TestArrayGain:
         with pytest.raises(ValueError, match="zero"):
             t.array_gain(np.zeros(desk_cfg.N_T, complex), 0.0, 0, desk_cfg)
 
-    def test_non_constant_modulus_falls_back(self, desk_cfg):
+    def test_non_constant_modulus_rejected(self, desk_cfg):
         u = np.zeros(desk_cfg.N_T, complex)
         u[0] = 1.0
-        # single active element: flat beampattern, no dilation possible
-        assert t.array_gain(u, 0.3, 1, desk_cfg) == pytest.approx(1 / desk_cfg.N_T)
+        # single active element: no phase slope to dilate
+        with pytest.raises(ValueError, match="not constant-modulus"):
+            t.array_gain(u, 0.3, 1, desk_cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, desk_cfg, bad):
+        u = t.steering_vector(desk_cfg.N_T, 0.3)
+        u[5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            t.array_gain(u, 0.3, 1, desk_cfg)

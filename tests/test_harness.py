@@ -53,11 +53,6 @@ class TestRunTrial:
         res = t.run_trial(cfg, 1, methods=("fully_digital",))
         assert set(res.reports) == {"fully_digital"}
 
-    def test_seed_attached_to_reports(self):
-        cfg = small_cfg()
-        res = t.run_trial(cfg, 321)
-        assert all(r.seed == 321 for r in res.reports.values())
-
     def test_redraw_exhausted(self, monkeypatch):
         from thzbsa import harness
 
@@ -66,7 +61,7 @@ class TestRunTrial:
 
         monkeypatch.setattr(harness, "omp_hybrid_beamformer", always_degenerate)
         with pytest.raises(t.RedrawExhausted, match="forced"):
-            t.run_trial(small_cfg(), 1, max_redraws=2)
+            t.run_trial(small_cfg(), 1)
 
     def test_redraw_counted(self, monkeypatch):
         from thzbsa import harness
@@ -574,6 +569,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    def test_repeated_config_key_exit_code(self, tmp_path, capsys):
+        cfg_file = _write_small_cfg(tmp_path)
+        cfg_file.write_text(cfg_file.read_text() + "# a second K below\nK = 8\n")
+        code = cli.main(["show-config", "--config", str(cfg_file)])
+        assert code == 2
+        line = len(SMALL) + 2
+        assert f"small.cfg:{line}: config key 'K' is set twice" in capsys.readouterr().err
 
     def test_non_finite_config_exit_code(self, tmp_path, capsys):
         cfg_file = _write_small_cfg(tmp_path)

@@ -61,7 +61,7 @@ class TestSinr:
         T = np.einsum("rk,kmrt,mti->mki", bf.W_RF.conj(), ch.H, bf.F_RF @ bf.F_BB)
         leakage = (np.abs(T) ** 2 * (1 - np.eye(cfg.K))).sum(axis=2)
         assert np.all(leakage > 1e-6 * np.abs(np.einsum("mkk->mk", T)) ** 2)
-        report = t.sum_rate(bf, "omp", cfg.P, cfg.sigma_n2, convention)
+        report = t.sum_rate(bf, cfg.P, cfg.sigma_n2, convention)
         for m in range(cfg.M):
             for k in range(cfg.K):
                 gamma = t.sinr(ch, bf.W_RF, bf.F_RF, bf.F_BB[m], k, m, cfg.P,
@@ -90,21 +90,21 @@ class TestSinr:
 class TestSumRate:
     def test_noise_dominated_limit(self):
         cfg, ch, bf, _ = _matched_single_user()
-        report = t.sum_rate(bf, "omp", 1.0, 1e15)
+        report = t.sum_rate(bf, 1.0, 1e15)
         assert report.sum_rate == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_precoder_zero_rate(self):
         cfg, ch, bf, _ = _matched_single_user()
         silent = t.BeamformerSet(F_RF=bf.F_RF, W_RF=bf.W_RF, H_eff=bf.H_eff,
                                  F_BB=np.zeros_like(bf.F_BB))
-        report = t.sum_rate(silent, "omp", 1.0, 1.0)
+        report = t.sum_rate(silent, 1.0, 1.0)
         assert report.sum_rate == 0.0
 
     def test_matched_single_user_closed_form(self):
         alpha, M = 0.7, 4
         cfg, ch, bf, paths = _matched_single_user(alpha=alpha, M=M)
         P = 1.3
-        report = t.sum_rate(bf, "omp", P, 1.0)
+        report = t.sum_rate(bf, P, 1.0)
         zeta2 = 16 * 4 / 1
         # unit normalization scalar: |f_bb| = 1 after the power convention
         expected = M * math.log2(1 + P * zeta2 * alpha**2)
@@ -113,7 +113,7 @@ class TestSumRate:
     def test_reconciles_with_per_user_matrix(self):
         cfg = t.SystemConfig().validate()
         ch, bf = _desk_pipeline(cfg, 11)
-        report = t.sum_rate(bf, "omp", 1.0, 1.0)
+        report = t.sum_rate(bf, 1.0, 1.0)
         assert report.sum_rate == pytest.approx(report.per_user_rate.sum(), abs=1e-9)
         assert report.per_user_rate.shape == (cfg.K, cfg.M)
         assert np.all(report.per_user_rate >= 0)
@@ -121,22 +121,15 @@ class TestSumRate:
     def test_monotone_in_power(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=2, M=4).validate()
         ch, bf = _desk_pipeline(cfg, 5)
-        rates = [t.sum_rate(bf, "omp", P, 1.0).sum_rate for P in (0.1, 1.0, 10.0)]
+        rates = [t.sum_rate(bf, P, 1.0).sum_rate for P in (0.1, 1.0, 10.0)]
         assert rates == sorted(rates)
 
     def test_bsa_equals_plain_when_eta_unity(self):
         cfg = t.SystemConfig(B=0.0).validate()
         ch, bf = _desk_pipeline(cfg, 13)
-        plain = t.sum_rate(bf, "omp", 1.0, 1.0)
-        bsa = t.sum_rate(t.apply_bsa(bf, t.sd_oracle_beamformers(ch, bf)), "bsa_omp", 1.0, 1.0)
+        plain = t.sum_rate(bf, 1.0, 1.0)
+        bsa = t.sum_rate(t.apply_bsa(bf, t.sd_oracle_beamformers(ch, bf)), 1.0, 1.0)
         assert bsa.sum_rate == pytest.approx(plain.sum_rate, abs=1e-10)
-
-    def test_method_tags(self):
-        cfg, ch, bf, _ = _matched_single_user()
-        sd = t.sd_oracle_beamformers(ch, bf)
-        assert t.sum_rate(bf, "omp", 1, 1).method_tag == "omp"
-        assert t.sum_rate(t.apply_bsa(bf, sd), "bsa_omp", 1, 1).method_tag == "bsa_omp"
-        assert t.sum_rate_sd_analog(sd, 1, 1).method_tag == "sd_oracle"
 
 
 class TestFullyDigital:
@@ -147,7 +140,6 @@ class TestFullyDigital:
         report = t.fully_digital_yardstick(ch, P, s2)
         expected = 2 * math.log2(1 + (P / 1) * (16 * 4) * alpha**2 / s2)
         assert report.sum_rate == pytest.approx(expected, rel=1e-10)
-        assert report.method_tag == "fully_digital"
         assert report.power_residual == 0.0
 
     def test_zero_channel(self):

@@ -69,6 +69,23 @@ class TestUnwrap:
             t.unwrap_phases(np.ones((2, 2)))
 
 
+# NaN fails every comparison of the modulus check and np.angle(inf) is 0, so
+# either would otherwise unwrap silently to NaN or to wrong finite phases
+@pytest.mark.parametrize("dilate", [
+    t.unwrap_phases,
+    lambda a: t.scale_analog_matrix(a[:, None], 1.02),
+    lambda a: t.scale_analog_matrix(a[:, None], np.array([0.98, 1.02])),
+    lambda a: t.sd_analog(a[:, None], 1.02),
+], ids=["unwrap_phases", "scale_analog_matrix", "scale_analog_matrix_stack", "sd_analog"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.inf, np.inf)],
+                         ids=["nan", "inf", "complex_inf"])
+def test_non_finite_entry_rejected(dilate, bad):
+    a = t.steering_vector(8, 0.4)
+    a[3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        dilate(a)
+
+
 class TestFromPhases:
     def test_zero_phases(self):
         np.testing.assert_allclose(t.from_phases(np.zeros(4)), 0.5 * np.ones(4))
@@ -179,7 +196,8 @@ class TestScaleAnalogMatrix:
         F = np.stack([t.steering_vector(8, -0.2), 3 * t.steering_vector(8, 0.6)], axis=1)
         assert t.scale_analog_matrix(F, np.array([0.99, 1.01])).shape == (2, 8, 2)
 
-    @pytest.mark.parametrize("eta", [[0.0, 1.0, 1.1], [1.0, 1.02, -1.0], [-0.5]])
+    @pytest.mark.parametrize("eta", [[0.0, 1.0, 1.1], [1.0, 1.02, -1.0], [-0.5],
+                                     [1.0, np.nan], [np.inf]])
     def test_ratio_array_rejects_nonpositive(self, eta):
         F = np.stack([t.steering_vector(8, x) for x in (-0.5, 0.5)], axis=1)
         with pytest.raises(ValueError, match="eta_m must be positive"):
