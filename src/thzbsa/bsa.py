@@ -16,7 +16,8 @@ from dataclasses import replace
 import numpy as np
 
 from .channel import ChannelSet
-from .omp import BeamformerSet, DegenerateChannelError, baseband_zf, effective_channel
+from .omp import (BeamformerSet, baseband_zf, effective_channel, pseudo_inverse,
+                  unit_power)
 from .phase_ops import scale_analog_matrix
 
 
@@ -24,37 +25,17 @@ from .phase_ops import scale_analog_matrix
 sd_analog = scale_analog_matrix
 
 
-def _least_squares_match(F_RF: np.ndarray, target: np.ndarray,
-                         normalize: bool = True) -> np.ndarray:
-    """argmin_X ||F_RF X - target||_F for one (N_T, K) target or an (M, N_T, K) stack.
-
-    Uses the reduced QR of F_RF, raising on (near-)dependent columns, and
-    one solve over the whole stack. With ``normalize`` each result is
-    rescaled so that ||F_RF X||_F^2 = K.
-    """
-    q, r = np.linalg.qr(F_RF)
-    diag = np.abs(np.diag(r))
-    if diag.min() < 1e-12 * max(diag.max(), 1e-300):
-        raise DegenerateChannelError("analog beamformer columns are rank-deficient")
-    corrected = np.linalg.solve(r, q.conj().T @ target)
-    if normalize:
-        K = target.shape[-1]
-        corrected *= np.sqrt(K) / np.linalg.norm(F_RF @ corrected, axis=(-2, -1),
-                                                 keepdims=True)
-    return corrected
-
-
 def bsa_baseband(F_RF: np.ndarray, F_BB_m: np.ndarray, eta_m: float,
                  normalize: bool = True) -> np.ndarray:
     """Least-squares corrected baseband for one subcarrier.
 
-    Solves min_X ||F_RF X - F_bar[m] F_BB[m]||_F via the pseudo-inverse,
-    computed from a reduced QR factorization of F_RF for conditioning. With
-    ``normalize`` the result is rescaled to the same per-subcarrier power
-    convention as the zero-forcing stage (||F_RF X||_F^2 = K); disable it to
-    inspect the raw minimizer.
+    Solves min_X ||F_RF X - F_bar[m] F_BB[m]||_F with the pseudo-inverse of
+    F_RF, the same solver as the zero-forcing stage. With ``normalize`` the
+    result is rescaled to its per-subcarrier power convention
+    (||F_RF X||_F^2 = K); disable it to inspect the raw minimizer.
     """
-    return _least_squares_match(F_RF, scale_analog_matrix(F_RF, eta_m) @ F_BB_m, normalize)
+    corrected = pseudo_inverse(F_RF) @ (scale_analog_matrix(F_RF, eta_m) @ F_BB_m)
+    return unit_power(F_RF, corrected) if normalize else corrected
 
 
 def apply_bsa(bf: BeamformerSet, target: BeamformerSet) -> BeamformerSet:
@@ -63,10 +44,12 @@ def apply_bsa(bf: BeamformerSet, target: BeamformerSet) -> BeamformerSet:
     ``target`` is the ideal subcarrier-dependent hybrid precoder of
     :func:`sd_oracle_beamformers`: the dilated analog stack and the
     zero-forcing baseband solved on its effective channel (what the virtual
-    SD beamformer would actually deploy). All subcarriers are matched by one
-    batched solve; the analog stage and ``H_eff`` of ``bf`` are kept.
+    SD beamformer would actually deploy). One pseudo-inverse of the analog
+    beamformer matches every subcarrier; the analog stage and ``H_eff`` of
+    ``bf`` are kept.
     """
-    return replace(bf, F_BB=_least_squares_match(bf.F_RF, target.F_RF @ target.F_BB))
+    corrected = pseudo_inverse(bf.F_RF) @ (target.F_RF @ target.F_BB)
+    return replace(bf, F_BB=unit_power(bf.F_RF, corrected))
 
 
 def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> BeamformerSet:

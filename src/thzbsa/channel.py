@@ -125,15 +125,10 @@ def draw_paths(cfg: SystemConfig, rng: np.random.Generator) -> PathParams:
 
 @dataclass
 class ChannelSet:
-    """K x M stack of N_R x N_T channel matrices plus the frequency grid."""
+    """K x M stack of N_R x N_T channel matrices plus the frequency ratios."""
 
     H: np.ndarray           # (K, M, N_R, N_T)
-    freqs: np.ndarray       # (M,)
     eta: np.ndarray         # (M,)
-
-    @property
-    def M(self) -> int:
-        return self.H.shape[1]
 
 
 def generate_channel(cfg: SystemConfig, paths: PathParams) -> ChannelSet:
@@ -159,7 +154,7 @@ def generate_channel(cfg: SystemConfig, paths: PathParams) -> ChannelSet:
              * np.exp(-2j * np.pi * paths.tau[:, :, None] * freqs[None, None, :]))
     zeta = np.sqrt(cfg.N_R * cfg.N_T / cfg.L)
     H = zeta * np.einsum("klm,klmr,klmt->kmrt", coeff, a_r, a_t.conj())
-    return ChannelSet(H=H, freqs=freqs, eta=eta)
+    return ChannelSet(H=H, eta=eta)
 
 
 def array_gain(u: np.ndarray, phi_bar, m: int, cfg: SystemConfig):

@@ -51,9 +51,18 @@ DEFAULT_VALUES = {"snr": "-10,-5,0,5,10", "bandwidth": "1e9,10e9,30e9,50e9,70e9"
                   "users": "2,4,8"}
 
 
+def _write(text: str, out: Path | None) -> None:
+    """Result text to ``out``, or to stdout when no file is given."""
+    if out is None:
+        sys.stdout.write(text)
+    else:
+        out.write_text(text)
+        print(f"wrote {out}", file=sys.stderr)
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    values = _parse_values(args.values or DEFAULT_VALUES[args.sweep])
+    values = _parse_values(DEFAULT_VALUES[args.sweep] if args.values is None else args.values)
     trials = args.trials if args.trials is not None else PROFILE_TRIALS[args.profile]
     spec = SweepSpec(
         axis=AXIS_BY_SWEEP[args.sweep],
@@ -64,12 +73,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
     ).validate()
-    result = run_sweep(spec)
-    text = emit(result, args.format, args.out)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        print(f"wrote {args.out}")
+    _write(emit(run_sweep(spec), args.format), args.out)
     return 0
 
 
@@ -90,12 +94,7 @@ def cmd_array_gain(args: argparse.Namespace) -> int:
     writer.writerow(["phi_bar", "gain"])
     for phi_bar, gain in zip(grid, gains):
         writer.writerow([repr(float(phi_bar)), repr(float(gain))])
-    text = buf.getvalue()
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
+    _write(buf.getvalue(), args.out)
     return 0
 
 

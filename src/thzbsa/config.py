@@ -135,7 +135,10 @@ def parse_config_file(path: str | Path) -> dict:
     field names, each set at most once.
     """
     overrides: dict = {}
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not valid UTF-8 ({err.reason} at byte {err.start})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

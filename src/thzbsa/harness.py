@@ -42,6 +42,16 @@ class RedrawExhausted(RuntimeError):
     """Every redraw attempt produced a degenerate channel."""
 
 
+def _check_methods(methods: tuple[str, ...]) -> None:
+    """Reject an empty method list, a repeated method or an unknown one."""
+    if not methods or len(set(methods)) != len(methods):
+        raise ConfigError(f"methods must be a non-empty list without repeats, "
+                          f"got {list(methods)}")
+    unknown = set(methods) - set(METHODS)
+    if unknown:
+        raise ConfigError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")
+
+
 @dataclass
 class SweepSpec:
     """One sweep campaign: an axis, its values, and the trial budget."""
@@ -73,12 +83,7 @@ class SweepSpec:
         if not 1 <= self.workers <= cpus:
             raise ConfigError(f"workers must be in 1..{cpus} (the CPU count), "
                               f"got {self.workers}")
-        if not self.methods or len(set(self.methods)) != len(self.methods):
-            raise ConfigError(f"methods must be a non-empty list without repeats, "
-                              f"got {list(self.methods)}")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ConfigError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")
+        _check_methods(self.methods)
         self.base_config.validate()
         return self
 
@@ -115,9 +120,11 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
               methods: tuple[str, ...] = METHODS) -> TrialResult:
     """Evaluate all requested methods on one seeded channel realization.
 
-    Raises FloatingPointError as soon as a report's sum rate is non-finite.
+    Raises ConfigError on a bad method list and FloatingPointError as soon
+    as a report's sum rate is non-finite.
     """
     cfg.validate()
+    _check_methods(methods)
     hybrid_needed = any(m in HYBRID_METHODS for m in methods)
     dictionary = build_dictionaries(cfg) if hybrid_needed else None
     last_error: Exception | None = None
@@ -223,23 +230,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                        base_config=spec.base_config.to_dict())
 
 
-def emit(result: SweepResult, fmt: str, path: str | Path | None = None) -> str:
-    """Serialize a sweep to CSV or JSON; write to ``path`` when given."""
+def emit(result: SweepResult, fmt: str) -> str:
+    """Serialize a sweep to CSV or JSON text."""
     rows = [{"axis": result.axis, **asdict(row)} for row in result.rows]
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
         writer.writerows(rows)
-        text = buf.getvalue()
-    elif fmt == "json":
+        return buf.getvalue()
+    if fmt == "json":
         payload = {"axis": result.axis, "config": result.base_config, "rows": rows}
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'json'")
-    if path is not None:
-        Path(path).write_text(text)
-    return text
+        return json.dumps(payload, indent=2) + "\n"
+    raise ValueError(f"unknown format {fmt!r}; use 'csv' or 'json'")
 
 
 def load_sweep_json(source: str | Path) -> SweepResult:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .config import SINR_CONVENTIONS
-from .omp import BeamformerSet, effective_channel
+from .omp import BeamformerSet
 
 
 @dataclass
@@ -43,19 +43,6 @@ def _sinr_from_coupling(T: np.ndarray, P: float, sigma_n2: float,
         interference = desired.sum(axis=1, keepdims=True) - desired
     with np.errstate(over="ignore"):     # run_trial rejects the non-finite rate
         return (P / K) * desired / ((P / K) * interference + sigma_n2)
-
-
-def sinr(channels: ChannelSet, W_RF: np.ndarray, F_RF: np.ndarray,
-         F_BB_m: np.ndarray, k: int, m: int, P: float, sigma_n2: float,
-         convention: str = "physical") -> float:
-    """SINR of user k at subcarrier m (0-based indices) for one precoder."""
-    K = F_BB_m.shape[1]
-    if not 0 <= k < K:
-        raise ValueError(f"user index {k} outside 0..{K - 1}")
-    if not 0 <= m < channels.M:
-        raise ValueError(f"subcarrier index {m} outside 0..{channels.M - 1}")
-    T = effective_channel(channels, W_RF, F_RF)[m] @ F_BB_m
-    return float(_sinr_from_coupling(T[None], P, sigma_n2, convention)[0, k])
 
 
 def power_constraint_residual(F_RF: np.ndarray, F_BB: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import ChannelSet, steering_vector
 from .config import SystemConfig
-from .phase_ops import rescale_phases, scale_analog_matrix, unwrap_analog_matrix
+from .phase_ops import rescale_phases, scale_analog_matrix, unwrap_phases
 
 
 _RCOND = 1e-12
@@ -135,8 +135,8 @@ def omp_select(F_opt: np.ndarray, W_opt: np.ndarray, dictionary: Dictionary,
         raise ValueError("empty dictionary")
     if K > min(N_F, N_W):
         raise ValueError(f"need K <= min(N_F, N_W), got K={K}")
-    phases_f = unwrap_analog_matrix(dictionary.D_F)
-    phases_w = unwrap_analog_matrix(dictionary.D_W)
+    phases_f = unwrap_phases(dictionary.D_F)
+    phases_w = unwrap_phases(dictionary.D_W)
     corr_f = np.empty((M, N_F, K))
     corr_w = np.empty((M, N_W, K))
     for m in range(M):
@@ -172,26 +172,40 @@ def effective_channel(channels: ChannelSet, W_RF: np.ndarray,
     return np.einsum("rk,kmrt,mtj->mkj", W_RF.conj(), H, F_RF)
 
 
+def pseudo_inverse(A: np.ndarray) -> np.ndarray:
+    """Moore-Penrose inverse of one matrix or of each slice of an (M, r, c) stack.
+
+    One batched SVD under the one ``_RCOND`` rank rule. Raises
+    DegenerateChannelError when a matrix is rank-deficient, naming the
+    first such subcarrier of a stack.
+    """
+    u, s, vh = np.linalg.svd(A, full_matrices=False)
+    degenerate = np.flatnonzero((s[..., 0] == 0) | (s[..., -1] < _RCOND * s[..., 0]))
+    if degenerate.size:
+        where = "" if A.ndim == 2 else f" at subcarrier {degenerate[0]}"
+        s_bad = s.reshape(-1, s.shape[-1])[degenerate[0]]
+        raise DegenerateChannelError(
+            f"matrix{where} is rank-deficient "
+            f"(singular values {s_bad.min():.3e} .. {s_bad.max():.3e})"
+        )
+    return (np.swapaxes(vh.conj(), -1, -2) / s[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+
+
+def unit_power(F_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
+    """Scale each subcarrier's baseband so that ||F_RF F_BB[m]||_F^2 = K."""
+    K = F_BB.shape[-1]
+    return F_BB * (np.sqrt(K) / np.linalg.norm(F_RF @ F_BB, axis=(-2, -1), keepdims=True))
+
+
 def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray) -> np.ndarray:
     """Zero-forcing baseband: pseudo-inverse of each H_eff[m], renormalized.
 
     Each subcarrier is scaled by a common factor so that
-    ||F_RF F_BB[m]||_F^2 = K, making the total over m equal MK. All
-    subcarriers share one batched SVD. Raises DegenerateChannelError, naming
-    the first such subcarrier, when an effective channel is rank-deficient.
+    ||F_RF F_BB[m]||_F^2 = K, making the total over m equal MK. Raises
+    DegenerateChannelError, naming the first such subcarrier, when an
+    effective channel is rank-deficient.
     """
-    K = H_eff.shape[1]
-    u, s, vh = np.linalg.svd(H_eff, full_matrices=False)
-    degenerate = np.flatnonzero((s[:, 0] == 0) | (s[:, -1] < _RCOND * s[:, 0]))
-    if degenerate.size:
-        m = degenerate[0]
-        raise DegenerateChannelError(
-            f"effective channel at subcarrier {m} is rank-deficient "
-            f"(singular values {s[m].min():.3e} .. {s[m].max():.3e})"
-        )
-    F_BB = (np.swapaxes(vh.conj(), 1, 2) / s[:, None, :]) @ np.swapaxes(u.conj(), 1, 2)
-    F_BB *= np.sqrt(K) / np.linalg.norm(F_RF @ F_BB, axis=(1, 2), keepdims=True)
-    return F_BB
+    return unit_power(F_RF, pseudo_inverse(H_eff))
 
 
 def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,

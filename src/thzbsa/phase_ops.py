@@ -61,16 +61,21 @@ def _check_constant_modulus(a: np.ndarray) -> None:
 
 
 def unwrap_phases(a: np.ndarray) -> np.ndarray:
-    """Unwrapped phases of a constant-modulus vector.
+    """Unwrapped phases of a constant-modulus vector, or of each matrix column.
 
-    The first entry anchors at arg(a_1) in (-pi, pi]; each successive phase
-    differs from its predecessor by at most pi in magnitude. For a steering
-    vector at direction psi the result is the exact linear phase
-    -pi (n-1) psi.
+    Each column is checked for constant modulus (a zero column is rejected)
+    and unwrapped down the antenna index: the first entry anchors at
+    arg(a_1) in (-pi, pi], and each successive phase differs from its
+    predecessor by at most pi in magnitude. For a steering vector at
+    direction psi the result is the exact linear phase -pi (n-1) psi. The
+    result depends only on the input, so callers that rescale it for many
+    subcarriers unwrap it once and pass the phases to :func:`rescale_phases`.
     """
-    if np.ndim(a) != 1:
-        raise ValueError("unwrap_phases expects a vector")
-    return unwrap_analog_matrix(a)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim not in (1, 2):
+        raise ValueError("unwrap_phases expects a vector or a matrix")
+    _check_constant_modulus(a)
+    return _unwrap_columns(np.angle(a))
 
 
 def from_phases(psi: np.ndarray) -> np.ndarray:
@@ -83,19 +88,6 @@ def from_phases(psi: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(psi)):
         raise ValueError("phases must be finite")
     return rescale_phases(psi, 1.0)
-
-
-def unwrap_analog_matrix(F_RF: np.ndarray) -> np.ndarray:
-    """Unwrapped phases of every column of a constant-modulus matrix.
-
-    Each column is checked for constant modulus (a zero column is rejected)
-    and unwrapped down the antenna index. The result depends only on the
-    matrix, so callers that rescale it for many subcarriers unwrap it once
-    and pass the phases to :func:`rescale_phases`.
-    """
-    F_RF = np.asarray(F_RF, dtype=complex)
-    _check_constant_modulus(F_RF)
-    return _unwrap_columns(np.angle(F_RF))
 
 
 def rescale_phases(phases: np.ndarray, eta) -> np.ndarray:
@@ -123,7 +115,7 @@ def scale_analog_matrix(F_RF: np.ndarray, eta) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(ratios) | (ratios <= 0))
     if bad.size:
         raise ValueError(f"eta_m must be positive and finite, got {ratios.flat[bad[0]]}")
-    return rescale_phases(unwrap_analog_matrix(F_RF), ratios)
+    return rescale_phases(unwrap_phases(F_RF), ratios)
 
 
 # the acceptance suite imports this name for the one dilation above

@@ -108,7 +108,7 @@ class TestRunTrial:
     def test_effective_channel_once_per_analog_matrix(self, monkeypatch, methods, calls):
         # one contraction for the fixed analog matrix (shared by omp and
         # bsa_omp through the stored H_eff) and one for the SD-oracle stack
-        from thzbsa import bsa, metrics, omp
+        from thzbsa import bsa, omp
 
         count = {"n": 0}
         original = omp.effective_channel
@@ -117,11 +117,20 @@ class TestRunTrial:
             count["n"] += 1
             return original(*args, **kwargs)
 
-        for module in (omp, bsa, metrics):
+        for module in (omp, bsa):
             monkeypatch.setattr(module, "effective_channel", counted)
         res = t.run_trial(small_cfg(), 7, methods=methods)
         assert set(res.reports) == set(methods)
         assert count["n"] == calls
+
+    @pytest.mark.parametrize("methods,message", [
+        (("nope",), "unknown methods"),
+        (("omp", "omp"), "without repeats"),
+        ((), "non-empty"),
+    ])
+    def test_rejects_bad_methods(self, methods, message):
+        with pytest.raises(t.ConfigError, match=message):
+            t.run_trial(small_cfg(), 1, methods=methods)
 
     def test_golden_desk_trials(self):
         # the seeded per-report values the benchmark pins, checked in tier 1:
@@ -257,7 +266,7 @@ class TestEmit:
     def test_csv_columns_exact(self, tmp_path):
         result = self._small_result()
         path = tmp_path / "out.csv"
-        t.emit(result, "csv", path)
+        path.write_text(t.emit(result, "csv"))
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == list(CSV_COLUMNS)
@@ -268,7 +277,7 @@ class TestEmit:
     def test_json_round_trip(self, tmp_path):
         result = self._small_result()
         path = tmp_path / "out.json"
-        t.emit(result, "json", path)
+        path.write_text(t.emit(result, "json"))
         again = t.load_sweep_json(path)
         assert again == result
 
@@ -457,6 +466,19 @@ class TestCli:
         assert lines[0] == ",".join(CSV_COLUMNS)
         assert len(lines) == 3
 
+    def test_simulate_out_logs_to_stderr(self, tmp_path, capsys):
+        out = tmp_path / "sweep.json"
+        code = cli.main([
+            "simulate", "--sweep", "snr", "--values", "0", "--trials", "1",
+            "--methods", "omp", "--config", str(_write_small_cfg(tmp_path)),
+            "--out", str(out), "--format", "json",
+        ])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"wrote {out}\n"
+        assert json.loads(out.read_text())["rows"]
+
     def test_simulate_accepts_negative_values(self, tmp_path, capsys):
         # "--values -10,0" must not be eaten by the option parser
         code = cli.main([
@@ -482,6 +504,13 @@ class TestCli:
         code = cli.main(["simulate", "--sweep", "snr", "--values", "0,zero",
                          "--trials", "1"])
         assert code == 2
+
+    def test_empty_values_exit_code(self, monkeypatch, capsys):
+        # an empty list is an error, not a request for the default sweep
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("sweep started"))
+        code = cli.main(["simulate", "--sweep", "snr", "--values", "", "--trials", "1"])
+        assert code == 2
+        assert "sweep needs at least one axis value" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["nan", "inf", "2.5"])
     def test_bad_users_value_exit_code(self, capsys, value):
@@ -568,6 +597,15 @@ class TestCli:
         assert code == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    def test_non_utf8_config_exit_code(self, tmp_path, capsys):
+        cfg_file = tmp_path / "latin1.cfg"
+        cfg_file.write_bytes(b"# caf\xff\nK = 2\n")
+        code = cli.main(["show-config", "--config", str(cfg_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert f"config error: {cfg_file}: not valid UTF-8" in captured.err
         assert captured.out == ""
 
     def test_repeated_config_key_exit_code(self, tmp_path, capsys):

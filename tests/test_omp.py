@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import thzbsa as t
-from thzbsa.omp import DegenerateChannelError, sd_dictionary
+from thzbsa.omp import DegenerateChannelError, pseudo_inverse, sd_dictionary
 
 
 def _random_channelset(cfg, seed):
@@ -65,7 +65,7 @@ class TestUnconstrainedPrecoders:
     def test_dominant_eigen_oracle(self):
         rng = np.random.default_rng(7)
         H = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        ch = t.ChannelSet(H=H[None, None], freqs=np.array([300e9]), eta=np.array([1.0]))
+        ch = t.ChannelSet(H=H[None, None], eta=np.array([1.0]))
         f = t.unconstrained_precoders(ch)[0, :, 0]
         # independent oracle: eigendecomposition of the Gram matrix
         evals = np.linalg.eigvalsh(H.conj().T @ H)
@@ -221,7 +221,7 @@ class TestEffectiveChannel:
         W_RF = t.steering_vector(4, 0.25)[:, None]
         h_eff = t.effective_channel(ch, W_RF, F_RF)
         zeta = np.sqrt(16 * 4 / 1)
-        expected = zeta * 0.8 * np.exp(-2j * np.pi * 1e-9 * ch.freqs[0])
+        expected = zeta * 0.8 * np.exp(-2j * np.pi * 1e-9 * t.subcarrier_frequencies(cfg)[0])
         assert h_eff[0, 0, 0] == pytest.approx(expected, abs=1e-10)
 
     def test_zero_channel(self, tiny_cfg):
@@ -308,6 +308,12 @@ class TestBasebandZF:
             H_eff[m, 1] = 2 * H_eff[m, 0]
         with pytest.raises(DegenerateChannelError, match="at subcarrier 1 is rank-deficient"):
             t.baseband_zf(H_eff, np.eye(2, dtype=complex))
+
+    def test_pseudo_inverse_names_singular_subcarrier(self, rng):
+        A = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        A[2, :, 1] = 0
+        with pytest.raises(DegenerateChannelError, match="at subcarrier 2 is rank-deficient"):
+            pseudo_inverse(A)
 
     def test_rank_deficient_raises(self):
         H_eff = np.zeros((1, 2, 2), complex)

@@ -64,9 +64,12 @@ class TestUnwrap:
         with pytest.raises(ValueError, match="5.000e-01"):
             t.unwrap_phases(a)
 
-    def test_rejects_matrix_input(self):
-        with pytest.raises(ValueError, match="vector"):
-            t.unwrap_phases(np.ones((2, 2)))
+    def test_matrix_columns_unwrap_as_vectors(self, rng):
+        A = t.steering_vector(12, np.array([-1.0, -0.4, 0.3, 1.0]))
+        A[:, 1] *= np.exp(1j * rng.uniform(-np.pi, np.pi, 12))
+        psi = t.unwrap_phases(A)
+        for j in range(A.shape[1]):
+            np.testing.assert_array_equal(psi[:, j], t.unwrap_phases(A[:, j]))
 
 
 # NaN fails every comparison of the modulus check and np.angle(inf) is 0, so
