@@ -16,6 +16,7 @@ a common delay is a per-(k, m) unit phase that no rate sees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,7 +117,8 @@ def draw_paths(cfg: SystemConfig, rng: np.random.Generator) -> PathParams:
     phi = np.sin(rng.uniform(-np.pi / 2, np.pi / 2, size=(K, L)))
     varphi = np.sin(rng.uniform(-np.pi / 2, np.pi / 2, size=(K, L)))
     alpha = (rng.standard_normal((K, L)) + 1j * rng.standard_normal((K, L))) / np.sqrt(2.0)
-    alpha[:, 1:] *= 10.0 ** (-cfg.nlos_penalty_db / 20.0)
+    # a numpy power, so an overflowing penalty obeys the caller's np.errstate
+    alpha[:, 1:] *= np.float64(10.0) ** (-cfg.nlos_penalty_db / 20.0)
     tau = np.zeros((K, L))
     if L > 1:
         tau[:, 1:] = rng.uniform(0.0, cfg.excess_delay, size=(K, L - 1))
@@ -129,6 +131,26 @@ class ChannelSet:
 
     H: np.ndarray           # (K, M, N_R, N_T)
     eta: np.ndarray         # (M,)
+
+    @cached_property
+    def dominant_mode(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (s, u, v): each H_k[m]'s largest singular value and unit vectors.
+
+        Shapes (K, M), (K, M, N_R), (K, M, N_T), from one SVD on first access.
+        H_k[m] v = s u, with v's first significant entry real positive.
+        """
+        if not np.all(np.isfinite(self.H)):
+            raise FloatingPointError("channel contains non-finite entries")
+        u, s, vh = np.linalg.svd(self.H, full_matrices=False)
+        v = vh[..., 0, :].conj()
+        mags = np.abs(v)
+        first = np.argmax(mags > 1e-9 * mags.max(axis=-1, keepdims=True), axis=-1)
+        pivot = np.take_along_axis(v, first[..., None], axis=-1)
+        rotation = pivot.conjugate() / np.abs(pivot)
+        mode = (s[..., 0], u[..., 0] * rotation, v * rotation)
+        for part in mode:
+            part.setflags(write=False)
+        return mode
 
 
 def generate_channel(cfg: SystemConfig, paths: PathParams) -> ChannelSet:

@@ -8,7 +8,7 @@ Subcommands:
   show-config  print the fully resolved configuration
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (the
-redraw cap was reached, or a sum rate came out non-finite).
+redraw cap was reached, the draw overflowed or a sum rate was non-finite).
 """
 
 from __future__ import annotations
@@ -40,9 +40,18 @@ def _resolve_config(args: argparse.Namespace):
     return build_config(args.profile, parse_config_file(args.config) if args.config else None)
 
 
+def _split_list(raw: str, flag: str) -> list[str]:
+    """Stripped entries of a comma list; a blank one among others is a stray comma."""
+    entries = [v.strip() for v in raw.split(",")]
+    if any(entries) and "" in entries:
+        raise ConfigError(f"{flag} {raw!r} has an empty entry")
+    return [v for v in entries if v]
+
+
 def _parse_values(raw: str) -> list[float]:
+    entries = _split_list(raw, "--values")
     try:
-        return [float(v) for v in raw.split(",") if v.strip() != ""]
+        return [float(v) for v in entries]
     except ValueError:
         raise ConfigError(f"cannot parse sweep values {raw!r}") from None
 
@@ -68,7 +77,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         axis=AXIS_BY_SWEEP[args.sweep],
         values=values,
         trials=trials,
-        methods=tuple(m.strip() for m in args.methods.split(",") if m.strip()),
+        methods=tuple(_split_list(args.methods, "--methods")),
         base_config=cfg,
         seed=args.seed,
         workers=args.workers,

@@ -120,8 +120,8 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
               methods: tuple[str, ...] = METHODS) -> TrialResult:
     """Evaluate all requested methods on one seeded channel realization.
 
-    Raises ConfigError on a bad method list and FloatingPointError as soon
-    as a report's sum rate is non-finite.
+    Raises ConfigError on a bad method list, and FloatingPointError naming the
+    trial seed as soon as the channel draw overflows or a sum rate is non-finite.
     """
     cfg.validate()
     _check_methods(methods)
@@ -130,9 +130,9 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
     last_error: Exception | None = None
     for attempt in range(MAX_REDRAWS + 1):
         rng = np.random.default_rng(np.random.SeedSequence([trial_seed, attempt]))
-        paths = draw_paths(cfg, rng)
-        channels = generate_channel(cfg, paths)
         try:
+            with np.errstate(over="raise", invalid="raise"):   # a valid config can still overflow
+                channels = generate_channel(cfg, draw_paths(cfg, rng))
             reports: dict[str, RateReport] = {}
             bf = None
             if hybrid_needed:
@@ -153,11 +153,12 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
                                                                    cfg.sigma_n2)
             for method, report in reports.items():
                 if not np.isfinite(report.sum_rate):
-                    raise FloatingPointError(
-                        f"non-finite {method} sum rate in trial seed {trial_seed}")
+                    raise FloatingPointError(f"non-finite {method} sum rate")
             return TrialResult(reports=reports, redraws=attempt)
         except DegenerateChannelError as err:
             last_error = err
+        except FloatingPointError as err:
+            raise FloatingPointError(f"{err} in trial seed {trial_seed}") from None
     raise RedrawExhausted(
         f"no usable channel after {MAX_REDRAWS + 1} attempts (seed {trial_seed}): {last_error}"
     )

@@ -76,40 +76,20 @@ sd_dictionary = scale_analog_matrix
 
 
 def unconstrained_precoders(channels: ChannelSet) -> np.ndarray:
-    """Dominant right singular vector of H_k[m] per user and subcarrier.
-
-    Returns (M, N_T, K); columns are unit-norm with the first
-    significantly-nonzero entry rotated to be real positive so repeated runs
-    produce identical signs.
-    """
-    H = channels.H
-    if not np.all(np.isfinite(H)):
-        raise ValueError("channel contains non-finite entries")
-    vh = np.linalg.svd(H, full_matrices=False)[2]     # (K, M, min, N_T)
-    return np.ascontiguousarray(np.transpose(_fix_phase(vh[:, :, 0].conj()), (1, 2, 0)))
+    """Dominant right singular vectors, the v of ``channels.dominant_mode``, as (M, N_T, K)."""
+    return np.ascontiguousarray(np.transpose(channels.dominant_mode[2], (1, 2, 0)))
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate each vector (last axis) so its first significant entry is real positive."""
-    mags = np.abs(v)
-    idx = np.argmax(mags > 1e-9 * mags.max(axis=-1, keepdims=True), axis=-1)
-    pivot = np.take_along_axis(v, idx[..., None], axis=-1)
-    return v * (pivot.conjugate() / np.abs(pivot))
-
-
-def unconstrained_combiners(channels: ChannelSet, F_opt: np.ndarray,
-                            P: float, sigma_n2: float) -> np.ndarray:
+def unconstrained_combiners(channels: ChannelSet, P: float, sigma_n2: float) -> np.ndarray:
     """MMSE-scaled matched-filter combiners, shape (M, N_R, K).
 
-    Column k is (1/P) (||H_k f_k||^2 + sigma^2/P)^{-1} H_k[m] f_k: a strictly
-    positive scalar times the receive-side matched filter, so its direction
-    is always that of H_k[m] f_opt,k[m].
+    Column k is (1/P) s / (s^2 + sigma^2/P) u for the dominant mode (s, u, v)
+    of H_k[m], which is (1/P) (||H_k v||^2 + sigma^2/P)^{-1} H_k[m] v: a
+    strictly positive scalar times the receive-side matched filter.
     """
-    H = channels.H
-    hf = np.einsum("kmrt,mtk->kmr", H, F_opt)          # (K, M, N_R)
-    g2 = np.sum(np.abs(hf) ** 2, axis=-1)              # (K, M)
-    scale = (1.0 / P) / (g2 + sigma_n2 / P)
-    return np.transpose(hf * scale[:, :, None], (1, 2, 0))
+    s, u, _ = channels.dominant_mode
+    scale = (1.0 / P) * s / (s**2 + sigma_n2 / P)      # (K, M)
+    return np.transpose(u * scale[:, :, None], (1, 2, 0))
 
 
 def omp_select(F_opt: np.ndarray, W_opt: np.ndarray, dictionary: Dictionary,
@@ -214,7 +194,7 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
     if dictionary is None:
         dictionary = build_dictionaries(cfg)
     F_opt = unconstrained_precoders(channels)
-    W_opt = unconstrained_combiners(channels, F_opt, cfg.P, cfg.sigma_n2)
+    W_opt = unconstrained_combiners(channels, cfg.P, cfg.sigma_n2)
     F_RF, W_RF, selected = omp_select(F_opt, W_opt, dictionary, channels.eta)
     H_eff = effective_channel(channels, W_RF, F_RF)
     F_BB = baseband_zf(H_eff, F_RF)

@@ -146,6 +146,37 @@ class TestGenerateChannel:
             t.generate_channel(tiny_cfg, paths)
 
 
+class TestDominantMode:
+    def test_singular_triple(self, desk_cfg, rng):
+        ch = t.generate_channel(desk_cfg, t.draw_paths(desk_cfg, rng))
+        s, u, v = ch.dominant_mode
+        K, M = desk_cfg.K, desk_cfg.M
+        assert (s.shape, u.shape, v.shape) == ((K, M), (K, M, desk_cfg.N_R), (K, M, desk_cfg.N_T))
+        Hv = np.einsum("kmrt,kmt->kmr", ch.H, v)
+        np.testing.assert_allclose(Hv, s[..., None] * u, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(u, axis=-1), 1.0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, atol=1e-12)
+        for k in range(K):
+            for m in range(M):
+                mags = np.abs(v[k, m])
+                first = v[k, m][np.argmax(mags > 1e-9 * mags.max())]
+                assert abs(first.imag) < 1e-15 and first.real > 0
+
+    def test_computed_once_and_read_only(self, tiny_cfg, rng):
+        ch = t.generate_channel(tiny_cfg, t.draw_paths(tiny_cfg, rng))
+        assert ch.dominant_mode is ch.dominant_mode
+        for part in ch.dominant_mode:
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_channel_rejected(self, tiny_cfg, rng, bad):
+        ch = t.generate_channel(tiny_cfg, t.draw_paths(tiny_cfg, rng))
+        ch.H[1, 2, 0, 3] = bad
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            ch.dominant_mode
+
+
 class TestPathParams:
     def test_directions_bounded(self):
         with pytest.raises(ValueError, match="sine-space"):

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,25 @@ class TestRunTrial:
         res = t.run_trial(small_cfg(), 7, methods=methods)
         assert set(res.reports) == set(methods)
         assert count["n"] == calls
+
+    @pytest.mark.parametrize("methods", [t.METHODS, ("omp",), ("omp", "fully_digital")])
+    def test_channel_stack_decomposed_once(self, monkeypatch, methods):
+        # precoders, combiners and the fully-digital bound share one SVD of
+        # the (K, M, N_R, N_T) stack; the pseudo-inverses factor other shapes
+        cfg = small_cfg()
+        stack = (cfg.K, cfg.M, cfg.N_R, cfg.N_T)
+        count = {"n": 0}
+        original = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            count["n"] += np.shape(a) == stack
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        res = t.run_trial(cfg, 7, methods=methods)
+        assert set(res.reports) == set(methods)
+        assert res.redraws == 0
+        assert count["n"] == 1
 
     @pytest.mark.parametrize("methods,message", [
         (("nope",), "unknown methods"),
@@ -547,6 +567,18 @@ class TestCli:
                          "--methods", "magic"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--values", "0,,10"), ("--values", "0,10,"), ("--values", " , 5"),
+        ("--methods", "omp,"), ("--methods", "omp,,bsa_omp"),
+    ])
+    def test_stray_comma_exit_code(self, monkeypatch, capsys, flag, value):
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("sweep started"))
+        argv = {"--values": "0", "--methods": "omp", flag: value}
+        code = cli.main(["simulate", "--sweep", "snr", "--trials", "1",
+                         "--values", argv["--values"], "--methods", argv["--methods"]])
+        assert code == 2
+        assert f"{flag} {value!r} has an empty entry" in capsys.readouterr().err
+
     @pytest.mark.parametrize("methods", [",", "omp,omp"])
     def test_empty_or_repeated_methods_exit_code(self, monkeypatch, capsys, methods):
         monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("sweep started"))
@@ -636,15 +668,24 @@ class TestCli:
         assert code == 2
         assert "workers must be in 1..2" in capsys.readouterr().err
 
-    def test_non_finite_result_exit_code(self, tmp_path, capsys):
-        # finite and positive, so validation accepts it, but the SINRs overflow
-        cfg_file = tmp_path / "tiny_noise.cfg"
-        cfg_file.write_text("sigma_n2 = 1e-320\n")
+    @pytest.mark.parametrize("key,value,message", [
+        pytest.param("sigma_n2", "1e-320", "non-finite omp sum rate", id="sigma_n2"),
+        pytest.param("nlos_penalty_db", "-7000", "overflow encountered", id="nlos_penalty_db"),
+        pytest.param("excess_delay", "1e300", "overflow encountered", id="excess_delay"),
+    ])
+    def test_non_finite_result_exit_code(self, tmp_path, capsys, key, value, message):
+        # finite, so validation accepts it, but the SINRs, the path gains or
+        # the delay phases overflow
+        cfg_file = tmp_path / "overflow.cfg"
+        cfg_file.write_text(f"{key} = {value}\n")
         code = cli.main(["simulate", "--sweep", "bandwidth", "--values", "1e9",
                          "--trials", "2", "--config", str(cfg_file)])
         assert code == 3
         captured = capsys.readouterr()
-        assert "non-finite omp sum rate" in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: ")
+        assert message in lines[0]
+        assert re.search(r"in trial seed \d+$", lines[0])
         assert "RuntimeWarning" not in captured.err
         assert captured.out == ""
 

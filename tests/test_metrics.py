@@ -158,6 +158,15 @@ class TestFullyDigital:
         ch = t.ChannelSet(H=np.zeros((2, 3, 4, 8), complex), eta=np.ones(3))
         assert t.fully_digital_yardstick(ch, 1.0, 1.0).sum_rate == 0.0
 
+    def test_values_only_svd_oracle(self, desk_cfg):
+        ch = t.generate_channel(desk_cfg, t.draw_paths(desk_cfg, np.random.default_rng(19)))
+        P, s2 = 1.0, 0.05
+        s_max = np.linalg.svd(ch.H, compute_uv=False)[..., 0]
+        expected = np.log2(1.0 + (P / desk_cfg.K) * s_max**2 / s2)
+        report = t.fully_digital_yardstick(ch, P, s2)
+        np.testing.assert_allclose(report.per_user_rate, expected, rtol=1e-12, atol=0)
+        assert report.sum_rate == pytest.approx(expected.sum(), rel=1e-12)
+
     def test_dominates_hybrid_methods(self):
         cfg = t.SystemConfig().validate()
         for seed in range(5):

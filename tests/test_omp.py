@@ -83,7 +83,7 @@ class TestUnconstrainedCombiners:
     def test_collinear_with_matched_filter(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 3)
         F_opt = t.unconstrained_precoders(ch)
-        W_opt = t.unconstrained_combiners(ch, F_opt, P=1.0, sigma_n2=0.5)
+        W_opt = t.unconstrained_combiners(ch, P=1.0, sigma_n2=0.5)
         for k in range(tiny_cfg.K):
             for m in range(tiny_cfg.M):
                 w = W_opt[m, :, k]
@@ -93,8 +93,7 @@ class TestUnconstrainedCombiners:
 
     def test_noise_dominated_limit(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 3)
-        F_opt = t.unconstrained_precoders(ch)
-        small = t.unconstrained_combiners(ch, F_opt, P=1.0, sigma_n2=1e12)
+        small = t.unconstrained_combiners(ch, P=1.0, sigma_n2=1e12)
         assert np.max(np.abs(small)) < 1e-9
 
     def test_rank_one_scalar_closed_form(self):
@@ -104,7 +103,7 @@ class TestUnconstrainedCombiners:
         ch = t.generate_channel(cfg, paths)
         F_opt = t.unconstrained_precoders(ch)
         P, sigma_n2 = 2.0, 0.3
-        W_opt = t.unconstrained_combiners(ch, F_opt, P, sigma_n2)
+        W_opt = t.unconstrained_combiners(ch, P, sigma_n2)
         g = np.linalg.norm(ch.H[0, 0] @ F_opt[0, :, 0])
         expected_norm = (1 / P) * g / (g**2 + sigma_n2 / P)
         assert np.linalg.norm(W_opt[0, :, 0]) == pytest.approx(expected_norm, rel=1e-12)
@@ -137,7 +136,7 @@ class TestOmpSelect:
                              varphi=[[d.grid_f[p0]]], tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
         F_opt = t.unconstrained_precoders(ch)
-        W_opt = t.unconstrained_combiners(ch, F_opt, cfg.P, cfg.sigma_n2)
+        W_opt = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
         _, _, selected = t.omp_select(F_opt, W_opt, d, ch.eta)
         assert selected == [(p0, q0)]
         oracle = _kron_objective(F_opt, W_opt, d, ch.eta, 0)
@@ -166,7 +165,7 @@ class TestOmpSelect:
         assert np.allclose(ch.eta, 1.0)
         d = t.build_dictionaries(cfg)
         F_opt = t.unconstrained_precoders(ch)
-        W_opt = t.unconstrained_combiners(ch, F_opt, cfg.P, cfg.sigma_n2)
+        W_opt = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
         _, _, selected = t.omp_select(F_opt, W_opt, d, ch.eta)
         # classic narrowband selection: plain dictionaries, same objective
         taken = []
@@ -191,7 +190,7 @@ class TestOmpSelect:
         )
         ch = t.generate_channel(cfg, paths)
         F_opt = t.unconstrained_precoders(ch)
-        W_opt = t.unconstrained_combiners(ch, F_opt, cfg.P, cfg.sigma_n2)
+        W_opt = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
         _, _, selected = t.omp_select(F_opt, W_opt, d, ch.eta)
         assert selected[0][0] == 10
         assert selected[1][0] != 10
@@ -342,7 +341,7 @@ class TestPipeline:
         ch = _random_channelset(cfg, 41)
         d = t.build_dictionaries(cfg)
         F_opt = t.unconstrained_precoders(ch)
-        W_opt = t.unconstrained_combiners(ch, F_opt, cfg.P, cfg.sigma_n2)
+        W_opt = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
         _, _, selected = t.omp_select(F_opt, W_opt, d, ch.eta)
         taken = []
         for k, (p, q) in enumerate(selected):
