@@ -1,12 +1,10 @@
 """Beam-split-aware baseband correction.
 
-A single subcarrier-independent analog beamformer is kept; for each
-subcarrier the ideal subcarrier-dependent analog beamformer is constructed
-virtually by phase rescaling, and the baseband precoder is replaced with the
-least-squares match of the fixed-analog hybrid product to that ideal, so the
-split compensation lives entirely in the digital stage. The match is exact
-iff the analog beamformer has a true left inverse (N_RF = N_T); otherwise
-the correction is the orthogonal projection onto the analog column space.
+The subcarrier-independent analog beamformer is kept, and each subcarrier's
+baseband is replaced with the least-squares match of the fixed-analog hybrid
+product to the ideal (phase-rescaled) per-subcarrier hybrid precoder, so the
+split compensation lives in the digital stage: exact iff the analog matrix
+has a left inverse (N_RF = N_T), else the projection onto its column space.
 """
 
 from __future__ import annotations
@@ -41,12 +39,9 @@ def bsa_baseband(F_RF: np.ndarray, F_BB_m: np.ndarray, eta_m: float,
 def apply_bsa(bf: BeamformerSet, target: BeamformerSet) -> BeamformerSet:
     """Replace the baseband of ``bf`` with the corrected stack for every subcarrier.
 
-    ``target`` is the ideal subcarrier-dependent hybrid precoder of
-    :func:`sd_oracle_beamformers`: the dilated analog stack and the
-    zero-forcing baseband solved on its effective channel (what the virtual
-    SD beamformer would actually deploy). One pseudo-inverse of the analog
-    beamformer matches every subcarrier; the analog stage and ``H_eff`` of
-    ``bf`` are kept.
+    ``target`` is the SD oracle of :func:`sd_oracle_beamformers` (what the
+    virtual SD beamformer would deploy). One pseudo-inverse of the analog
+    beamformer matches every subcarrier; the analog stage and ``H_eff`` stay.
     """
     corrected = pseudo_inverse(bf.F_RF) @ (target.F_RF @ target.F_BB)
     return replace(bf, F_BB=unit_power(bf.F_RF, corrected))

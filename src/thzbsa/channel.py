@@ -1,16 +1,12 @@
-"""Frequency-selective THz multipath channel synthesis.
+"""Frequency-selective THz multipath channels, held as their L path factors.
 
-Generates the subcarrier grid, ULA steering vectors, random multipath
-parameters and the stacked per-user per-subcarrier channel matrices. Also
-provides the wideband normalized array gain and its Dirichlet-kernel closed
-form.
-
-Conventions: sine-space directions lie in [-1, 1]; a direction observed at
-subcarrier m is dilated by eta_m = f_m / f_c. Values with |eta_m * phi| > 1
-are kept as-is (they describe beams steered outside visible space). Path
-gains follow the spreading law normalised at the carrier, f_c / f_m = 1/eta_m,
-in which distance and absorption cancel; delays run from the LoS arrival, as
-a common delay is a per-(k, m) unit phase that no rate sees.
+Every H_k[m] has rank L, so a ``ChannelSet`` keeps the dilated path
+directions and gains; its dominant mode and W_RF^H H come from the steering
+kernel a_N(x)^H a_N(y), a Dirichlet kernel, and the dense stack is built only
+on request. Also the subcarrier grid, steering vectors, path draws and the
+wideband array gain. Directions are sine-space, dilated by eta_m = f_m / f_c
+and kept as-is beyond [-1, 1]; gains follow the spreading law 1/eta_m
+normalised at the carrier; delays run from the LoS arrival.
 """
 
 from __future__ import annotations
@@ -42,47 +38,50 @@ def steering_vector(N: int, psi) -> np.ndarray:
     """Unit-norm ULA steering vector(s), entry n = exp(-j pi (n-1) psi)/sqrt(N).
 
     ``psi`` may be a scalar (returns shape (N,)) or an array of directions
-    (returns shape (N,) + psi.shape, one column per direction).
+    (returns shape (N,) + psi.shape, one column per direction). Entry
+    n = c a + b is the product of two exponentials, so a column costs
+    about 2 sqrt(N) of them instead of N.
     """
     if N < 1:
         raise ValueError(f"antenna count must be >= 1, got {N}")
-    n = np.arange(N, dtype=float)
-    psi_arr = np.asarray(psi, dtype=float)
-    phase = -1j * np.pi * n.reshape((N,) + (1,) * psi_arr.ndim) * psi_arr
-    return np.exp(phase) / np.sqrt(N)
+    psi = np.asarray(psi, dtype=float)
+    c = int(np.ceil(np.sqrt(N)))
+    coarse = np.exp(-1j * np.pi * np.multiply.outer(np.arange(0, N, c, dtype=float), psi))
+    fine = np.exp(-1j * np.pi * np.multiply.outer(np.arange(c, dtype=float), psi))
+    return (coarse[:, None] * fine[None, :]).reshape((-1,) + psi.shape)[:N] / np.sqrt(N)
 
 
 def dirichlet_sinc(a, N: int):
     """Dirichlet kernel sin(N pi a) / (N sin(pi a)).
 
-    Returns the analytic limit (-1)^((N-1) k) at integer arguments a = k,
-    never NaN.
+    Evaluated on a - k for the nearest integer k, which is exact in floating
+    point, so grating lobes keep full precision; the analytic limit
+    (-1)^((N-1) k) holds within 1e-12 of an integer, never NaN.
     """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    a_arr = np.asarray(a, dtype=float)
-    scalar = a_arr.ndim == 0
-    a_arr = np.atleast_1d(a_arr)
-    nearest = np.round(a_arr)
-    at_integer = np.abs(a_arr - nearest) < 1e-12
-    denom = N * np.sin(np.pi * a_arr)
-    out = np.empty_like(a_arr)
-    safe = ~at_integer
-    out[safe] = np.sin(N * np.pi * a_arr[safe]) / denom[safe]
-    limit_sign = np.where((((N - 1) * nearest[at_integer].astype(int)) % 2) == 0, 1.0, -1.0)
-    out[at_integer] = limit_sign
-    return float(out[0]) if scalar else out
+    a = np.asarray(a, dtype=float)
+    k = np.round(a)
+    r = a - k
+    with np.errstate(divide="ignore", invalid="ignore"):     # r = 0 is replaced below
+        out = np.asarray(np.sin(N * np.pi * r) / (N * np.sin(np.pi * r)))
+    out[np.abs(r) < 1e-12] = 1.0
+    if N % 2 == 0:
+        out[k.astype(np.int64) % 2 == 1] *= -1.0
+    return float(out) if out.ndim == 0 else out
+
+
+def steering_kernel(N: int, x, y):
+    """a_N(x)^H a_N(y) = exp(j pi (N-1) d / 2) D_N(d / 2), d = x - y, broadcast."""
+    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return np.exp(0.5j * np.pi * (N - 1) * d) * dirichlet_sinc(d / 2.0, N)
 
 
 @dataclass
 class PathParams:
-    """Per-user multipath descriptors, arrays of shape (K, L).
-
-    ``alpha`` holds the frequency-flat complex gain draw (unit-variance
-    Gaussian, NLoS penalty already applied); the spreading factor 1/eta_m
-    is applied during channel generation. ``phi`` is the physical DOA and
-    ``varphi`` the physical DOD, both in sine space; ``tau`` is the delay
-    measured from the LoS arrival.
+    """Per-user multipath descriptors, arrays of shape (K, L): the complex gain
+    draw ``alpha`` (NLoS penalty applied, spreading 1/eta_m not yet), the
+    sine-space DOA ``phi`` and DOD ``varphi``, and the delay ``tau`` after the LoS.
     """
 
     alpha: np.ndarray
@@ -127,71 +126,99 @@ def draw_paths(cfg: SystemConfig, rng: np.random.Generator) -> PathParams:
 
 @dataclass
 class ChannelSet:
-    """K x M stack of N_R x N_T channel matrices plus the frequency ratios."""
+    """K x M stack of rank-L channels H_k[m] = A_R diag(gain) A_T^H, held as path factors.
 
-    H: np.ndarray           # (K, M, N_R, N_T)
+    ``theta`` / ``vartheta`` are the dilated DOAs eta_m phi / DODs eta_m varphi
+    (the columns of A_R / A_T), ``gain`` the path gains, all (K, M, L).
+    """
+
+    theta: np.ndarray       # (K, M, L)
+    vartheta: np.ndarray    # (K, M, L)
+    gain: np.ndarray        # (K, M, L)
     eta: np.ndarray         # (M,)
+    N_R: int
+    N_T: int
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        """The dense (K, M, N_R, N_T) stack, built on first access; no trial reads it."""
+        return np.einsum("kml,rkml,tkml->kmrt", self.gain, steering_vector(self.N_R, self.theta),
+                         steering_vector(self.N_T, self.vartheta).conj())
 
     @cached_property
     def dominant_mode(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only (s, u, v): each H_k[m]'s largest singular value and unit vectors.
+        """Read-only (s, x, y): each H_k[m]'s largest singular value, shape (K, M),
+        and its unit vectors v = A_T x and u = A_R y in path coordinates (K, M, L).
 
-        Shapes (K, M), (K, M, N_R), (K, M, N_T), from one SVD on first access.
-        H_k[m] v = s u, with v's first significant entry real positive.
+        With R the pseudo-root of G_T = A_T^H A_T (every positive eigenvalue
+        kept), s^2 and z are the top eigenpair of the L x L core
+        R diag(gain)^H G_R diag(gain) R; x = R^+ z and y = diag(gain) R z / s,
+        zero where s = 0. v's first entry, sum(x) / sqrt(N_T), is real non-negative.
         """
-        if not np.all(np.isfinite(self.H)):
-            raise FloatingPointError("channel contains non-finite entries")
-        u, s, vh = np.linalg.svd(self.H, full_matrices=False)
-        v = vh[..., 0, :].conj()
-        mags = np.abs(v)
-        first = np.argmax(mags > 1e-9 * mags.max(axis=-1, keepdims=True), axis=-1)
-        pivot = np.take_along_axis(v, first[..., None], axis=-1)
-        rotation = pivot.conjugate() / np.abs(pivot)
-        mode = (s[..., 0], u[..., 0] * rotation, v * rotation)
+        w, U = np.linalg.eigh(steering_kernel(self.N_T, self.vartheta[..., None],
+                                              self.vartheta[..., None, :]))
+        root = np.sqrt(np.maximum(w, 0.0))
+        Uh = np.swapaxes(U.conj(), -1, -2)
+        G_R = steering_kernel(self.N_R, self.theta[..., None], self.theta[..., None, :])
+        with np.errstate(over="ignore", invalid="ignore"):     # refused just below
+            B = self.gain[..., None] * ((U * root[..., None, :]) @ Uh)
+            core = np.swapaxes(B.conj(), -1, -2) @ G_R @ B
+        if not np.all(np.isfinite(core)):
+            raise FloatingPointError("non-finite channel Gram core")
+        lam, Z = np.linalg.eigh(core)
+        s = np.sqrt(np.maximum(lam[..., -1], 0.0))
+        inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
+        x = ((U * inv_root[..., None, :]) @ (Uh @ Z[..., -1:]))[..., 0]
+        By = (B @ Z[..., -1:])[..., 0]
+        y = np.divide(By, s[..., None], out=np.zeros_like(By), where=s[..., None] > 0)
+        lead = x.sum(axis=-1, keepdims=True)
+        rotation = np.divide(lead.conj(), np.abs(lead), out=np.ones_like(lead), where=lead != 0)
+        mode = (s, x * rotation, y * rotation)
         for part in mode:
             part.setflags(write=False)
         return mode
 
+    def combined(self, W_RF: np.ndarray) -> np.ndarray:
+        """W_RF^H H as an (M, K, N_T) stack, kept for the last ``W_RF`` so that
+        a design and its SD oracle share it."""
+        key = W_RF.tobytes()
+        if getattr(self, "_combined", (None,))[0] != key:
+            a_r = steering_vector(self.N_R, self.theta)                  # (N_R, K, M, L)
+            weights = np.einsum("rk,rkml->mkl", W_RF.conj(), a_r) * np.swapaxes(self.gain, 0, 1)
+            a_t = np.moveaxis(steering_vector(self.N_T, np.swapaxes(self.vartheta, 0, 1)), 0, -1)
+            self._combined = (key, (weights[..., None, :] @ a_t.conj())[..., 0, :])
+        return self._combined[1]
+
 
 def generate_channel(cfg: SystemConfig, paths: PathParams) -> ChannelSet:
-    """Synthesize all K*M channel matrices.
+    """Path factors of all K*M channel matrices (``paths`` dimensioned K x L):
 
     H_k[m] = zeta * sum_l (alpha_{k,l} / eta_m) a_R(theta) a_T(vartheta)^H
              * exp(-j 2 pi tau_{k,l} f_m),  zeta = sqrt(N_R N_T / L),
 
-    with the beam-split steering arguments theta = eta_m * phi and
-    vartheta = eta_m * varphi. ``paths`` must be dimensioned K x L.
+    with the beam-split directions theta = eta_m * phi and vartheta = eta_m * varphi.
     """
     if paths.alpha.shape != (cfg.K, cfg.L):
         raise ValueError(f"paths dimensioned {paths.alpha.shape}, "
                          f"config expects {(cfg.K, cfg.L)}")
     freqs = subcarrier_frequencies(cfg)
     eta = freqs / cfg.f_c
-    # directions per (k, l, m)
-    theta = paths.phi[:, :, None] * eta[None, None, :]
-    vartheta = paths.varphi[:, :, None] * eta[None, None, :]
-    a_r = np.moveaxis(steering_vector(cfg.N_R, theta), 0, -1)   # (K, L, M, N_R)
-    a_t = np.moveaxis(steering_vector(cfg.N_T, vartheta), 0, -1)
-    coeff = (paths.alpha[:, :, None] / eta[None, None, :]
-             * np.exp(-2j * np.pi * paths.tau[:, :, None] * freqs[None, None, :]))
     zeta = np.sqrt(cfg.N_R * cfg.N_T / cfg.L)
-    H = zeta * np.einsum("klm,klmr,klmt->kmrt", coeff, a_r, a_t.conj())
-    return ChannelSet(H=H, eta=eta)
+    gain = (zeta * paths.alpha[:, None, :] / eta[:, None]
+            * np.exp(-2j * np.pi * paths.tau[:, None, :] * freqs[:, None]))
+    return ChannelSet(theta=paths.phi[:, None, :] * eta[:, None],
+                      vartheta=paths.varphi[:, None, :] * eta[:, None],
+                      gain=gain, eta=eta, N_R=cfg.N_R, N_T=cfg.N_T)
 
 
 def array_gain(u: np.ndarray, phi_bar, m: int, cfg: SystemConfig):
     """Normalized wideband array gain of beamformer ``u`` at subcarrier ``m``.
 
-    ``u`` (designed at the carrier) observed at subcarrier m appears with its
-    phases dilated by eta_m; the gain toward beamspace direction ``phi_bar``
-    is the squared inner product against the unit-norm probe steering vector,
-    normalized so a matched pair gives 1. For a steering-vector u at
-    direction phi it equals |Sigma(mu_m)|^2 with
+    The constant-modulus ``u`` (a ValueError otherwise), designed at the
+    carrier, is dilated by eta_m and correlated with the unit-norm probe
+    steering vector(s) at ``phi_bar``, so a matched pair gives 1. For a
+    steering-vector u at direction phi it equals |Sigma(mu_m)|^2 with
     mu_m = d (f_m phi - f_c phi_bar) / c0, peaking at phi_bar = eta_m * phi.
-
-    ``u`` must be constant-modulus (a ValueError otherwise): it is dilated
-    by phase rescaling. ``phi_bar`` may be an array of probe directions, in
-    which case a matching array of gains is returned.
     """
     u = np.asarray(u, dtype=complex)
     if u.ndim != 1 or u.shape[0] != cfg.N_T:

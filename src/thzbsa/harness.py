@@ -1,12 +1,10 @@
 """Seeded Monte-Carlo campaigns: single trials, axis sweeps, CSV/JSON output.
 
-A trial draws one channel realization, designs the hybrid beamformers once,
-and evaluates every requested method on that same realization (paired
-comparison). Sweeps derive one modified config per axis value and aggregate
-mean/std sum rates over trials; sub-seeds are split deterministically from
-the master seed so results are reproducible row by row. Degenerate draws
-(rank-deficient effective channel) are redrawn with the next sub-seed up to
-a cap, and the redraw counts are carried into the JSON metadata.
+A trial draws one channel realization, designs the hybrid beamformers once
+and evaluates every requested method on it (paired comparison). Sweeps derive
+one config per axis value and aggregate mean/std sum rates over trials, with
+sub-seeds split deterministically from the master seed. Degenerate draws
+(rank-deficient effective channel) are redrawn up to a cap and counted.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Rate and SINR evaluation plus power-constraint diagnostics.
 
-The SINR of user k at subcarrier m uses the desired term
-(P/K) |w_k^H H_k F f_k|^2. Two interference conventions are supported:
-``physical`` (default) sums the leakage of the other users' precoder columns
-through user k's own link, Sum_{i != k} |w_k^H H_k F f_i|^2; ``as_printed``
-sums the other users' desired-signal terms |w_i^H H_i F f_i|^2 instead,
-which makes the denominator independent of cross-precoder leakage. The sum
-rate is Sum_m Sum_k log2(1 + gamma).
+Every hybrid method is scored by its stored coupling H_eff[m] F_BB[m]; the
+fully-digital bound reads the largest singular values of the channel's
+path-factor dominant mode. The SINR of user k at subcarrier m has the
+desired term (P/K) |w_k^H H_k F f_k|^2 and, under ``physical`` (default),
+the leakage Sum_{i != k} |w_k^H H_k F f_i|^2 of the other users' columns
+through user k's link; ``as_printed`` sums the other users' desired terms
+|w_i^H H_i F f_i|^2 instead. The sum rate is Sum_m Sum_k log2(1 + gamma).
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ sum_rate_sd_analog = sum_rate
 def fully_digital_yardstick(channels: ChannelSet, P: float, sigma_n2: float) -> RateReport:
     """Interference-free dominant-singular-mode bound with equal power split.
 
-    R = Sum_m Sum_k log2(1 + (P/K) sigma_max^2(H_k[m]) / sigma_n2); no
-    precoder is involved, so the power residual is reported as zero.
+    R = Sum_m Sum_k log2(1 + (P/K) sigma_max^2(H_k[m]) / sigma_n2), with
+    sigma_max from ``channels.dominant_mode``; the power residual is zero.
     """
     s_max = channels.dominant_mode[0]     # sigma_max, (K, M)
     K = s_max.shape[0]

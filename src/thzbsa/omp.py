@@ -1,10 +1,10 @@
 """Greedy hybrid beamformer design from steering-vector dictionaries.
 
-Pipeline: per-subcarrier unconstrained precoders (dominant right singular
-vectors) and MMSE-style combiners, joint transmit/receive atom selection by
-summed correlation against frequency-dilated dictionaries, then the
-per-subcarrier zero-forcing baseband precoder on the effective channel with
-a per-subcarrier power normalization enforcing the MK total constraint.
+Pipeline: unconstrained precoders (dominant right singular vectors) and
+MMSE-style combiners as coordinates on the L path steering vectors, joint
+transmit/receive atom selection by summed closed-form correlation with the
+frequency-dilated atoms, then the per-subcarrier zero-forcing baseband on
+the effective channel, normalized to the MK total power constraint.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet, steering_vector
+from .channel import ChannelSet, dirichlet_sinc, steering_vector
 from .config import SystemConfig
-from .phase_ops import rescale_phases, scale_analog_matrix, unwrap_phases
+from .phase_ops import scale_analog_matrix
 
 
 _RCOND = 1e-12
@@ -33,6 +33,8 @@ class Dictionary:
     D_W: np.ndarray        # (N_R, N_W) receive atoms
     grid_f: np.ndarray     # (N_F,) in [-1, 1]
     grid_w: np.ndarray     # (N_W,) in [-1, 1]
+    psi_f: np.ndarray      # (N_F,) the direction each atom dilates from, as unwrap_phases
+    psi_w: np.ndarray      # (N_W,) reads it: the grid, with a(-1) = a(+1) read as +1
 
 
 @dataclass
@@ -54,10 +56,9 @@ class BeamformerSet:
 def build_dictionaries(cfg: SystemConfig) -> Dictionary:
     """Uniform [-1, 1] grids with N_F / N_W steering atoms.
 
-    Only the carrier atoms are stored. :func:`omp_select` unwraps their
-    phases once per call and dilates them one subcarrier at a time, so no
-    (M, N, grid) stack is ever held; :func:`sd_dictionary` gives one
-    dilated dictionary on its own.
+    Only the carrier atoms are stored: :func:`omp_select` correlates their
+    dilations in closed form, and :func:`sd_dictionary` gives one dilated
+    dictionary on its own.
     """
     if cfg.N_F < 1 or cfg.N_W < 1:
         raise ValueError("dictionary grid sizes must be >= 1")
@@ -68,6 +69,8 @@ def build_dictionaries(cfg: SystemConfig) -> Dictionary:
         D_W=steering_vector(cfg.N_R, grid_w),
         grid_f=grid_f,
         grid_w=grid_w,
+        psi_f=np.where(grid_f == -1.0, 1.0, grid_f),
+        psi_w=np.where(grid_w == -1.0, 1.0, grid_w),
     )
 
 
@@ -76,66 +79,58 @@ sd_dictionary = scale_analog_matrix
 
 
 def unconstrained_precoders(channels: ChannelSet) -> np.ndarray:
-    """Dominant right singular vectors, the v of ``channels.dominant_mode``, as (M, N_T, K)."""
-    return np.ascontiguousarray(np.transpose(channels.dominant_mode[2], (1, 2, 0)))
+    """Dominant right singular vectors v = A_T x, as the path coordinates x (K, M, L)."""
+    return channels.dominant_mode[1]
 
 
 def unconstrained_combiners(channels: ChannelSet, P: float, sigma_n2: float) -> np.ndarray:
-    """MMSE-scaled matched-filter combiners, shape (M, N_R, K).
+    """MMSE-scaled matched-filter combiners w = A_R y, as the path coordinates y (K, M, L).
 
-    Column k is (1/P) s / (s^2 + sigma^2/P) u for the dominant mode (s, u, v)
-    of H_k[m], which is (1/P) (||H_k v||^2 + sigma^2/P)^{-1} H_k[m] v: a
-    strictly positive scalar times the receive-side matched filter.
+    w_k[m] = (1/P) s / (s^2 + sigma^2/P) u = (1/P) (||H_k v||^2 + sigma^2/P)^{-1} H_k[m] v
+    for the dominant mode (s, u, v) of H_k[m]: a positive multiple of the matched filter.
     """
-    s, u, _ = channels.dominant_mode
-    scale = (1.0 / P) * s / (s**2 + sigma_n2 / P)      # (K, M)
-    return np.transpose(u * scale[:, :, None], (1, 2, 0))
+    s, _, y = channels.dominant_mode
+    return y * ((1.0 / P) * s / (s**2 + sigma_n2 / P))[..., None]
 
 
-def omp_select(F_opt: np.ndarray, W_opt: np.ndarray, dictionary: Dictionary,
-               eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+def _atom_correlations(N: int, psi: np.ndarray, eta: np.ndarray, paths: np.ndarray,
+                       coords: np.ndarray) -> np.ndarray:
+    """|a_N(eta_m psi_p)^H sum_l coords_l a_N(paths_l)| as (M, P), for one user.
+
+    By the steering kernel this is |sum_l coords_l exp(j pi (N-1) d/2) D_N(d/2)|,
+    d = eta_m psi_p - paths_l, whose p-dependent unit phase drops out.
+    """
+    weights = coords * np.exp(-0.5j * np.pi * (N - 1) * paths)           # (M, L)
+    kernel = dirichlet_sinc((eta[:, None, None] * psi[:, None] - paths[:, None, :]) / 2.0, N)
+    return np.abs(kernel @ weights.real[..., None] + 1j * (kernel @ weights.imag[..., None]))[..., 0]
+
+
+def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
+               dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
     """Per-user joint atom selection against the dilated dictionaries.
 
-    Both dictionaries are checked and unwrapped once; each subcarrier then
-    costs one rescaling exp and one small correlation matmul per side, and
-    only that subcarrier's dilated dictionary is alive at a time.
-
-    For user k the pair (p*, q*) maximizes
-    sum_m |d_{p,q}[m]^H g_k[m]| with d the Kronecker dictionary atom and
-    g_k[m] = conj(f_k[m]) kron w_k[m]; the Kronecker inner product factors as
-    conj(atom_F^H f) * (atom_W^H w), so only the small per-side correlations
-    are formed. Ties resolve to the smallest (p, then q). A transmit atom is
-    never reused across users (a duplicate would make the effective channel
-    singular); the selected plain atoms are appended to F_RF / W_RF.
+    ``x`` / ``y`` are the path coordinates of the unconstrained precoders
+    f_k[m] = A_T x and combiners w_k[m] = A_R y. For user k the pair (p*, q*)
+    maximizes sum_m |d_{p,q}[m]^H g_k[m]| with d the Kronecker dictionary
+    atom and g_k[m] = conj(f_k[m]) kron w_k[m], which factors as
+    conj(atom_F^H f) * (atom_W^H w). Ties resolve to the smallest (p, then q).
+    A transmit atom is never reused across users (a duplicate would make the
+    effective channel singular); the plain atoms form F_RF / W_RF.
     """
-    M, _, K = F_opt.shape
-    N_F = dictionary.D_F.shape[1]
-    N_W = dictionary.D_W.shape[1]
-    if N_F == 0 or N_W == 0:
-        raise ValueError("empty dictionary")
-    if K > min(N_F, N_W):
+    K = x.shape[0]
+    if K > min(dictionary.D_F.shape[1], dictionary.D_W.shape[1]):
         raise ValueError(f"need K <= min(N_F, N_W), got K={K}")
-    phases_f = unwrap_phases(dictionary.D_F)
-    phases_w = unwrap_phases(dictionary.D_W)
-    corr_f = np.empty((M, N_F, K))
-    corr_w = np.empty((M, N_W, K))
-    for m in range(M):
-        corr_f[m] = np.abs(rescale_phases(phases_f, eta[m]).conj().T @ F_opt[m])
-        corr_w[m] = np.abs(rescale_phases(phases_w, eta[m]).conj().T @ W_opt[m])
-
-    F_RF = np.empty((dictionary.D_F.shape[0], K), dtype=complex)
-    W_RF = np.empty((dictionary.D_W.shape[0], K), dtype=complex)
     selected: list[tuple[int, int]] = []
-    taken_f: list[int] = []
     for k in range(K):
-        objective = np.einsum("mp,mq->pq", corr_f[:, :, k], corr_w[:, :, k])
-        objective[taken_f, :] = -np.inf
-        p_star, q_star = np.unravel_index(np.argmax(objective), objective.shape)
-        taken_f.append(int(p_star))
-        selected.append((int(p_star), int(q_star)))
-        F_RF[:, k] = dictionary.D_F[:, p_star]
-        W_RF[:, k] = dictionary.D_W[:, q_star]
-    return F_RF, W_RF, selected
+        corr_f = _atom_correlations(channels.N_T, dictionary.psi_f, channels.eta,
+                                    channels.vartheta[k], x[k])
+        corr_w = _atom_correlations(channels.N_R, dictionary.psi_w, channels.eta,
+                                    channels.theta[k], y[k])
+        objective = corr_f.T @ corr_w
+        objective[[p for p, _ in selected], :] = -np.inf
+        selected.append(divmod(int(np.argmax(objective)), objective.shape[1]))
+    p_star, q_star = zip(*selected)
+    return dictionary.D_F[:, p_star], dictionary.D_W[:, q_star], selected
 
 
 def effective_channel(channels: ChannelSet, W_RF: np.ndarray,
@@ -143,13 +138,13 @@ def effective_channel(channels: ChannelSet, W_RF: np.ndarray,
     """Per-subcarrier K x N_RF effective channel, row k = w_k^H H_k[m] F_RF.
 
     ``F_RF`` may be a single (N_T, N_RF) matrix or an (M, N_T, N_RF) stack
-    of subcarrier-dependent beamformers; a single matrix is broadcast over m.
+    of subcarrier-dependent beamformers; either multiplies the shared
+    W_RF^H H stack of :meth:`ChannelSet.combined`.
     """
-    H = channels.H
-    if W_RF.shape != (H.shape[2], H.shape[0]):
-        raise ValueError(f"W_RF must be (N_R, K) = {(H.shape[2], H.shape[0])}, got {W_RF.shape}")
-    F_RF = np.broadcast_to(F_RF, (H.shape[1],) + F_RF.shape[-2:])
-    return np.einsum("rk,kmrt,mtj->mkj", W_RF.conj(), H, F_RF)
+    K = channels.gain.shape[0]
+    if W_RF.shape != (channels.N_R, K):
+        raise ValueError(f"W_RF must be (N_R, K) = {(channels.N_R, K)}, got {W_RF.shape}")
+    return channels.combined(W_RF) @ F_RF
 
 
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:
@@ -178,12 +173,9 @@ def unit_power(F_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
 
 
 def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray) -> np.ndarray:
-    """Zero-forcing baseband: pseudo-inverse of each H_eff[m], renormalized.
-
-    Each subcarrier is scaled by a common factor so that
-    ||F_RF F_BB[m]||_F^2 = K, making the total over m equal MK. Raises
-    DegenerateChannelError, naming the first such subcarrier, when an
-    effective channel is rank-deficient.
+    """Zero-forcing baseband: pseudo-inverse of each H_eff[m], scaled so that
+    ||F_RF F_BB[m]||_F^2 = K (MK in total). Raises DegenerateChannelError,
+    naming the first such subcarrier, when an effective channel is rank-deficient.
     """
     return unit_power(F_RF, pseudo_inverse(H_eff))
 
@@ -193,9 +185,9 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
     """Run the full greedy design on one channel realization."""
     if dictionary is None:
         dictionary = build_dictionaries(cfg)
-    F_opt = unconstrained_precoders(channels)
-    W_opt = unconstrained_combiners(channels, cfg.P, cfg.sigma_n2)
-    F_RF, W_RF, selected = omp_select(F_opt, W_opt, dictionary, channels.eta)
+    x = unconstrained_precoders(channels)
+    y = unconstrained_combiners(channels, cfg.P, cfg.sigma_n2)
+    F_RF, W_RF, selected = omp_select(channels, x, y, dictionary)
     H_eff = effective_channel(channels, W_RF, F_RF)
     F_BB = baseband_zf(H_eff, F_RF)
     return BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB, selected_atoms=selected)

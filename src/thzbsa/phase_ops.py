@@ -1,13 +1,10 @@
 """Phase extraction and frequency-ratio rescaling of constant-modulus vectors.
 
-The pair (unwrap_phases, from_phases) realizes the phase operator and its
-inverse: unwrapping walks the antenna index keeping successive steps within
-[-pi, pi] (exact for linear-phase vectors, a documented heuristic otherwise),
-and reconstruction returns modulus-1/sqrt(N) entries so the round trip is the
-identity on unit-norm constant-modulus vectors. Rescaling the unwrapped
-phases by f_m / f_c maps a beamformer designed at the carrier to its
-subcarrier-m counterpart; on steering vectors this is exactly
-a(psi) -> a(ratio * psi).
+unwrap_phases walks the antenna index keeping successive steps within
+[-pi, pi] (exact for linear-phase vectors, a heuristic otherwise), and
+from_phases inverts it on unit-norm constant-modulus vectors. Rescaling the
+unwrapped phases by f_m / f_c maps a beamformer designed at the carrier to
+its subcarrier-m counterpart, on steering vectors exactly a(psi) -> a(ratio psi).
 """
 
 from __future__ import annotations
@@ -67,9 +64,7 @@ def unwrap_phases(a: np.ndarray) -> np.ndarray:
     and unwrapped down the antenna index: the first entry anchors at
     arg(a_1) in (-pi, pi], and each successive phase differs from its
     predecessor by at most pi in magnitude. For a steering vector at
-    direction psi the result is the exact linear phase -pi (n-1) psi. The
-    result depends only on the input, so callers that rescale it for many
-    subcarriers unwrap it once and pass the phases to :func:`rescale_phases`.
+    direction psi the result is the exact linear phase -pi (n-1) psi.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim not in (1, 2):
@@ -87,18 +82,7 @@ def from_phases(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     if not np.all(np.isfinite(psi)):
         raise ValueError("phases must be finite")
-    return rescale_phases(psi, 1.0)
-
-
-def rescale_phases(phases: np.ndarray, eta) -> np.ndarray:
-    """Constant-modulus entries exp(j phases eta) / sqrt(N) from unwrapped phases.
-
-    ``eta`` is one ratio, or an array of ratios giving a leading axis of
-    the same length.
-    """
-    eta = np.asarray(eta, dtype=float)
-    eta = eta.reshape(eta.shape + (1,) * phases.ndim)
-    return np.exp(1j * phases * eta) / np.sqrt(phases.shape[0])
+    return np.exp(1j * psi) / np.sqrt(psi.shape[0])
 
 
 def scale_analog_matrix(F_RF: np.ndarray, eta) -> np.ndarray:
@@ -115,7 +99,9 @@ def scale_analog_matrix(F_RF: np.ndarray, eta) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(ratios) | (ratios <= 0))
     if bad.size:
         raise ValueError(f"eta_m must be positive and finite, got {ratios.flat[bad[0]]}")
-    return rescale_phases(unwrap_phases(F_RF), ratios)
+    phases = unwrap_phases(F_RF)
+    return np.exp(1j * phases * ratios.reshape(ratios.shape + (1,) * phases.ndim)) / np.sqrt(
+        phases.shape[0])
 
 
 # the acceptance suite imports this name for the one dilation above

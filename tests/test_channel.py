@@ -146,12 +146,53 @@ class TestGenerateChannel:
             t.generate_channel(tiny_cfg, paths)
 
 
+def _along_paths(N, directions, coords):
+    """The dense vectors sum_l coords_l a_N(directions_l), shape (K, M, N)."""
+    return np.einsum("kml,nkml->kmn", coords, t.steering_vector(N, directions))
+
+
+def _svd_dominant_mode(H):
+    """Dense oracle: top singular triple of every H_k[m] from one SVD of the stack."""
+    u, s, vh = np.linalg.svd(H, full_matrices=False)
+    return s[..., 0], u[..., 0], vh[..., 0, :].conj(), s
+
+
+def _dense_effective_channel(ch, W_RF, F_RF):
+    """Dense oracle: W_RF^H H F_RF contracted over the whole stack."""
+    F_RF = np.broadcast_to(F_RF, (ch.eta.shape[0],) + F_RF.shape[-2:])
+    return np.einsum("rk,kmrt,mtj->mkj", W_RF.conj(), ch.H, F_RF)
+
+
+def _assert_matches_svd(ch, tol):
+    """s, u and v of the path factors against the dense SVD, u and v up to one phase."""
+    s, x, y = ch.dominant_mode
+    u = _along_paths(ch.N_R, ch.theta, y)
+    v = _along_paths(ch.N_T, ch.vartheta, x)
+    s_ref, u_ref, v_ref, spectrum = _svd_dominant_mode(ch.H)
+    scale = max(float(s_ref.max()), 1e-300)
+    np.testing.assert_allclose(s, s_ref, rtol=0, atol=tol * scale)
+    Hv = np.einsum("kmrt,kmt->kmr", ch.H, v)
+    np.testing.assert_allclose(Hv, s[..., None] * u, rtol=0, atol=tol * scale)
+    live = s_ref > tol * scale
+    np.testing.assert_allclose(np.linalg.norm(v, axis=-1), 1.0, atol=tol)
+    np.testing.assert_allclose(np.linalg.norm(u, axis=-1)[live], 1.0, atol=tol)
+    # the vectors themselves are unique (up to phase) only with a spectral gap
+    gap = np.zeros_like(s_ref) if spectrum.shape[-1] < 2 else spectrum[..., 1]
+    unique = live & (gap < (1 - 1e-3) * s_ref)
+    phase = np.einsum("kmn,kmn->km", v_ref.conj(), v)
+    phase = phase / np.where(phase == 0, 1.0, np.abs(phase))
+    np.testing.assert_allclose(v[unique], (v_ref * phase[..., None])[unique], rtol=0, atol=tol)
+    np.testing.assert_allclose(u[unique], (u_ref * phase[..., None])[unique], rtol=0, atol=tol)
+
+
 class TestDominantMode:
     def test_singular_triple(self, desk_cfg, rng):
         ch = t.generate_channel(desk_cfg, t.draw_paths(desk_cfg, rng))
-        s, u, v = ch.dominant_mode
-        K, M = desk_cfg.K, desk_cfg.M
-        assert (s.shape, u.shape, v.shape) == ((K, M), (K, M, desk_cfg.N_R), (K, M, desk_cfg.N_T))
+        s, x, y = ch.dominant_mode
+        K, M, L = desk_cfg.K, desk_cfg.M, desk_cfg.L
+        assert (s.shape, x.shape, y.shape) == ((K, M), (K, M, L), (K, M, L))
+        u = _along_paths(desk_cfg.N_R, ch.theta, y)
+        v = _along_paths(desk_cfg.N_T, ch.vartheta, x)
         Hv = np.einsum("kmrt,kmt->kmr", ch.H, v)
         np.testing.assert_allclose(Hv, s[..., None] * u, rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(u, axis=-1), 1.0, atol=1e-12)
@@ -172,9 +213,78 @@ class TestDominantMode:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_channel_rejected(self, tiny_cfg, rng, bad):
         ch = t.generate_channel(tiny_cfg, t.draw_paths(tiny_cfg, rng))
-        ch.H[1, 2, 0, 3] = bad
+        ch.gain[1, 2, 0] = bad
         with pytest.raises(FloatingPointError, match="non-finite"):
             ch.dominant_mode
+
+
+class TestFactorPathOracles:
+    """The path-factor quantities against the dense SVD and einsum they replace."""
+
+    @given(N_T=st.integers(1, 10), N_R=st.integers(1, 6), L=st.integers(1, 6),
+           K=st.integers(1, 3), M=st.integers(1, 4), wideband=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_random_dimensions(self, N_T, N_R, L, K, M, wideband, seed):
+        K = min(K, N_T)
+        cfg = t.SystemConfig(N_T=N_T, N_R=N_R, K=K, N_RF=K, L=L, M=M, N_W=2 * max(N_R, K),
+                             B=30e9 if wideband else 0.0).validate()
+        rng = np.random.default_rng(seed)
+        ch = t.generate_channel(cfg, t.draw_paths(cfg, rng))
+        _assert_matches_svd(ch, 1e-10)
+        d = t.build_dictionaries(cfg)
+        W_RF = d.D_W[:, rng.integers(d.D_W.shape[1], size=K)]
+        F_RF = d.D_F[:, rng.integers(d.D_F.shape[1], size=K)]
+        stack = t.sd_analog(F_RF, ch.eta)
+        for analog in (F_RF, stack):
+            got = t.effective_channel(ch, W_RF, analog)
+            want = _dense_effective_channel(ch, W_RF, analog)
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-10 * max(np.abs(want).max(), 1.0))
+
+    @pytest.mark.parametrize("L", [1, 4, 7])
+    def test_coincident_and_surplus_paths(self, L):
+        # every path on one direction (G_T of rank one), and L > N_T
+        cfg = t.SystemConfig(N_T=4, N_R=2, K=1, N_RF=1, L=L, M=3).validate()
+        paths = t.draw_paths(cfg, np.random.default_rng(L))
+        paths.varphi[:] = 0.3
+        _assert_matches_svd(t.generate_channel(cfg, paths), 1e-10)
+
+    def test_worst_conditioned_desk_draw(self, desk_cfg):
+        # the worst cond(G_T) over 300 desk draws of _trial_seed(7, 0, i): i = 104
+        rng = np.random.default_rng(np.random.SeedSequence([17396115121014715433, 0]))
+        ch = t.generate_channel(desk_cfg, t.draw_paths(desk_cfg, rng))
+        gram = np.einsum("nkml,nkmj->kmlj", t.steering_vector(desk_cfg.N_T, ch.vartheta).conj(),
+                         t.steering_vector(desk_cfg.N_T, ch.vartheta))
+        assert np.linalg.cond(gram).max() > 6e6
+        _assert_matches_svd(ch, 1e-13)
+
+    def test_zero_gain_draw(self, tiny_cfg, rng):
+        # s = 0 gives a zero receive vector, a zero combiner and a zero bound
+        ch = t.generate_channel(tiny_cfg, t.draw_paths(tiny_cfg, rng))
+        ch.gain[0] = 0
+        s, x, y = ch.dominant_mode
+        assert np.all(s[0] == 0) and np.all(y[0] == 0) and np.all(np.isfinite(x))
+        assert np.all(t.unconstrained_combiners(ch, 1.0, 1.0)[0] == 0)
+        _assert_matches_svd(ch, 1e-12)
+
+
+class TestSteeringKernel:
+    @pytest.mark.parametrize("N", [1, 2, 7, 8, 63, 64])
+    @pytest.mark.parametrize("d", [0.0, 2.0, -2.0, 2 + 1e-13, 2 - 1e-13, -2 + 1e-13,
+                                   -2 - 1e-13, 0.37, 2 + 1e-9])
+    def test_matches_dense_dot_product(self, N, d):
+        # |d| = 2 is the grating-lobe alias a(x) = a(x - 2) at the band edge;
+        # a RuntimeWarning here would be an error under the suite's filters
+        x = 1.049 if d > 1 else -1.049 if d < -1 else 0.21
+        y = x - d
+        dense = np.vdot(t.steering_vector(N, x), t.steering_vector(N, y))
+        assert t.steering_kernel(N, x, y) == pytest.approx(dense, abs=1e-12)
+
+    def test_broadcasts(self):
+        x = np.linspace(-1.05, 1.05, 7)[:, None]
+        y = np.linspace(-1, 1, 5)
+        dense = t.steering_vector(16, x[:, 0]).conj().T @ t.steering_vector(16, y)
+        np.testing.assert_allclose(t.steering_kernel(16, x, y), dense, rtol=0, atol=1e-13)
 
 
 class TestPathParams:

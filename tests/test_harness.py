@@ -125,9 +125,11 @@ class TestRunTrial:
         assert count["n"] == calls
 
     @pytest.mark.parametrize("methods", [t.METHODS, ("omp",), ("omp", "fully_digital")])
-    def test_channel_stack_decomposed_once(self, monkeypatch, methods):
-        # precoders, combiners and the fully-digital bound share one SVD of
-        # the (K, M, N_R, N_T) stack; the pseudo-inverses factor other shapes
+    def test_trial_never_builds_H(self, monkeypatch, methods):
+        # every trial quantity comes from the L path factors: the dense
+        # (K, M, N_R, N_T) stack is never built, so it is never decomposed
+        from thzbsa.channel import ChannelSet
+
         cfg = small_cfg()
         stack = (cfg.K, cfg.M, cfg.N_R, cfg.N_T)
         count = {"n": 0}
@@ -137,11 +139,15 @@ class TestRunTrial:
             count["n"] += np.shape(a) == stack
             return original(a, *args, **kwargs)
 
+        def refuse(self):
+            raise AssertionError("run_trial built the dense channel stack")
+
         monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(ChannelSet, "H", property(refuse))
         res = t.run_trial(cfg, 7, methods=methods)
         assert set(res.reports) == set(methods)
         assert res.redraws == 0
-        assert count["n"] == 1
+        assert count["n"] == 0
 
     @pytest.mark.parametrize("methods,message", [
         (("nope",), "unknown methods"),
@@ -671,6 +677,8 @@ class TestCli:
     @pytest.mark.parametrize("key,value,message", [
         pytest.param("sigma_n2", "1e-320", "non-finite omp sum rate", id="sigma_n2"),
         pytest.param("nlos_penalty_db", "-7000", "overflow encountered", id="nlos_penalty_db"),
+        pytest.param("nlos_penalty_db", "-5000", "non-finite channel Gram core",
+                     id="nlos_penalty_db_gram"),
         pytest.param("excess_delay", "1e300", "overflow encountered", id="excess_delay"),
     ])
     def test_non_finite_result_exit_code(self, tmp_path, capsys, key, value, message):

@@ -155,7 +155,9 @@ class TestFullyDigital:
         assert report.power_residual == 0.0
 
     def test_zero_channel(self):
-        ch = t.ChannelSet(H=np.zeros((2, 3, 4, 8), complex), eta=np.ones(3))
+        zeros = np.zeros((2, 3, 3))
+        ch = t.ChannelSet(theta=zeros, vartheta=zeros, gain=zeros.astype(complex),
+                          eta=np.ones(3), N_R=4, N_T=8)
         assert t.fully_digital_yardstick(ch, 1.0, 1.0).sum_rate == 0.0
 
     def test_values_only_svd_oracle(self, desk_cfg):

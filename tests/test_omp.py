@@ -10,6 +10,17 @@ def _random_channelset(cfg, seed):
     return t.generate_channel(cfg, t.draw_paths(cfg, rng))
 
 
+def _dense(N, directions, coords):
+    """(M, N, K) stack of the vectors sum_l coords_l a_N(directions_l) of each user."""
+    return np.einsum("kml,nkml->mnk", coords, t.steering_vector(N, directions))
+
+
+def _dense_designs(ch, P, sigma_n2):
+    """The unconstrained precoders and combiners as dense (M, N, K) stacks."""
+    return (_dense(ch.N_T, ch.vartheta, t.unconstrained_precoders(ch)),
+            _dense(ch.N_R, ch.theta, t.unconstrained_combiners(ch, P, sigma_n2)))
+
+
 class TestBuildDictionaries:
     def test_endpoint_grid(self):
         cfg = t.SystemConfig(N_T=8, N_R=4, K=1, N_RF=1, N_F=3, N_W=3)
@@ -48,7 +59,7 @@ class TestUnconstrainedPrecoders:
         paths = t.PathParams(alpha=[[1.0]], phi=[[0.2]], varphi=[[-0.35]],
                              tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
-        f = t.unconstrained_precoders(ch)[0, :, 0]
+        f = _dense_designs(ch, cfg.P, cfg.sigma_n2)[0][0, :, 0]
         target = t.steering_vector(16, -0.35)
         # equal up to the deterministic phase convention
         alignment = abs(np.vdot(target, f))
@@ -59,14 +70,15 @@ class TestUnconstrainedPrecoders:
 
     def test_unit_norm_columns(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 5)
-        F_opt = t.unconstrained_precoders(ch)
+        F_opt = _dense_designs(ch, tiny_cfg.P, tiny_cfg.sigma_n2)[0]
         np.testing.assert_allclose(np.linalg.norm(F_opt, axis=1), 1.0, atol=1e-12)
 
     def test_dominant_eigen_oracle(self):
-        rng = np.random.default_rng(7)
-        H = rng.standard_normal((4, 8)) + 1j * rng.standard_normal((4, 8))
-        ch = t.ChannelSet(H=H[None, None], eta=np.array([1.0]))
-        f = t.unconstrained_precoders(ch)[0, :, 0]
+        # more paths than receive antennas: H is a generic full-rank 4 x 8 matrix
+        cfg = t.SystemConfig(N_T=8, N_R=4, K=1, N_RF=1, L=6, M=1).validate()
+        ch = _random_channelset(cfg, 7)
+        H = ch.H[0, 0]
+        f = _dense_designs(ch, cfg.P, cfg.sigma_n2)[0][0, :, 0]
         # independent oracle: eigendecomposition of the Gram matrix
         evals = np.linalg.eigvalsh(H.conj().T @ H)
         quad = np.real(np.vdot(f, H.conj().T @ H @ f))
@@ -82,8 +94,7 @@ class TestUnconstrainedPrecoders:
 class TestUnconstrainedCombiners:
     def test_collinear_with_matched_filter(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 3)
-        F_opt = t.unconstrained_precoders(ch)
-        W_opt = t.unconstrained_combiners(ch, P=1.0, sigma_n2=0.5)
+        F_opt, W_opt = _dense_designs(ch, P=1.0, sigma_n2=0.5)
         for k in range(tiny_cfg.K):
             for m in range(tiny_cfg.M):
                 w = W_opt[m, :, k]
@@ -101,9 +112,8 @@ class TestUnconstrainedCombiners:
         paths = t.PathParams(alpha=[[0.5]], phi=[[0.2]], varphi=[[0.1]],
                              tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
-        F_opt = t.unconstrained_precoders(ch)
         P, sigma_n2 = 2.0, 0.3
-        W_opt = t.unconstrained_combiners(ch, P, sigma_n2)
+        F_opt, W_opt = _dense_designs(ch, P, sigma_n2)
         g = np.linalg.norm(ch.H[0, 0] @ F_opt[0, :, 0])
         expected_norm = (1 / P) * g / (g**2 + sigma_n2 / P)
         assert np.linalg.norm(W_opt[0, :, 0]) == pytest.approx(expected_norm, rel=1e-12)
@@ -135,9 +145,10 @@ class TestOmpSelect:
         paths = t.PathParams(alpha=[[1.0]], phi=[[d.grid_w[q0]]],
                              varphi=[[d.grid_f[p0]]], tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
-        F_opt = t.unconstrained_precoders(ch)
-        W_opt = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
-        _, _, selected = t.omp_select(F_opt, W_opt, d, ch.eta)
+        x = t.unconstrained_precoders(ch)
+        y = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
+        _, _, selected = t.omp_select(ch, x, y, d)
+        F_opt, W_opt = _dense_designs(ch, cfg.P, cfg.sigma_n2)
         assert selected == [(p0, q0)]
         oracle = _kron_objective(F_opt, W_opt, d, ch.eta, 0)
         assert np.unravel_index(np.argmax(oracle), oracle.shape) == (p0, q0)
@@ -164,9 +175,10 @@ class TestOmpSelect:
         ch = _random_channelset(cfg, 23)
         assert np.allclose(ch.eta, 1.0)
         d = t.build_dictionaries(cfg)
-        F_opt = t.unconstrained_precoders(ch)
-        W_opt = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
-        _, _, selected = t.omp_select(F_opt, W_opt, d, ch.eta)
+        x = t.unconstrained_precoders(ch)
+        y = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
+        _, _, selected = t.omp_select(ch, x, y, d)
+        F_opt, W_opt = _dense_designs(ch, cfg.P, cfg.sigma_n2)
         # classic narrowband selection: plain dictionaries, same objective
         taken = []
         for k in range(cfg.K):
@@ -189,9 +201,10 @@ class TestOmpSelect:
             tau=[[0.0], [0.0]],
         )
         ch = t.generate_channel(cfg, paths)
-        F_opt = t.unconstrained_precoders(ch)
-        W_opt = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
-        _, _, selected = t.omp_select(F_opt, W_opt, d, ch.eta)
+        x = t.unconstrained_precoders(ch)
+        y = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
+        _, _, selected = t.omp_select(ch, x, y, d)
+        F_opt, W_opt = _dense_designs(ch, cfg.P, cfg.sigma_n2)
         assert selected[0][0] == 10
         assert selected[1][0] != 10
 
@@ -204,10 +217,10 @@ class TestOmpSelect:
     def test_too_many_users_rejected(self):
         cfg = t.SystemConfig(N_T=8, N_R=4, K=2, N_RF=2, N_F=9, N_W=5)
         d = t.build_dictionaries(cfg)
-        F_opt = np.zeros((1, 8, 6), complex)
-        W_opt = np.zeros((1, 4, 6), complex)
+        ch = _random_channelset(t.SystemConfig(N_T=8, N_R=4, K=6, N_RF=6, M=1), 3)
+        x = np.zeros((6, 1, 3), complex)
         with pytest.raises(ValueError, match="K <= min"):
-            t.omp_select(F_opt, W_opt, d, np.ones(1))
+            t.omp_select(ch, x, x, d)
 
 
 class TestEffectiveChannel:
@@ -225,7 +238,7 @@ class TestEffectiveChannel:
 
     def test_zero_channel(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 1)
-        ch.H[:] = 0
+        ch.gain[:] = 0
         F_RF = t.steering_vector(tiny_cfg.N_T, 0.1)[:, None] * np.ones((1, 2))
         W_RF = t.steering_vector(tiny_cfg.N_R, 0.2)[:, None] * np.ones((1, 2))
         assert np.all(t.effective_channel(ch, W_RF, F_RF) == 0)
@@ -340,9 +353,10 @@ class TestPipeline:
                              N_F=13, N_W=7).validate()
         ch = _random_channelset(cfg, 41)
         d = t.build_dictionaries(cfg)
-        F_opt = t.unconstrained_precoders(ch)
-        W_opt = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
-        _, _, selected = t.omp_select(F_opt, W_opt, d, ch.eta)
+        x = t.unconstrained_precoders(ch)
+        y = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
+        _, _, selected = t.omp_select(ch, x, y, d)
+        F_opt, W_opt = _dense_designs(ch, cfg.P, cfg.sigma_n2)
         taken = []
         for k, (p, q) in enumerate(selected):
             oracle = _kron_objective(F_opt, W_opt, d, ch.eta, k)
