@@ -11,7 +11,7 @@ normalised at the carrier; delays run from the LoS arrival.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -138,6 +138,7 @@ class ChannelSet:
     eta: np.ndarray         # (M,)
     N_R: int
     N_T: int
+    _combined: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -182,7 +183,7 @@ class ChannelSet:
         """W_RF^H H as an (M, K, N_T) stack, kept for the last ``W_RF`` so that
         a design and its SD oracle share it."""
         key = W_RF.tobytes()
-        if getattr(self, "_combined", (None,))[0] != key:
+        if self._combined is None or self._combined[0] != key:
             a_r = steering_vector(self.N_R, self.theta)                  # (N_R, K, M, L)
             weights = np.einsum("rk,rkml->mkl", W_RF.conj(), a_r) * np.swapaxes(self.gain, 0, 1)
             a_t = np.moveaxis(steering_vector(self.N_T, np.swapaxes(self.vartheta, 0, 1)), 0, -1)

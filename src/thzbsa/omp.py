@@ -102,7 +102,7 @@ def _atom_correlations(N: int, psi: np.ndarray, eta: np.ndarray, paths: np.ndarr
     """
     weights = coords * np.exp(-0.5j * np.pi * (N - 1) * paths)           # (M, L)
     kernel = dirichlet_sinc((eta[:, None, None] * psi[:, None] - paths[:, None, :]) / 2.0, N)
-    return np.abs(kernel @ weights.real[..., None] + 1j * (kernel @ weights.imag[..., None]))[..., 0]
+    return np.abs(kernel @ weights[..., None])[..., 0]
 
 
 def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,

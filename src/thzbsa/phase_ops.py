@@ -100,8 +100,8 @@ def scale_analog_matrix(F_RF: np.ndarray, eta) -> np.ndarray:
     if bad.size:
         raise ValueError(f"eta_m must be positive and finite, got {ratios.flat[bad[0]]}")
     phases = unwrap_phases(F_RF)
-    return np.exp(1j * phases * ratios.reshape(ratios.shape + (1,) * phases.ndim)) / np.sqrt(
-        phases.shape[0])
+    ratios = ratios.reshape(ratios.shape + (1,) * phases.ndim)
+    return np.exp(1j * phases * ratios) / np.sqrt(phases.shape[0])
 
 
 # the acceptance suite imports this name for the one dilation above
