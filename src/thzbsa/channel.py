@@ -181,7 +181,8 @@ class ChannelSet:
 
     def combined(self, W_RF: np.ndarray) -> np.ndarray:
         """W_RF^H H as an (M, K, N_T) stack, kept for the last ``W_RF`` so that
-        a design and its SD oracle share it."""
+        a design and its SD oracle share it.
+        """
         key = W_RF.tobytes()
         if self._combined is None or self._combined[0] != key:
             a_r = steering_vector(self.N_R, self.theta)                  # (N_R, K, M, L)

@@ -682,8 +682,8 @@ class TestCli:
         pytest.param("excess_delay", "1e300", "overflow encountered", id="excess_delay"),
     ])
     def test_non_finite_result_exit_code(self, tmp_path, capsys, key, value, message):
-        # finite, so validation accepts it, but the SINRs, the path gains or
-        # the delay phases overflow
+        # finite, so validation accepts it, but the SINRs, the path gains,
+        # the channel's Gram core or the delay phases overflow
         cfg_file = tmp_path / "overflow.cfg"
         cfg_file.write_text(f"{key} = {value}\n")
         code = cli.main(["simulate", "--sweep", "bandwidth", "--values", "1e9",
