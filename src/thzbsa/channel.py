@@ -151,27 +151,25 @@ class ChannelSet:
         """Read-only (s, x, y): each H_k[m]'s largest singular value, shape (K, M),
         and its unit vectors v = A_T x and u = A_R y in path coordinates (K, M, L).
 
-        With R the pseudo-root of G_T = A_T^H A_T (every positive eigenvalue
-        kept), s^2 and z are the top eigenpair of the L x L core
-        R diag(gain)^H G_R diag(gain) R; x = R^+ z and y = diag(gain) R z / s,
-        zero where s = 0. v's first entry, sum(x) / sqrt(N_T), is real non-negative.
+        S = U sqrt(w), from the eigenpairs (w, U) of G_T = A_T^H A_T, is a square-root
+        factor (S S^H = G_T), never inverted: s^2 and z are the top eigenpair of the core
+        (D S)^H G_R (D S), D = diag(gain); y = D S z / s and x = D^H G_R y / s, which is
+        v = H^H u / s; where s = 0, y = 0 and x = e_1. v_1 = sum(x) / sqrt(N_T) is real >= 0.
         """
         w, U = np.linalg.eigh(steering_kernel(self.N_T, self.vartheta[..., None],
                                               self.vartheta[..., None, :]))
-        root = np.sqrt(np.maximum(w, 0.0))
-        Uh = np.swapaxes(U.conj(), -1, -2)
         G_R = steering_kernel(self.N_R, self.theta[..., None], self.theta[..., None, :])
         with np.errstate(over="ignore", invalid="ignore"):     # refused just below
-            B = self.gain[..., None] * ((U * root[..., None, :]) @ Uh)
-            core = np.swapaxes(B.conj(), -1, -2) @ G_R @ B
+            DS = self.gain[..., None] * U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+            core = np.swapaxes(DS.conj(), -1, -2) @ G_R @ DS
         if not np.all(np.isfinite(core)):
             raise FloatingPointError("non-finite channel Gram core")
         lam, Z = np.linalg.eigh(core)
         s = np.sqrt(np.maximum(lam[..., -1], 0.0))
-        inv_root = np.divide(1.0, root, out=np.zeros_like(root), where=root > 0)
-        x = ((U * inv_root[..., None, :]) @ (Uh @ Z[..., -1:]))[..., 0]
-        By = (B @ Z[..., -1:])[..., 0]
-        y = np.divide(By, s[..., None], out=np.zeros_like(By), where=s[..., None] > 0)
+        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)[..., None]
+        y = (DS @ Z[..., -1:])[..., 0] * inv_s
+        x = self.gain.conj() * (G_R @ y[..., None])[..., 0] * inv_s
+        x[s == 0, 0] = 1.0
         lead = x.sum(axis=-1, keepdims=True)
         rotation = np.divide(lead.conj(), np.abs(lead), out=np.ones_like(lead), where=lead != 0)
         mode = (s, x * rotation, y * rotation)

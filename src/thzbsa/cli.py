@@ -90,8 +90,8 @@ def cmd_array_gain(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     if not 1 <= args.subcarrier <= cfg.M:
         raise ConfigError(f"--subcarrier must be in 1..{cfg.M}")
-    if not np.isfinite(args.phi):
-        raise ConfigError(f"--phi must be finite, got {args.phi}")
+    if not -1.0 <= args.phi <= 1.0:      # NaN and +-inf fail it too
+        raise ConfigError(f"--phi must be finite and in [-1, 1], got {args.phi}")
     if args.grid_points is not None and args.grid_points < 1:
         raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
     m = args.subcarrier - 1

@@ -77,6 +77,8 @@ class SweepSpec:
             raise ConfigError("axis values must be strictly monotone")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         cpus = os.cpu_count() or 1
         if not 1 <= self.workers <= cpus:
             raise ConfigError(f"workers must be in 1..{cpus} (the CPU count), "

@@ -248,6 +248,12 @@ class TestFactorPathOracles:
         paths = t.draw_paths(cfg, np.random.default_rng(L))
         paths.varphi[:] = 0.3
         _assert_matches_svd(t.generate_channel(cfg, paths), 1e-10)
+        # the last DOD copied from, or set 1e-9 from, the first: G_T has an eigenvalue
+        # at rounding level, which its square-root factor never divides by
+        for offset in (0.0, 1e-9):
+            paths = t.draw_paths(cfg, np.random.default_rng(L))
+            paths.varphi[:, -1] = np.clip(paths.varphi[:, 0] + offset, -1.0, 1.0)
+            _assert_matches_svd(t.generate_channel(cfg, paths), 1e-12)
 
     def test_worst_conditioned_desk_draw(self, desk_cfg):
         # the worst cond(G_T) over 300 desk draws of _trial_seed(7, 0, i): i = 104

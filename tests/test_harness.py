@@ -629,6 +629,8 @@ class TestCli:
         (["--phi", "inf"], "--phi must be finite"),
         (["--phi", "0.5", "--grid-points", "0"], "--grid-points must be >= 1"),
         (["--phi", "0.5", "--grid-points", "-3"], "--grid-points must be >= 1"),
+        (["--phi", "1.5"], "--phi must be finite and in [-1, 1]"),
+        (["--phi", "-1.01"], "--phi must be finite and in [-1, 1]"),
     ])
     def test_array_gain_bad_numbers_exit_code(self, capsys, flags, message):
         code = cli.main(["array-gain", "--subcarrier", "1"] + flags)
@@ -673,6 +675,16 @@ class TestCli:
                          "--methods", "omp", "--workers", workers])
         assert code == 2
         assert "workers must be in 1..2" in capsys.readouterr().err
+
+    def test_negative_seed_exit_code(self, monkeypatch, capsys):
+        # SeedSequence refuses negative entries, so validation must refuse them first
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("sweep started"))
+        code = cli.main(["simulate", "--sweep", "snr", "--values", "0", "--trials", "1",
+                         "--seed", "-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "config error: seed must be >= 0, got -1" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("key,value,message", [
         pytest.param("sigma_n2", "1e-320", "non-finite omp sum rate", id="sigma_n2"),
