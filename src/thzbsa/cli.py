@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
+import os
 import sys
 from pathlib import Path
 
@@ -69,6 +71,17 @@ def _write(text: str, out: Path | None) -> None:
         print(f"wrote {out}", file=sys.stderr)
 
 
+def _check_out(out: Path) -> None:
+    """Raise, before a sweep starts, the error that writing ``out`` after it would raise."""
+    if out.is_dir():
+        code = errno.EISDIR
+    elif not out.parent.is_dir():
+        code = errno.ENOTDIR if out.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(out))
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     values = _parse_values(DEFAULT_VALUES[args.sweep] if args.values is None else args.values)
@@ -82,6 +95,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         seed=args.seed,
         workers=args.workers,
     ).validate()
+    if args.out is not None:
+        _check_out(args.out)
     _write(emit(run_sweep(spec), args.format), args.out)
     return 0
 

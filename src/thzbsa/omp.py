@@ -10,6 +10,7 @@ the effective channel, normalized to the MK total power constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .phase_ops import scale_analog_matrix
 
 
 _RCOND = 1e-12
+_EXACT = 1e-3      # |sin(pi d/2)| below which the atom kernel is evaluated from d itself
 
 
 class DegenerateChannelError(RuntimeError):
@@ -93,16 +95,60 @@ def unconstrained_combiners(channels: ChannelSet, P: float, sigma_n2: float) -> 
     return y * ((1.0 / P) * s / (s**2 + sigma_n2 / P))[..., None]
 
 
-def _atom_correlations(N: int, psi: np.ndarray, eta: np.ndarray, paths: np.ndarray,
-                       coords: np.ndarray) -> np.ndarray:
+class _AtomTables(NamedTuple):
+    """One dictionary's frequency-dilated atoms a_N(eta_m psi_p), as the sine and
+    cosine of alpha = pi eta_m psi_p / 2 and of N alpha, each (M, P); every user
+    shares them."""
+
+    N: int
+    psi: np.ndarray
+    eta: np.ndarray
+    sin_a: np.ndarray
+    cos_a: np.ndarray
+    sin_na: np.ndarray
+    cos_na: np.ndarray
+
+    @classmethod
+    def build(cls, N: int, psi: np.ndarray, eta: np.ndarray) -> _AtomTables:
+        alpha = (0.5 * np.pi) * np.multiply.outer(eta, psi)
+        return cls(N, psi, eta, np.sin(alpha), np.cos(alpha), np.sin(N * alpha), np.cos(N * alpha))
+
+
+def _atom_correlations(atoms: _AtomTables, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """|a_N(eta_m psi_p)^H sum_l coords_l a_N(paths_l)| as (M, P), for one user.
 
-    By the steering kernel this is |sum_l coords_l exp(j pi (N-1) d/2) D_N(d/2)|,
-    d = eta_m psi_p - paths_l, whose p-dependent unit phase drops out.
+    By the steering kernel this is |sum_l coords_l exp(-j pi (N-1) paths_l / 2) D_N(d/2)|,
+    d = eta_m psi_p - paths_l, once the p-dependent unit phase drops out. With
+    beta = pi paths_l / 2, angle addition gives sin(pi d/2) = sin(alpha - beta) and
+    sin(N pi d/2) = sin(N alpha - N beta) from the shared tables, so only the
+    (M, L) path factors take new sines. The kernel is laid out (L, M, P), atom
+    axis contiguous, one (M, P) slice per path. Where |sin(pi d/2)| < ``_EXACT``
+    the difference cancels (on-grid paths, grating lobes at |d| = 2, N = 1);
+    those entries are evaluated from d itself by :func:`dirichlet_sinc`.
     """
-    weights = coords * np.exp(-0.5j * np.pi * (N - 1) * paths)           # (M, L)
-    kernel = dirichlet_sinc((eta[:, None, None] * psi[:, None] - paths[:, None, :]) / 2.0, N)
-    return np.abs(kernel @ weights[..., None])[..., 0]
+    N, psi, eta = atoms.N, atoms.psi, atoms.eta
+    beta = (0.5 * np.pi) * paths.T                                       # (L, M)
+    sin_b, cos_b, sin_nb, cos_nb = (v[..., None] for v in
+                                    (np.sin(beta), np.cos(beta), np.sin(N * beta), np.cos(N * beta)))
+    weights = (coords * np.exp(-0.5j * np.pi * (N - 1) * paths)).T / N  # (L, M)
+    kernel = np.empty(beta.shape + atoms.sin_a.shape[1:])                # (L, M, P), N D_N
+    for l, ker in enumerate(kernel):
+        den = atoms.sin_a * cos_b[l]
+        den -= atoms.cos_a * sin_b[l]
+        np.multiply(atoms.sin_na, cos_nb[l], out=ker)
+        ker -= atoms.cos_na * sin_nb[l]
+        near = np.flatnonzero(np.abs(den) < _EXACT)
+        den.flat[near] = 1.0            # those entries are replaced below
+        ker /= den
+        if near.size:
+            m, p = np.divmod(near, den.shape[1])
+            ker.flat[near] = N * dirichlet_sinc((eta[m] * psi[p] - paths[m, l]) / 2.0, N)
+    re = np.einsum("lmp,lm->mp", kernel, weights.real)
+    im = np.einsum("lmp,lm->mp", kernel, weights.imag)
+    re *= re
+    im *= im
+    re += im
+    return np.sqrt(re, out=re)
 
 
 def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
@@ -113,19 +159,22 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     f_k[m] = A_T x and combiners w_k[m] = A_R y. For user k the pair (p*, q*)
     maximizes sum_m |d_{p,q}[m]^H g_k[m]| with d the Kronecker dictionary
     atom and g_k[m] = conj(f_k[m]) kron w_k[m], which factors as
-    conj(atom_F^H f) * (atom_W^H w). Ties resolve to the smallest (p, then q).
-    A transmit atom is never reused across users (a duplicate would make the
+    conj(atom_F^H f) * (atom_W^H w). Both factors are closed-form Dirichlet
+    kernels over sin/cos tables of the dilated atoms, built once per call and
+    shared by every user; only entries with |sin(pi d/2)| < ``_EXACT`` are
+    evaluated from d directly. Ties resolve to the smallest (p, then q). A
+    transmit atom is never reused across users (a duplicate would make the
     effective channel singular); the plain atoms form F_RF / W_RF.
     """
     K = x.shape[0]
     if K > min(dictionary.D_F.shape[1], dictionary.D_W.shape[1]):
         raise ValueError(f"need K <= min(N_F, N_W), got K={K}")
+    tx = _AtomTables.build(channels.N_T, dictionary.psi_f, channels.eta)
+    rx = _AtomTables.build(channels.N_R, dictionary.psi_w, channels.eta)
     selected: list[tuple[int, int]] = []
     for k in range(K):
-        corr_f = _atom_correlations(channels.N_T, dictionary.psi_f, channels.eta,
-                                    channels.vartheta[k], x[k])
-        corr_w = _atom_correlations(channels.N_R, dictionary.psi_w, channels.eta,
-                                    channels.theta[k], y[k])
+        corr_f = _atom_correlations(tx, channels.vartheta[k], x[k])
+        corr_w = _atom_correlations(rx, channels.theta[k], y[k])
         objective = corr_f.T @ corr_w
         objective[[p for p, _ in selected], :] = -np.inf
         selected.append(divmod(int(np.argmax(objective)), objective.shape[1]))

@@ -686,6 +686,23 @@ class TestCli:
         assert "config error: seed must be >= 0, got -1" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("out,message", [
+        pytest.param("missing/x.csv", "[Errno 2] No such file or directory", id="missing_dir"),
+        pytest.param("file/x.csv", "[Errno 20] Not a directory", id="file_as_dir"),
+        pytest.param(".", "[Errno 21] Is a directory", id="directory"),
+    ])
+    def test_unwritable_out_exit_code(self, tmp_path, monkeypatch, capsys, out, message):
+        # a sweep can take minutes; an --out it cannot write must fail before it starts
+        monkeypatch.setattr(cli, "run_sweep", lambda spec: pytest.fail("sweep started"))
+        (tmp_path / "file").touch()
+        out = tmp_path / out
+        code = cli.main(["simulate", "--sweep", "snr", "--values", "0", "--trials", "1",
+                         "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"i/o error: {message}: '{out}'\n"
+        assert captured.out == ""
+
     @pytest.mark.parametrize("key,value,message", [
         pytest.param("sigma_n2", "1e-320", "non-finite omp sum rate", id="sigma_n2"),
         pytest.param("nlos_penalty_db", "-7000", "overflow encountered", id="nlos_penalty_db"),

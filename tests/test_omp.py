@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import thzbsa as t
+from thzbsa import omp
 from thzbsa.omp import DegenerateChannelError, pseudo_inverse, sd_dictionary
 
 
@@ -221,6 +222,55 @@ class TestOmpSelect:
         x = np.zeros((6, 1, 3), complex)
         with pytest.raises(ValueError, match="K <= min"):
             t.omp_select(ch, x, x, d)
+
+
+def _kernel_paths(case, eta, psi, rng):
+    """(M, 3) path directions: one singular column by ``case``, two random ones."""
+    paths = rng.uniform(-1.0, 1.0, (eta.size, 3)) * eta[:, None]
+    p0 = psi.size // 3
+    if case == "on_atom":
+        paths[:, 0] = eta * psi[p0]
+    elif case.startswith("near_atom"):
+        paths[:, 0] = eta * psi[p0] + float(case.split("_")[-1])
+    elif case == "grating_lobe":
+        paths[:, 0] = -eta            # at eta = 1, d = 2 against the +1 atom
+        paths[:, 1] = eta - 2.0       # d = 2 against the +1 atom on every subcarrier
+    return paths
+
+
+class TestAtomKernel:
+    @pytest.mark.parametrize("case", ["on_atom", "near_atom_1e-11", "near_atom_1e-6",
+                                      "grating_lobe", "random"])
+    @pytest.mark.parametrize("N", [1, 2, 5, 8, 64])
+    def test_matches_dense_oracle_at_singular_points(self, N, case):
+        cfg = t.SystemConfig(N_T=N, N_R=4, K=1, N_RF=1, N_F=33).validate()
+        psi = t.build_dictionaries(cfg).psi_f
+        eta = np.append(_random_channelset(cfg, 5).eta, 1.0)
+        rng = np.random.default_rng(N)
+        paths = _kernel_paths(case, eta, psi, rng)
+        coords = rng.standard_normal(paths.shape) + 1j * rng.standard_normal(paths.shape)
+        corr = omp._atom_correlations(omp._AtomTables.build(N, psi, eta), paths, coords)
+        atoms = t.steering_vector(N, eta[:, None] * psi)                         # (N, M, P)
+        design = np.einsum("nml,ml->nm", t.steering_vector(N, paths), coords)
+        oracle = np.abs(np.einsum("nmp,nm->mp", atoms.conj(), design))
+        assert np.abs(corr - oracle).max() <= 1e-12 * oracle.max()
+
+    def test_exact_kernel_only_near_zeros(self, desk_cfg, monkeypatch):
+        # the closed form calls dirichlet_sinc only where sin(pi d/2) nearly vanishes
+        evaluated = []
+        exact = omp.dirichlet_sinc
+
+        def counting(a, N):
+            evaluated.append(np.size(a))
+            return exact(a, N)
+
+        monkeypatch.setattr(omp, "dirichlet_sinc", counting)
+        ch = _random_channelset(desk_cfg, 6)
+        x = t.unconstrained_precoders(ch)
+        y = t.unconstrained_combiners(ch, desk_cfg.P, desk_cfg.sigma_n2)
+        t.omp_select(ch, x, y, t.build_dictionaries(desk_cfg))
+        c = desk_cfg
+        assert sum(evaluated) < 0.01 * c.K * c.M * (c.N_F + c.N_W) * c.L
 
 
 class TestEffectiveChannel:
