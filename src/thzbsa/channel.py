@@ -1,12 +1,13 @@
 """Frequency-selective THz multipath channels, held as their L path factors.
 
 Every H_k[m] has rank L, so a ``ChannelSet`` keeps the dilated path
-directions and gains; its dominant mode and W_RF^H H come from the steering
-kernel a_N(x)^H a_N(y), a Dirichlet kernel, and the dense stack is built only
-on request. Also the subcarrier grid, steering vectors, path draws and the
-wideband array gain. Directions are sine-space, dilated by eta_m = f_m / f_c
-and kept as-is beyond [-1, 1]; gains follow the spreading law 1/eta_m
-normalised at the carrier; delays run from the LoS arrival.
+directions and gains. Its dominant mode comes from the steering kernel
+a_N(x)^H a_N(y), a Dirichlet kernel; W_RF^H H comes from dense steering-vector
+stacks of the path directions; the dense H is built only on request. Also the
+subcarrier grid, steering vectors, path draws and the wideband array gain.
+Directions are sine-space, dilated by eta_m = f_m / f_c and kept as-is beyond
+[-1, 1]; gains follow the spreading law 1/eta_m normalised at the carrier;
+delays run from the LoS arrival.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """System configuration: the single source of dimensional truth.
 
-All array sizes, the subcarrier grid and powers flow from ``SystemConfig``;
-the master seed belongs to the sweep (``SweepSpec.seed``), not to the system.
+All array sizes, the subcarrier grid and the noise power flow from ``SystemConfig``
+(transmit power is 1, so SNR = 1 / sigma_n2 at the carrier); the master seed
+belongs to the sweep (``SweepSpec.seed``), not to the system.
 Two named parameter presets are provided: ``desk`` (small, CI-friendly) and
 ``paper`` (full-scale reference profile).
 """
@@ -28,8 +29,8 @@ class ConfigError(ValueError):
 class SystemConfig:
     """Parameters of the multi-user wideband downlink.
 
-    Defaults are the desk-scale profile. ``N_F``/``N_W`` default to 2x the
-    antenna counts; ``None`` means "derive from the other fields".
+    Defaults are the desk-scale profile; ``None`` means "derive from the other
+    fields": ``N_RF`` = ``K``, ``N_F``/``N_W`` = 2x the antenna counts.
     """
 
     f_c: float = 300e9          # carrier frequency [Hz]
@@ -37,11 +38,10 @@ class SystemConfig:
     M: int = 32                 # subcarriers
     N_T: int = 64               # transmit antennas
     N_R: int = 4                # receive antennas per user
-    N_RF: int = 4               # RF chains (= K, one stream per user)
+    N_RF: int | None = None     # RF chains (= K, one stream per user), default K
     K: int = 4                  # users
     L: int = 3                  # paths per user (first one LoS)
-    P: float = 1.0              # total transmit power (linear)
-    sigma_n2: float = 1.0       # noise power (linear)
+    sigma_n2: float = 1.0       # noise power relative to the total transmit power
     N_F: int | None = None      # transmit dictionary grid size, default 2 N_T
     N_W: int | None = None      # receive dictionary grid size, default 2 N_R
     nlos_penalty_db: float = 10.0    # extra NLoS attenuation
@@ -49,6 +49,8 @@ class SystemConfig:
     sinr_convention: str = "physical"
 
     def __post_init__(self) -> None:
+        if self.N_RF is None:
+            self.N_RF = self.K
         if self.N_F is None:
             self.N_F = 2 * self.N_T
         if self.N_W is None:
@@ -79,8 +81,8 @@ class SystemConfig:
             raise ConfigError("f_c must be positive")
         if not 0 <= self.B < 2 * self.f_c:
             raise ConfigError(f"need 0 <= B < 2 f_c, got B={self.B}, f_c={self.f_c}")
-        if self.P <= 0 or self.sigma_n2 <= 0:
-            raise ConfigError("P and sigma_n2 must be positive")
+        if self.sigma_n2 <= 0:
+            raise ConfigError("sigma_n2 must be positive")
         if self.N_F < max(1, self.N_RF):
             raise ConfigError(f"N_F must be >= N_RF, got N_F={self.N_F}")
         if self.N_W < max(1, self.K):
@@ -105,7 +107,7 @@ class SystemConfig:
 # CI runtimes small. Monte-Carlo trial counts ride along for the CLI.
 PROFILES: dict[str, dict] = {
     "desk": {},
-    "paper": {"N_T": 128, "N_R": 8, "N_RF": 8, "K": 8, "M": 128, "L": 3},
+    "paper": {"N_T": 128, "N_R": 8, "K": 8, "M": 128, "L": 3},
 }
 
 PROFILE_TRIALS = {"desk": 20, "paper": 100}

@@ -138,19 +138,16 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
             if hybrid_needed:
                 bf = omp_hybrid_beamformer(cfg, channels, dictionary)
             if "omp" in methods:
-                reports["omp"] = sum_rate(bf, cfg.P, cfg.sigma_n2, cfg.sinr_convention)
+                reports["omp"] = sum_rate(bf, cfg.sigma_n2, cfg.sinr_convention)
             if "bsa_omp" in methods or "sd_oracle" in methods:
                 # one SD-oracle precoder is both the bsa target and the oracle itself
                 sd = sd_oracle_beamformers(channels, bf)
             if "bsa_omp" in methods:
-                reports["bsa_omp"] = sum_rate(apply_bsa(bf, sd), cfg.P, cfg.sigma_n2,
-                                              cfg.sinr_convention)
+                reports["bsa_omp"] = sum_rate(apply_bsa(bf, sd), cfg.sigma_n2, cfg.sinr_convention)
             if "sd_oracle" in methods:
-                reports["sd_oracle"] = sum_rate_sd_analog(sd, cfg.P, cfg.sigma_n2,
-                                                          cfg.sinr_convention)
+                reports["sd_oracle"] = sum_rate_sd_analog(sd, cfg.sigma_n2, cfg.sinr_convention)
             if "fully_digital" in methods:
-                reports["fully_digital"] = fully_digital_yardstick(channels, cfg.P,
-                                                                   cfg.sigma_n2)
+                reports["fully_digital"] = fully_digital_yardstick(channels, cfg.sigma_n2)
             for method, report in reports.items():
                 if not np.isfinite(report.sum_rate):
                     raise FloatingPointError(f"non-finite {method} sum rate")
@@ -165,9 +162,9 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
 
 
 def config_for_axis_value(base: SystemConfig, axis: str, value: float) -> SystemConfig:
-    """Derive the per-point config: SNR sweeps noise power at P = 1."""
+    """Derive the per-point config: SNR = 1 / sigma_n2 at unit transmit power."""
     if axis == "snr_db":
-        return base.replace(P=1.0, sigma_n2=10.0 ** (-value / 10.0)).validate()
+        return base.replace(sigma_n2=10.0 ** (-value / 10.0)).validate()
     if axis == "bandwidth_hz":
         return base.replace(B=float(value)).validate()
     if axis == "num_users":

@@ -2,11 +2,12 @@
 
 Every hybrid method is scored by its stored coupling H_eff[m] F_BB[m]; the
 fully-digital bound reads the largest singular values of the channel's
-path-factor dominant mode. The SINR of user k at subcarrier m has the
-desired term (P/K) |w_k^H H_k F f_k|^2 and, under ``physical`` (default),
-the leakage Sum_{i != k} |w_k^H H_k F f_i|^2 of the other users' columns
-through user k's link; ``as_printed`` sums the other users' desired terms
-|w_i^H H_i F f_i|^2 instead. The sum rate is Sum_m Sum_k log2(1 + gamma).
+path-factor dominant mode. Unit transmit power is split equally over the K
+streams: the SINR of user k at subcarrier m has the desired term
+(1/K) |w_k^H H_k F f_k|^2 and, under ``physical`` (default), the leakage
+Sum_{i != k} |w_k^H H_k F f_i|^2 of the other users' columns through user k's
+link; ``as_printed`` sums the other users' desired terms |w_i^H H_i F f_i|^2
+instead. The sum rate is Sum_m Sum_k log2(1 + gamma).
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ class RateReport:
     power_residual: float
 
 
-def _sinr_from_coupling(T: np.ndarray, P: float, sigma_n2: float,
-                        convention: str) -> np.ndarray:
+def _sinr_from_coupling(T: np.ndarray, sigma_n2: float, convention: str) -> np.ndarray:
     """gamma[m, k] from an (M, K, K) coupling stack under either convention."""
     if convention not in SINR_CONVENTIONS:
         raise ValueError(f"unknown sinr convention {convention!r}")
@@ -42,7 +42,7 @@ def _sinr_from_coupling(T: np.ndarray, P: float, sigma_n2: float,
     else:
         interference = desired.sum(axis=1, keepdims=True) - desired
     with np.errstate(over="ignore"):     # run_trial rejects the non-finite rate
-        return (P / K) * desired / ((P / K) * interference + sigma_n2)
+        return (1 / K) * desired / ((1 / K) * interference + sigma_n2)
 
 
 def power_constraint_residual(F_RF: np.ndarray, F_BB: np.ndarray) -> float:
@@ -52,15 +52,14 @@ def power_constraint_residual(F_RF: np.ndarray, F_BB: np.ndarray) -> float:
     return abs(total - M * K) / (M * K)
 
 
-def sum_rate(bf: BeamformerSet, P: float, sigma_n2: float,
-             convention: str = "physical") -> RateReport:
+def sum_rate(bf: BeamformerSet, sigma_n2: float, convention: str = "physical") -> RateReport:
     """Multi-user sum rate of one hybrid precoder.
 
     T[m, k, i] = w_k^H H_k[m] F_RF F_BB[m] e_i = (H_eff[m] F_BB[m])[k, i] is
     the coupling all hybrid methods are scored by.
     """
     T = bf.H_eff @ bf.F_BB
-    per_user = np.log2(1.0 + _sinr_from_coupling(T, P, sigma_n2, convention)).T   # (K, M)
+    per_user = np.log2(1.0 + _sinr_from_coupling(T, sigma_n2, convention)).T   # (K, M)
     return RateReport(
         per_user_rate=per_user,
         sum_rate=float(per_user.sum()),
@@ -72,16 +71,16 @@ def sum_rate(bf: BeamformerSet, P: float, sigma_n2: float,
 sum_rate_sd_analog = sum_rate
 
 
-def fully_digital_yardstick(channels: ChannelSet, P: float, sigma_n2: float) -> RateReport:
+def fully_digital_yardstick(channels: ChannelSet, sigma_n2: float) -> RateReport:
     """Interference-free dominant-singular-mode bound with equal power split.
 
-    R = Sum_m Sum_k log2(1 + (P/K) sigma_max^2(H_k[m]) / sigma_n2), with
+    R = Sum_m Sum_k log2(1 + (1/K) sigma_max^2(H_k[m]) / sigma_n2), with
     sigma_max from ``channels.dominant_mode``; the power residual is zero.
     """
     s_max = channels.dominant_mode[0]     # sigma_max, (K, M)
     K = s_max.shape[0]
     with np.errstate(over="ignore"):     # run_trial rejects the non-finite rate
-        per_user = np.log2(1.0 + (P / K) * s_max**2 / sigma_n2)
+        per_user = np.log2(1.0 + (1 / K) * s_max**2 / sigma_n2)
     return RateReport(
         per_user_rate=per_user,
         sum_rate=float(per_user.sum()),

@@ -85,14 +85,14 @@ def unconstrained_precoders(channels: ChannelSet) -> np.ndarray:
     return channels.dominant_mode[1]
 
 
-def unconstrained_combiners(channels: ChannelSet, P: float, sigma_n2: float) -> np.ndarray:
+def unconstrained_combiners(channels: ChannelSet, sigma_n2: float) -> np.ndarray:
     """MMSE-scaled matched-filter combiners w = A_R y, as the path coordinates y (K, M, L).
 
-    w_k[m] = (1/P) s / (s^2 + sigma^2/P) u = (1/P) (||H_k v||^2 + sigma^2/P)^{-1} H_k[m] v
+    w_k[m] = s / (s^2 + sigma^2) u = (||H_k v||^2 + sigma^2)^{-1} H_k[m] v at unit power,
     for the dominant mode (s, u, v) of H_k[m]: a positive multiple of the matched filter.
     """
     s, _, y = channels.dominant_mode
-    return y * ((1.0 / P) * s / (s**2 + sigma_n2 / P))[..., None]
+    return y * (s / (s**2 + sigma_n2))[..., None]
 
 
 class _AtomTables(NamedTuple):
@@ -235,7 +235,7 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
     if dictionary is None:
         dictionary = build_dictionaries(cfg)
     x = unconstrained_precoders(channels)
-    y = unconstrained_combiners(channels, cfg.P, cfg.sigma_n2)
+    y = unconstrained_combiners(channels, cfg.sigma_n2)
     F_RF, W_RF, selected = omp_select(channels, x, y, dictionary)
     H_eff = effective_channel(channels, W_RF, F_RF)
     F_BB = baseband_zf(H_eff, F_RF)

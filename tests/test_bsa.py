@@ -134,9 +134,9 @@ class TestApplyBsa:
         ratios = []
         for seed in range(24):
             ch, bf = self._pipeline(cfg, 100 + seed)
-            plain = t.sum_rate(bf, cfg.P, cfg.sigma_n2)
+            plain = t.sum_rate(bf, cfg.sigma_n2)
             corrected = t.sum_rate(t.apply_bsa(bf, t.sd_oracle_beamformers(ch, bf)),
-                                   cfg.P, cfg.sigma_n2)
+                                   cfg.sigma_n2)
             ratios.append(corrected.sum_rate / plain.sum_rate)
             if corrected.sum_rate >= plain.sum_rate * (1 - 1e-9):
                 wins += 1

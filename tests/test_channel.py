@@ -270,7 +270,7 @@ class TestFactorPathOracles:
         ch.gain[0] = 0
         s, x, y = ch.dominant_mode
         assert np.all(s[0] == 0) and np.all(y[0] == 0) and np.all(np.isfinite(x))
-        assert np.all(t.unconstrained_combiners(ch, 1.0, 1.0)[0] == 0)
+        assert np.all(t.unconstrained_combiners(ch, 1.0)[0] == 0)
         _assert_matches_svd(ch, 1e-12)
 
 

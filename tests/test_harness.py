@@ -179,7 +179,6 @@ class TestRunTrial:
 class TestConfigForAxis:
     def test_snr_maps_to_noise_power(self):
         cfg = config_for_axis_value(small_cfg(), "snr_db", 10.0)
-        assert cfg.P == 1.0
         assert cfg.sigma_n2 == pytest.approx(0.1)
 
     def test_bandwidth(self):
@@ -189,6 +188,15 @@ class TestConfigForAxis:
     def test_users_also_sets_rf_chains(self):
         cfg = config_for_axis_value(small_cfg(), "num_users", 4)
         assert cfg.K == 4 and cfg.N_RF == 4
+
+    @pytest.mark.parametrize("axis, value, swept", [("snr_db", 20.0, {"sigma_n2"}),
+                                                    ("bandwidth_hz", 5e9, {"B"}),
+                                                    ("num_users", 3, {"K", "N_RF"})])
+    def test_axis_changes_only_its_own_fields(self, axis, value, swept):
+        base = small_cfg(f_c=150e9, B=20e9, sigma_n2=0.3, N_F=48, N_W=6,
+                         nlos_penalty_db=6.0, excess_delay=5e-9, sinr_convention="as_printed")
+        before, after = base.to_dict(), config_for_axis_value(base, axis, value).to_dict()
+        assert {k for k in before if before[k] != after[k]} == swept
 
 
 class TestSweepSpec:
@@ -413,7 +421,7 @@ sinr_convention = as_printed
         cfg = t.build_config("desk", overrides)
         assert (cfg.N_T, cfg.B, cfg.sinr_convention) == (16, 1.5e9, "as_printed")
 
-    @pytest.mark.parametrize("name", ["f_c", "B", "P", "sigma_n2",
+    @pytest.mark.parametrize("name", ["f_c", "B", "sigma_n2",
                                       "excess_delay", "nlos_penalty_db"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite(self, name, value):
@@ -439,8 +447,8 @@ sinr_convention = as_printed
         assert t.config_hash(base) == t.config_hash(t.SystemConfig())
         seen = {t.config_hash(base)}
         for change in ({"f_c": 299e9}, {"B": 1e9}, {"M": 16}, {"N_T": 32},
-                       {"N_R": 2}, {"K": 2, "N_RF": 2}, {"L": 1}, {"P": 2.0},
-                       {"sigma_n2": 0.5}, {"N_F": 64}, {"N_W": 4},
+                       {"N_R": 2}, {"K": 2, "N_RF": 2}, {"L": 1}, {"sigma_n2": 0.5},
+                       {"N_F": 64}, {"N_W": 4},
                        {"nlos_penalty_db": 6.0}, {"excess_delay": 1e-9},
                        {"sinr_convention": "as_printed"}):
             h = t.config_hash(base.replace(**change))
@@ -455,7 +463,7 @@ sinr_convention = as_printed
             "f_c": {"f_c": 150e9}, "B": {"B": 5e9}, "M": {"M": 5},
             "N_T": {"N_T": 24}, "N_R": {"N_R": 3},
             "N_RF": {"K": 3, "N_RF": 3}, "K": {"K": 3, "N_RF": 3}, "L": {"L": 3},
-            "P": {"P": 2.0}, "sigma_n2": {"sigma_n2": 0.5},
+            "sigma_n2": {"sigma_n2": 0.5},
             "N_F": {"N_F": 40}, "N_W": {"N_W": 6},
             "nlos_penalty_db": {"nlos_penalty_db": 3.0},
             "excess_delay": {"excess_delay": 5e-9},
@@ -546,15 +554,29 @@ class TestCli:
         assert "config error" in capsys.readouterr().err
 
     def test_d_spacing_is_not_a_config_key(self, tmp_path, capsys):
-        # the spacing is always half a wavelength, distance and absorption
-        # cancel in the carrier-normalised gain, and the seed is the sweep's
+        # the spacing is always half a wavelength, transmit power, distance and
+        # absorption only rescale SNR = 1 / sigma_n2, and the seed is the sweep's
         for key, value in (("d_spacing", "0.001"), ("d_bar", "10.0"), ("k_abs", "0.0"),
-                           ("normalize_gain", "true"), ("seed", "1")):
+                           ("normalize_gain", "true"), ("seed", "1"), ("P", "2.0")):
             cfg_file = tmp_path / f"{key}.cfg"
             cfg_file.write_text(f"{key} = {value}\n")
             code = cli.main(["show-config", "--config", str(cfg_file)])
             assert code == 2
             assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("profile, K", [("desk", 2), ("paper", 4)])
+    def test_config_file_may_set_k_alone(self, tmp_path, capsys, profile, K):
+        cfg_file = tmp_path / "users.cfg"
+        cfg_file.write_text(f"K = {K}\n")
+        assert cli.main(["show-config", "--profile", profile, "--config", str(cfg_file)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"K = {K}" in out and f"N_RF = {K}" in out
+
+    def test_config_file_rf_chains_other_than_k_exit_2(self, tmp_path, capsys):
+        cfg_file = tmp_path / "users.cfg"
+        cfg_file.write_text("K = 2\nN_RF = 3\n")
+        assert cli.main(["show-config", "--config", str(cfg_file)]) == 2
+        assert "N_RF must equal K" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [["show-config"],
                                          ["array-gain", "--phi", "0.1", "--subcarrier", "1"]])

@@ -16,10 +16,10 @@ def _dense(N, directions, coords):
     return np.einsum("kml,nkml->mnk", coords, t.steering_vector(N, directions))
 
 
-def _dense_designs(ch, P, sigma_n2):
+def _dense_designs(ch, sigma_n2):
     """The unconstrained precoders and combiners as dense (M, N, K) stacks."""
     return (_dense(ch.N_T, ch.vartheta, t.unconstrained_precoders(ch)),
-            _dense(ch.N_R, ch.theta, t.unconstrained_combiners(ch, P, sigma_n2)))
+            _dense(ch.N_R, ch.theta, t.unconstrained_combiners(ch, sigma_n2)))
 
 
 class TestBuildDictionaries:
@@ -60,7 +60,7 @@ class TestUnconstrainedPrecoders:
         paths = t.PathParams(alpha=[[1.0]], phi=[[0.2]], varphi=[[-0.35]],
                              tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
-        f = _dense_designs(ch, cfg.P, cfg.sigma_n2)[0][0, :, 0]
+        f = _dense_designs(ch, cfg.sigma_n2)[0][0, :, 0]
         target = t.steering_vector(16, -0.35)
         # equal up to the deterministic phase convention
         alignment = abs(np.vdot(target, f))
@@ -71,7 +71,7 @@ class TestUnconstrainedPrecoders:
 
     def test_unit_norm_columns(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 5)
-        F_opt = _dense_designs(ch, tiny_cfg.P, tiny_cfg.sigma_n2)[0]
+        F_opt = _dense_designs(ch, tiny_cfg.sigma_n2)[0]
         np.testing.assert_allclose(np.linalg.norm(F_opt, axis=1), 1.0, atol=1e-12)
 
     def test_dominant_eigen_oracle(self):
@@ -79,7 +79,7 @@ class TestUnconstrainedPrecoders:
         cfg = t.SystemConfig(N_T=8, N_R=4, K=1, N_RF=1, L=6, M=1).validate()
         ch = _random_channelset(cfg, 7)
         H = ch.H[0, 0]
-        f = _dense_designs(ch, cfg.P, cfg.sigma_n2)[0][0, :, 0]
+        f = _dense_designs(ch, cfg.sigma_n2)[0][0, :, 0]
         # independent oracle: eigendecomposition of the Gram matrix
         evals = np.linalg.eigvalsh(H.conj().T @ H)
         quad = np.real(np.vdot(f, H.conj().T @ H @ f))
@@ -95,7 +95,7 @@ class TestUnconstrainedPrecoders:
 class TestUnconstrainedCombiners:
     def test_collinear_with_matched_filter(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 3)
-        F_opt, W_opt = _dense_designs(ch, P=1.0, sigma_n2=0.5)
+        F_opt, W_opt = _dense_designs(ch, sigma_n2=0.5)
         for k in range(tiny_cfg.K):
             for m in range(tiny_cfg.M):
                 w = W_opt[m, :, k]
@@ -105,7 +105,7 @@ class TestUnconstrainedCombiners:
 
     def test_noise_dominated_limit(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 3)
-        small = t.unconstrained_combiners(ch, P=1.0, sigma_n2=1e12)
+        small = t.unconstrained_combiners(ch, sigma_n2=1e12)
         assert np.max(np.abs(small)) < 1e-9
 
     def test_rank_one_scalar_closed_form(self):
@@ -113,10 +113,10 @@ class TestUnconstrainedCombiners:
         paths = t.PathParams(alpha=[[0.5]], phi=[[0.2]], varphi=[[0.1]],
                              tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
-        P, sigma_n2 = 2.0, 0.3
-        F_opt, W_opt = _dense_designs(ch, P, sigma_n2)
+        sigma_n2 = 0.15
+        F_opt, W_opt = _dense_designs(ch, sigma_n2)
         g = np.linalg.norm(ch.H[0, 0] @ F_opt[0, :, 0])
-        expected_norm = (1 / P) * g / (g**2 + sigma_n2 / P)
+        expected_norm = g / (g**2 + sigma_n2)
         assert np.linalg.norm(W_opt[0, :, 0]) == pytest.approx(expected_norm, rel=1e-12)
 
 
@@ -147,9 +147,9 @@ class TestOmpSelect:
                              varphi=[[d.grid_f[p0]]], tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
         x = t.unconstrained_precoders(ch)
-        y = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
+        y = t.unconstrained_combiners(ch, cfg.sigma_n2)
         _, _, selected = t.omp_select(ch, x, y, d)
-        F_opt, W_opt = _dense_designs(ch, cfg.P, cfg.sigma_n2)
+        F_opt, W_opt = _dense_designs(ch, cfg.sigma_n2)
         assert selected == [(p0, q0)]
         oracle = _kron_objective(F_opt, W_opt, d, ch.eta, 0)
         assert np.unravel_index(np.argmax(oracle), oracle.shape) == (p0, q0)
@@ -177,9 +177,9 @@ class TestOmpSelect:
         assert np.allclose(ch.eta, 1.0)
         d = t.build_dictionaries(cfg)
         x = t.unconstrained_precoders(ch)
-        y = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
+        y = t.unconstrained_combiners(ch, cfg.sigma_n2)
         _, _, selected = t.omp_select(ch, x, y, d)
-        F_opt, W_opt = _dense_designs(ch, cfg.P, cfg.sigma_n2)
+        F_opt, W_opt = _dense_designs(ch, cfg.sigma_n2)
         # classic narrowband selection: plain dictionaries, same objective
         taken = []
         for k in range(cfg.K):
@@ -203,9 +203,9 @@ class TestOmpSelect:
         )
         ch = t.generate_channel(cfg, paths)
         x = t.unconstrained_precoders(ch)
-        y = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
+        y = t.unconstrained_combiners(ch, cfg.sigma_n2)
         _, _, selected = t.omp_select(ch, x, y, d)
-        F_opt, W_opt = _dense_designs(ch, cfg.P, cfg.sigma_n2)
+        F_opt, W_opt = _dense_designs(ch, cfg.sigma_n2)
         assert selected[0][0] == 10
         assert selected[1][0] != 10
 
@@ -267,7 +267,7 @@ class TestAtomKernel:
         monkeypatch.setattr(omp, "dirichlet_sinc", counting)
         ch = _random_channelset(desk_cfg, 6)
         x = t.unconstrained_precoders(ch)
-        y = t.unconstrained_combiners(ch, desk_cfg.P, desk_cfg.sigma_n2)
+        y = t.unconstrained_combiners(ch, desk_cfg.sigma_n2)
         t.omp_select(ch, x, y, t.build_dictionaries(desk_cfg))
         c = desk_cfg
         assert sum(evaluated) < 0.01 * c.K * c.M * (c.N_F + c.N_W) * c.L
@@ -404,9 +404,9 @@ class TestPipeline:
         ch = _random_channelset(cfg, 41)
         d = t.build_dictionaries(cfg)
         x = t.unconstrained_precoders(ch)
-        y = t.unconstrained_combiners(ch, cfg.P, cfg.sigma_n2)
+        y = t.unconstrained_combiners(ch, cfg.sigma_n2)
         _, _, selected = t.omp_select(ch, x, y, d)
-        F_opt, W_opt = _dense_designs(ch, cfg.P, cfg.sigma_n2)
+        F_opt, W_opt = _dense_designs(ch, cfg.sigma_n2)
         taken = []
         for k, (p, q) in enumerate(selected):
             oracle = _kron_objective(F_opt, W_opt, d, ch.eta, k)
