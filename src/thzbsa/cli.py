@@ -94,7 +94,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         base_config=cfg,
         seed=args.seed,
         workers=args.workers,
-    ).validate()
+    )
     if args.out is not None:
         _check_out(args.out)
     _write(emit(run_sweep(spec), args.format), args.out)

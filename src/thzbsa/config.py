@@ -25,9 +25,9 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SystemConfig:
-    """Parameters of the multi-user wideband downlink.
+    """Parameters of the multi-user wideband downlink, checked on construction.
 
     Defaults are the desk-scale profile; ``None`` means "derive from the other
     fields": ``N_RF`` = ``K``, ``N_F``/``N_W`` = 2x the antenna counts.
@@ -49,12 +49,13 @@ class SystemConfig:
     sinr_convention: str = "physical"
 
     def __post_init__(self) -> None:
-        if self.N_RF is None:
-            self.N_RF = self.K
-        if self.N_F is None:
-            self.N_F = 2 * self.N_T
-        if self.N_W is None:
-            self.N_W = 2 * self.N_R
+        for name, value in self._derived_sizes().items():
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, value)
+        self.validate()
+
+    def _derived_sizes(self) -> dict:
+        return {"N_RF": self.K, "N_F": 2 * self.N_T, "N_W": 2 * self.N_R}
 
     @property
     def d_spacing(self) -> float:
@@ -62,10 +63,10 @@ class SystemConfig:
         return SPEED_OF_LIGHT / (2.0 * self.f_c)
 
     def validate(self) -> "SystemConfig":
-        """Check invariants, raising ConfigError on the first violation."""
-        for name in _FINITE_FIELDS:
-            value = getattr(self, name)
-            if not math.isfinite(value):
+        """Check invariants, raising ConfigError on the first violation; returns self."""
+        for name, value in vars(self).items():
+            # NaN slips through every ordering check, so test first
+            if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
@@ -85,19 +86,19 @@ class SystemConfig:
             raise ConfigError("sigma_n2 must be positive")
         if self.N_F < max(1, self.N_RF):
             raise ConfigError(f"N_F must be >= N_RF, got N_F={self.N_F}")
-        if self.N_W < max(1, self.K):
-            raise ConfigError(f"N_W must be >= K, got N_W={self.N_W}")
+        if self.N_W < 1:
+            raise ConfigError(f"N_W must be >= 1, got N_W={self.N_W}")
         if self.excess_delay < 0:
             raise ConfigError("excess_delay must be nonnegative")
         if self.sinr_convention not in SINR_CONVENTIONS:
-            raise ConfigError(
-                f"sinr_convention must be one of {SINR_CONVENTIONS}, "
-                f"got {self.sinr_convention!r}"
-            )
+            raise ConfigError(f"sinr_convention must be one of {SINR_CONVENTIONS}, "
+                              f"got {self.sinr_convention!r}")
         return self
 
-    def replace(self, **kwargs) -> "SystemConfig":
-        return dataclasses.replace(self, **kwargs)
+    def replace(self, **changes) -> "SystemConfig":
+        """A changed copy; a size still at its derived value is derived again."""
+        derived = {n: None for n, v in self._derived_sizes().items() if getattr(self, n) == v}
+        return dataclasses.replace(self, **{**derived, **changes})
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -126,8 +127,6 @@ def _coerce(name: str, raw: str, target_type) -> object:
 
 
 _FIELD_TYPES = {k: type(v) for k, v in SystemConfig().to_dict().items()}
-# real-valued fields; NaN slips through every ordering check, so test first
-_FINITE_FIELDS = tuple(k for k, v in _FIELD_TYPES.items() if v is float)
 
 
 def parse_config_file(path: str | Path) -> dict:
@@ -163,7 +162,7 @@ def build_config(profile: str = "desk",
     if profile not in PROFILES:
         raise ConfigError(f"unknown profile {profile!r}; choose from {sorted(PROFILES)}")
     fields: dict = {**PROFILES[profile], **(file_overrides or {})}
-    return SystemConfig(**fields).validate()
+    return SystemConfig(**fields)
 
 
 def config_hash(cfg: SystemConfig) -> str:

@@ -50,9 +50,9 @@ def _check_methods(methods: tuple[str, ...]) -> None:
         raise ConfigError(f"unknown methods {sorted(unknown)}; choose from {METHODS}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepSpec:
-    """One sweep campaign: an axis, its values, and the trial budget."""
+    """One sweep campaign: an axis, its values, and the trial budget; checked on construction."""
 
     axis: str
     values: list[float]
@@ -61,6 +61,9 @@ class SweepSpec:
     base_config: SystemConfig = field(default_factory=SystemConfig)
     seed: int = 1
     workers: int = 1
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> "SweepSpec":
         if self.axis not in AXES:
@@ -84,7 +87,6 @@ class SweepSpec:
             raise ConfigError(f"workers must be in 1..{cpus} (the CPU count), "
                               f"got {self.workers}")
         _check_methods(self.methods)
-        self.base_config.validate()
         return self
 
 
@@ -123,7 +125,6 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
     Raises ConfigError on a bad method list, and FloatingPointError naming the
     trial seed as soon as the channel draw overflows or a sum rate is non-finite.
     """
-    cfg.validate()
     _check_methods(methods)
     hybrid_needed = any(m in HYBRID_METHODS for m in methods)
     dictionary = build_dictionaries(cfg) if hybrid_needed else None
@@ -134,7 +135,6 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
             with np.errstate(over="raise", invalid="raise"):   # a valid config can still overflow
                 channels = generate_channel(cfg, draw_paths(cfg, rng))
             reports: dict[str, RateReport] = {}
-            bf = None
             if hybrid_needed:
                 bf = omp_hybrid_beamformer(cfg, channels, dictionary)
             if "omp" in methods:
@@ -162,13 +162,17 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
 
 
 def config_for_axis_value(base: SystemConfig, axis: str, value: float) -> SystemConfig:
-    """Derive the per-point config: SNR = 1 / sigma_n2 at unit transmit power."""
-    if axis == "snr_db":
-        return base.replace(sigma_n2=10.0 ** (-value / 10.0)).validate()
-    if axis == "bandwidth_hz":
-        return base.replace(B=float(value)).validate()
-    if axis == "num_users":
-        return base.replace(K=int(value), N_RF=int(value)).validate()
+    """Derive the per-point config (SNR = 1 / sigma_n2); ConfigError names a bad value."""
+    try:
+        if axis == "snr_db":
+            return base.replace(sigma_n2=10.0 ** (-value / 10.0))
+        if axis == "bandwidth_hz":
+            return base.replace(B=float(value))
+        if axis == "num_users":
+            return base.replace(K=int(value))
+    except (ConfigError, OverflowError) as err:    # only the SNR conversion can overflow
+        reason = err if isinstance(err, ConfigError) else "sigma_n2 = 10^(-SNR/10) overflows"
+        raise ConfigError(f"{axis} value {value}: {reason}") from None
     raise ValueError(f"unknown axis {axis!r}")
 
 
@@ -189,7 +193,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     across axis values; aggregation order is fixed by (axis value, trial
     index) so worker-pool execution cannot change the result.
     """
-    spec.validate()
     configs = [config_for_axis_value(spec.base_config, spec.axis, value)
                for value in spec.values]
     tasks = []

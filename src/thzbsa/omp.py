@@ -62,8 +62,6 @@ def build_dictionaries(cfg: SystemConfig) -> Dictionary:
     dilations in closed form, and :func:`sd_dictionary` gives one dilated
     dictionary on its own.
     """
-    if cfg.N_F < 1 or cfg.N_W < 1:
-        raise ValueError("dictionary grid sizes must be >= 1")
     grid_f = np.linspace(-1.0, 1.0, cfg.N_F)
     grid_w = np.linspace(-1.0, 1.0, cfg.N_W)
     return Dictionary(
@@ -167,8 +165,8 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     effective channel singular); the plain atoms form F_RF / W_RF.
     """
     K = x.shape[0]
-    if K > min(dictionary.D_F.shape[1], dictionary.D_W.shape[1]):
-        raise ValueError(f"need K <= min(N_F, N_W), got K={K}")
+    if K > dictionary.D_F.shape[1]:
+        raise ValueError(f"need K <= N_F, got K={K}")
     tx = _AtomTables.build(channels.N_T, dictionary.psi_f, channels.eta)
     rx = _AtomTables.build(channels.N_R, dictionary.psi_w, channels.eta)
     selected: list[tuple[int, int]] = []

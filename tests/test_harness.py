@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.util
 import io
 import json
@@ -201,34 +202,29 @@ class TestConfigForAxis:
 
 class TestSweepSpec:
     def test_rejects_non_monotone_values(self):
-        spec = t.SweepSpec(axis="snr_db", values=[0, 10, 5], base_config=small_cfg())
         with pytest.raises(ValueError, match="monotone"):
-            spec.validate()
+            t.SweepSpec(axis="snr_db", values=[0, 10, 5], base_config=small_cfg())
 
     def test_users_requires_integer(self):
-        spec = t.SweepSpec(axis="num_users", values=[2, 2.5], base_config=small_cfg())
         with pytest.raises(t.ConfigError, match="integers"):
-            spec.validate()
+            t.SweepSpec(axis="num_users", values=[2, 2.5], base_config=small_cfg())
 
     @pytest.mark.parametrize("axis", ["snr_db", "bandwidth_hz", "num_users"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_values(self, axis, value):
-        spec = t.SweepSpec(axis=axis, values=[value], base_config=small_cfg())
         with pytest.raises(t.ConfigError, match="finite"):
-            spec.validate()
+            t.SweepSpec(axis=axis, values=[value], base_config=small_cfg())
 
     def test_rejects_unknown_method(self):
-        spec = t.SweepSpec(axis="snr_db", values=[0], methods=("nope",),
-                           base_config=small_cfg())
         with pytest.raises(ValueError, match="unknown methods"):
-            spec.validate()
+            t.SweepSpec(axis="snr_db", values=[0], methods=("nope",),
+                        base_config=small_cfg())
 
     @pytest.mark.parametrize("methods", [(), ("omp", "omp"), ("omp", "fully_digital", "omp")])
     def test_rejects_empty_or_repeated_methods(self, methods):
-        spec = t.SweepSpec(axis="snr_db", values=[0], methods=methods,
-                           base_config=small_cfg())
         with pytest.raises(t.ConfigError, match="non-empty list without repeats"):
-            spec.validate()
+            t.SweepSpec(axis="snr_db", values=[0], methods=methods,
+                        base_config=small_cfg())
 
     def test_workers_bounded_by_cpu_count(self, monkeypatch):
         # validation only: no pool is started
@@ -237,15 +233,13 @@ class TestSweepSpec:
             t.SweepSpec(axis="snr_db", values=[0], workers=workers,
                         base_config=small_cfg()).validate()
         for workers in (0, -1, 5):
-            spec = t.SweepSpec(axis="snr_db", values=[0], workers=workers,
-                               base_config=small_cfg())
             with pytest.raises(ValueError, match="workers must be in 1..4"):
-                spec.validate()
+                t.SweepSpec(axis="snr_db", values=[0], workers=workers,
+                            base_config=small_cfg())
 
     def test_rejects_unknown_axis(self):
-        spec = t.SweepSpec(axis="frequency", values=[0], base_config=small_cfg())
         with pytest.raises(ValueError, match="axis"):
-            spec.validate()
+            t.SweepSpec(axis="frequency", values=[0], base_config=small_cfg())
 
 
 class TestRunSweep:
@@ -408,6 +402,24 @@ class TestConfigModule:
         with pytest.raises(t.ConfigError, match="M"):
             t.SystemConfig(M=0).validate()
 
+    def test_frozen_and_checked_on_construction(self):
+        cfg = t.SystemConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.K = 2
+        with pytest.raises(t.ConfigError, match="K"):
+            t.SystemConfig(K=0)
+        # receive atoms may repeat across users, so K may exceed N_W
+        assert t.SystemConfig(K=9).N_W == 8
+
+    def test_replace_derives_sizes_again(self):
+        cfg = t.SystemConfig()
+        assert (cfg.replace(K=2).K, cfg.replace(K=2).N_RF) == (2, 2)
+        assert cfg.replace(N_T=128).N_F == 256 and cfg.replace(N_R=2).N_W == 4
+        # a size set to anything but its derived value is kept
+        assert t.SystemConfig(N_F=100).replace(N_T=128).N_F == 100
+        assert t.SystemConfig(N_W=5).replace(N_R=8).N_W == 5
+        assert cfg.replace(N_T=128, N_F=64).N_F == 64
+
     def test_config_file_parsing(self, tmp_path):
         cfg_file = tmp_path / "sim.cfg"
         cfg_file.write_text("""
@@ -552,6 +564,27 @@ class TestCli:
                          "--trials", "1"])
         assert code == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_users_sweep_past_receive_grid(self, capsys):
+        # desk N_W = 8: receive atoms may repeat across users, so K = 9 runs
+        code = cli.main(["simulate", "--sweep", "users", "--values", "2,9", "--trials", "1",
+                         "--format", "json"])
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert sorted({row["axis_value"] for row in rows}) == [2.0, 9.0]
+        assert all(np.isfinite(row["mean_sum_rate"]) for row in rows)
+
+    @pytest.mark.parametrize("value", ["-4000", "4000"])
+    def test_extreme_snr_exit_code(self, capsys, value):
+        # sigma_n2 = 10^(-SNR/10) overflows a float, or underflows to 0:
+        # one config error line naming the value, no traceback
+        code = cli.main(["simulate", "--sweep", "snr", f"--values={value}", "--trials", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: snr_db value ")
+        assert f"value {float(value)}: sigma_n2" in lines[0]
+        assert captured.out == ""
 
     def test_d_spacing_is_not_a_config_key(self, tmp_path, capsys):
         # the spacing is always half a wavelength, transmit power, distance and

@@ -216,11 +216,13 @@ class TestOmpSelect:
         np.testing.assert_allclose(np.abs(bf.W_RF), 1 / np.sqrt(desk_cfg.N_R), atol=1e-9)
 
     def test_too_many_users_rejected(self):
-        cfg = t.SystemConfig(N_T=8, N_R=4, K=2, N_RF=2, N_F=9, N_W=5)
-        d = t.build_dictionaries(cfg)
+        # each user needs its own transmit atom; receive atoms may repeat
         ch = _random_channelset(t.SystemConfig(N_T=8, N_R=4, K=6, N_RF=6, M=1), 3)
         x = np.zeros((6, 1, 3), complex)
-        with pytest.raises(ValueError, match="K <= min"):
+        d = t.build_dictionaries(t.SystemConfig(N_T=8, N_R=4, K=2, N_RF=2, N_F=9, N_W=5))
+        assert len({p for p, _ in t.omp_select(ch, x, x, d)[2]}) == 6
+        d = t.build_dictionaries(t.SystemConfig(N_T=8, N_R=4, K=2, N_RF=2, N_F=5, N_W=9))
+        with pytest.raises(ValueError, match="K <= N_F"):
             t.omp_select(ch, x, x, d)
 
 

@@ -1,0 +1,25 @@
+"""The README's library example runs as written and prints what the README quotes."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_library_example_figures():
+    text = README.read_text()
+    section = text.split("## Library example", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    scope: dict = {}
+    exec(compile(block, "README.md", "exec"), scope)
+    plain, corrected = scope["plain"].sum_rate, scope["corrected"].sum_rate
+    assert f"# {plain:.2f} {corrected:.2f}\n" in block
+    rates = {m: np.array([r.reports[m].sum_rate for r in scope["trials"]])
+             for m in ("omp", "bsa_omp")}
+    ahead = int(np.sum(rates["bsa_omp"] > rates["omp"]))
+    prose = " ".join(section.split())
+    assert (f"Over the {len(scope['trials'])} trials `bsa_omp` averages "
+            f"{rates['bsa_omp'].mean():.2f} against {rates['omp'].mean():.2f} for `omp` "
+            f"and is ahead on {ahead} of them") in prose
