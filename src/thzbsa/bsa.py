@@ -51,9 +51,10 @@ def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> Beamformer
     """Ideal (hardware-infeasible) per-subcarrier analog stack and its ZF baseband.
 
     The returned set has ``F_RF`` of shape (M, N_T, N_RF), built by one
-    batched rescaling; used by the harness both as the performance ceiling
-    and as the target :func:`apply_bsa` matches.
+    batched rescaling, at the directions eta_m psi_t; used by the harness both
+    as the performance ceiling and as the target :func:`apply_bsa` matches.
     """
     F_bar = scale_analog_matrix(bf.F_RF, channels.eta)
-    H_eff = effective_channel(channels, bf.W_RF, F_bar)
-    return replace(bf, F_RF=F_bar, H_eff=H_eff, F_BB=baseband_zf(H_eff, F_bar))
+    psi_bar = np.multiply.outer(channels.eta, bf.psi_t)
+    H_eff = effective_channel(channels, bf.psi_r, psi_bar)
+    return replace(bf, F_RF=F_bar, psi_t=psi_bar, H_eff=H_eff, F_BB=baseband_zf(H_eff, F_bar))

@@ -1,10 +1,10 @@
 """Frequency-selective THz multipath channels, held as their L path factors.
 
 Every H_k[m] has rank L, so a ``ChannelSet`` keeps the dilated path
-directions and gains. Its dominant mode comes from the steering kernel
-a_N(x)^H a_N(y), a Dirichlet kernel; W_RF^H H comes from dense steering-vector
-stacks of the path directions; the dense H is built only on request. Also the
-subcarrier grid, steering vectors, path draws and the wideband array gain.
+directions and gains. Its dominant mode, like every effective channel between
+steering beams, comes from the steering kernel a_N(x)^H a_N(y), a Dirichlet
+kernel; the dense H is built only on request. Also the subcarrier grid,
+steering vectors, path draws and the wideband array gain.
 Directions are sine-space, dilated by eta_m = f_m / f_c and kept as-is beyond
 [-1, 1]; gains follow the spreading law 1/eta_m normalised at the carrier;
 delays run from the LoS arrival.
@@ -12,7 +12,7 @@ delays run from the LoS arrival.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -139,7 +139,6 @@ class ChannelSet:
     eta: np.ndarray         # (M,)
     N_R: int
     N_T: int
-    _combined: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @cached_property
     def H(self) -> np.ndarray:
@@ -177,18 +176,6 @@ class ChannelSet:
         for part in mode:
             part.setflags(write=False)
         return mode
-
-    def combined(self, W_RF: np.ndarray) -> np.ndarray:
-        """W_RF^H H as an (M, K, N_T) stack, kept for the last ``W_RF`` so that
-        a design and its SD oracle share it.
-        """
-        key = W_RF.tobytes()
-        if self._combined is None or self._combined[0] != key:
-            a_r = steering_vector(self.N_R, self.theta)                  # (N_R, K, M, L)
-            weights = np.einsum("rk,rkml->mkl", W_RF.conj(), a_r) * np.swapaxes(self.gain, 0, 1)
-            a_t = np.moveaxis(steering_vector(self.N_T, np.swapaxes(self.vartheta, 0, 1)), 0, -1)
-            self._combined = (key, (weights[..., None, :] @ a_t.conj())[..., 0, :])
-        return self._combined[1]
 
 
 def generate_channel(cfg: SystemConfig, paths: PathParams) -> ChannelSet:

@@ -55,7 +55,7 @@ class SweepSpec:
     """One sweep campaign: an axis, its values, and the trial budget; checked on construction."""
 
     axis: str
-    values: list[float]
+    values: tuple[float, ...]
     trials: int = 20
     methods: tuple[str, ...] = METHODS
     base_config: SystemConfig = field(default_factory=SystemConfig)
@@ -63,6 +63,8 @@ class SweepSpec:
     workers: int = 1
 
     def __post_init__(self) -> None:
+        # a tuple, so the checked values cannot change after construction
+        object.__setattr__(self, "values", tuple(self.values))
         self.validate()
 
     def validate(self) -> "SweepSpec":

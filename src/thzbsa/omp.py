@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelSet, dirichlet_sinc, steering_vector
+from .channel import ChannelSet, dirichlet_sinc, steering_kernel, steering_vector
 from .config import SystemConfig
 from .phase_ops import scale_analog_matrix
 
@@ -52,6 +52,8 @@ class BeamformerSet:
     W_RF: np.ndarray        # (N_R, K), constant-modulus columns
     H_eff: np.ndarray       # (M, K, N_RF)
     F_BB: np.ndarray        # (M, N_RF, K)
+    psi_t: np.ndarray       # (N_RF,) or (M, N_RF), the steering directions of F_RF
+    psi_r: np.ndarray       # (K,), the steering directions of W_RF
     selected_atoms: list[tuple[int, int]] = field(default_factory=list)
 
 
@@ -180,18 +182,22 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     return dictionary.D_F[:, p_star], dictionary.D_W[:, q_star], selected
 
 
-def effective_channel(channels: ChannelSet, W_RF: np.ndarray,
-                      F_RF: np.ndarray) -> np.ndarray:
-    """Per-subcarrier K x N_RF effective channel, row k = w_k^H H_k[m] F_RF.
+def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
+                      psi_t: np.ndarray) -> np.ndarray:
+    """Per-subcarrier K x N_RF effective channel w_k^H H_k[m] f_i between steering beams.
 
-    ``F_RF`` may be a single (N_T, N_RF) matrix or an (M, N_T, N_RF) stack
-    of subcarrier-dependent beamformers; either multiplies the shared
-    W_RF^H H stack of :meth:`ChannelSet.combined`.
+    w_k = a_R(psi_r[k]) and f_i = a_T(psi_t[..., i]), with ``psi_t`` (N_RF,) for one
+    analog matrix or (M, N_RF) for a per-subcarrier stack; per path, the entry is the
+    gain times two steering kernels, a_R(psi_r)^H a_R(theta) and a_T(vartheta)^H a_T(psi_t).
     """
     K = channels.gain.shape[0]
-    if W_RF.shape != (channels.N_R, K):
-        raise ValueError(f"W_RF must be (N_R, K) = {(channels.N_R, K)}, got {W_RF.shape}")
-    return channels.combined(W_RF) @ F_RF
+    psi_r = np.asarray(psi_r, dtype=float)
+    if psi_r.shape != (K,):
+        raise ValueError(f"psi_r must be (K,) = {(K,)}, got {psi_r.shape}")
+    rx = channels.gain * steering_kernel(channels.N_R, psi_r[:, None, None], channels.theta)
+    tx = steering_kernel(channels.N_T, channels.vartheta[..., None],
+                         np.asarray(psi_t, dtype=float)[..., None, :])   # (K, M, L, N_RF)
+    return np.einsum("kml,kmli->mki", rx, tx)
 
 
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:
@@ -235,6 +241,9 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
     x = unconstrained_precoders(channels)
     y = unconstrained_combiners(channels, cfg.sigma_n2)
     F_RF, W_RF, selected = omp_select(channels, x, y, dictionary)
-    H_eff = effective_channel(channels, W_RF, F_RF)
+    p_star, q_star = np.array(selected).T
+    psi_t, psi_r = dictionary.psi_f[p_star], dictionary.psi_w[q_star]
+    H_eff = effective_channel(channels, psi_r, psi_t)
     F_BB = baseband_zf(H_eff, F_RF)
-    return BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB, selected_atoms=selected)
+    return BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB, psi_t=psi_t,
+                         psi_r=psi_r, selected_atoms=selected)

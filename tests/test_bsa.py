@@ -181,12 +181,15 @@ class TestSdOracleBeamformers:
 
 class TestStoredEffectiveChannel:
     def test_each_set_carries_its_own_effective_channel(self):
-        # H_eff is what every hybrid rate is scored by; it must be exactly
-        # the effective channel of the set's own analog stage
+        # H_eff is what every hybrid rate is scored by; it must be the dense
+        # W_RF^H H F_RF of the set's own matrices, so the SD stack's directions
+        # eta psi_t and its rescaled matrix describe one analog stage
         cfg = t.build_config("desk")
         ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(21)))
         bf = t.omp_hybrid_beamformer(cfg, ch)
         sd = t.sd_oracle_beamformers(ch, bf)
         for name, one in (("omp", bf), ("bsa_omp", t.apply_bsa(bf, sd)), ("sd", sd)):
-            np.testing.assert_array_equal(
-                one.H_eff, t.effective_channel(ch, one.W_RF, one.F_RF), err_msg=name)
+            F_RF = np.broadcast_to(one.F_RF, (cfg.M,) + one.F_RF.shape[-2:])
+            dense = np.einsum("rk,kmrt,mtj->mkj", one.W_RF.conj(), ch.H, F_RF)
+            np.testing.assert_allclose(one.H_eff, dense, rtol=0,
+                                       atol=1e-10 * np.abs(dense).max(), err_msg=name)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import thzbsa as t
@@ -224,6 +224,10 @@ class TestFactorPathOracles:
     @given(N_T=st.integers(1, 10), N_R=st.integers(1, 6), L=st.integers(1, 6),
            K=st.integers(1, 3), M=st.integers(1, 4), wideband=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
+    @example(N_T=1, N_R=1, L=2, K=1, M=4, wideband=True, seed=0)
+    @example(N_T=2, N_R=3, L=3, K=2, M=4, wideband=True, seed=1)
+    @example(N_T=5, N_R=2, L=4, K=3, M=3, wideband=True, seed=2)
+    @example(N_T=8, N_R=6, L=5, K=3, M=4, wideband=True, seed=3)
     def test_random_dimensions(self, N_T, N_R, L, K, M, wideband, seed):
         K = min(K, N_T)
         cfg = t.SystemConfig(N_T=N_T, N_R=N_R, K=K, N_RF=K, L=L, M=M, N_W=2 * max(N_R, K),
@@ -232,14 +236,19 @@ class TestFactorPathOracles:
         ch = t.generate_channel(cfg, t.draw_paths(cfg, rng))
         _assert_matches_svd(ch, 1e-10)
         d = t.build_dictionaries(cfg)
-        W_RF = d.D_W[:, rng.integers(d.D_W.shape[1], size=K)]
-        F_RF = d.D_F[:, rng.integers(d.D_F.shape[1], size=K)]
-        stack = t.sd_analog(F_RF, ch.eta)
-        for analog in (F_RF, stack):
-            got = t.effective_channel(ch, W_RF, analog)
+        # random atoms and both endfire ones, a(-1) = a(+1) read as psi = +1; on a
+        # wideband grid the SD stack dilates them beyond |psi| = 1
+        rows = rng.integers(d.D_W.shape[1], size=K)
+        cols = np.append(rng.integers(d.D_F.shape[1], size=K), [0, d.D_F.shape[1] - 1])
+        W_RF, F_RF = d.D_W[:, rows], d.D_F[:, cols]
+        psi_r, psi_t = d.psi_w[rows], d.psi_f[cols]
+        for analog, psi in ((F_RF, psi_t),
+                            (t.sd_analog(F_RF, ch.eta), np.multiply.outer(ch.eta, psi_t))):
+            got = t.effective_channel(ch, psi_r, psi)
             want = _dense_effective_channel(ch, W_RF, analog)
-            np.testing.assert_allclose(got, want, rtol=0,
-                                       atol=1e-10 * max(np.abs(want).max(), 1.0))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+        with pytest.raises(ValueError, match="psi_r must be"):
+            t.effective_channel(ch, psi_r[None], psi_t)
 
     @pytest.mark.parametrize("L", [1, 4, 7])
     def test_coincident_and_surplus_paths(self, L):

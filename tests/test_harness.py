@@ -241,6 +241,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="axis"):
             t.SweepSpec(axis="frequency", values=[0], base_config=small_cfg())
 
+    def test_values_fixed_after_construction(self):
+        # appending 5 would otherwise run the unchecked, non-monotone sweep 0, 10, 5
+        spec = t.SweepSpec(axis="snr_db", values=[0.0, 10.0], trials=1, methods=("omp",),
+                           base_config=small_cfg())
+        csv_before = t.emit(t.run_sweep(spec), "csv")
+        with pytest.raises(AttributeError):
+            spec.values.append(5.0)
+        assert spec.values == (0.0, 10.0)
+        assert t.emit(t.run_sweep(spec), "csv") == csv_before
+
 
 class TestRunSweep:
     def test_single_point_rows(self):

@@ -13,9 +13,10 @@ def _matched_single_user(alpha=0.7, tau=2e-9, M=4):
     ch = t.generate_channel(cfg, paths)
     F_RF = t.steering_vector(16, -0.2)[:, None]
     W_RF = t.steering_vector(4, 0.3)[:, None]
-    H_eff = t.effective_channel(ch, W_RF, F_RF)
+    psi_t, psi_r = np.array([-0.2]), np.array([0.3])
+    H_eff = t.effective_channel(ch, psi_r, psi_t)
     F_BB = t.baseband_zf(H_eff, F_RF)
-    bf = t.BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB)
+    bf = t.BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB, psi_t=psi_t, psi_r=psi_r)
     return cfg, ch, bf, paths
 
 
@@ -108,7 +109,7 @@ class TestSumRate:
     def test_zero_precoder_zero_rate(self):
         cfg, ch, bf, _ = _matched_single_user()
         silent = t.BeamformerSet(F_RF=bf.F_RF, W_RF=bf.W_RF, H_eff=bf.H_eff,
-                                 F_BB=np.zeros_like(bf.F_BB))
+                                 F_BB=np.zeros_like(bf.F_BB), psi_t=bf.psi_t, psi_r=bf.psi_r)
         report = t.sum_rate(silent, 1.0)
         assert report.sum_rate == 0.0
 

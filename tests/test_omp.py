@@ -281,9 +281,7 @@ class TestEffectiveChannel:
         paths = t.PathParams(alpha=[[0.8]], phi=[[0.25]], varphi=[[-0.5]],
                              tau=[[1e-9]])
         ch = t.generate_channel(cfg, paths)
-        F_RF = t.steering_vector(16, -0.5)[:, None]
-        W_RF = t.steering_vector(4, 0.25)[:, None]
-        h_eff = t.effective_channel(ch, W_RF, F_RF)
+        h_eff = t.effective_channel(ch, [0.25], [-0.5])
         zeta = np.sqrt(16 * 4 / 1)
         expected = zeta * 0.8 * np.exp(-2j * np.pi * 1e-9 * t.subcarrier_frequencies(cfg)[0])
         assert h_eff[0, 0, 0] == pytest.approx(expected, abs=1e-10)
@@ -291,16 +289,14 @@ class TestEffectiveChannel:
     def test_zero_channel(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 1)
         ch.gain[:] = 0
-        F_RF = t.steering_vector(tiny_cfg.N_T, 0.1)[:, None] * np.ones((1, 2))
-        W_RF = t.steering_vector(tiny_cfg.N_R, 0.2)[:, None] * np.ones((1, 2))
-        assert np.all(t.effective_channel(ch, W_RF, F_RF) == 0)
+        assert np.all(t.effective_channel(ch, [0.2, 0.2], [0.1, 0.1]) == 0)
 
     def test_entrywise_loop_oracle(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 9)
         bf_dict = t.build_dictionaries(tiny_cfg)
         F_RF = bf_dict.D_F[:, [3, 17]]
         W_RF = bf_dict.D_W[:, [1, 6]]
-        h_eff = t.effective_channel(ch, W_RF, F_RF)
+        h_eff = t.effective_channel(ch, bf_dict.psi_w[[1, 6]], bf_dict.psi_f[[3, 17]])
         for m in range(tiny_cfg.M):
             for k in range(tiny_cfg.K):
                 row = W_RF[:, k].conj() @ ch.H[k, m] @ F_RF
@@ -312,7 +308,8 @@ class TestEffectiveChannel:
         F_RF = d.D_F[:, [3, 17]]
         W_RF = d.D_W[:, [1, 6]]
         stack = np.stack([t.sd_analog(F_RF, e) for e in ch.eta])
-        h_eff = t.effective_channel(ch, W_RF, stack)
+        psi_stack = np.multiply.outer(ch.eta, d.psi_f[[3, 17]])
+        h_eff = t.effective_channel(ch, d.psi_w[[1, 6]], psi_stack)
         for m in range(tiny_cfg.M):
             expected = np.stack([W_RF[:, k].conj() @ ch.H[k, m] @ stack[m]
                                  for k in range(tiny_cfg.K)])
