@@ -39,17 +39,12 @@ def steering_vector(N: int, psi) -> np.ndarray:
     """Unit-norm ULA steering vector(s), entry n = exp(-j pi (n-1) psi)/sqrt(N).
 
     ``psi`` may be a scalar (returns shape (N,)) or an array of directions
-    (returns shape (N,) + psi.shape, one column per direction). Entry
-    n = c a + b is the product of two exponentials, so a column costs
-    about 2 sqrt(N) of them instead of N.
+    (returns shape (N,) + psi.shape, one column per direction), each entry
+    one exponential of its own phase.
     """
     if N < 1:
         raise ValueError(f"antenna count must be >= 1, got {N}")
-    psi = np.asarray(psi, dtype=float)
-    c = int(np.ceil(np.sqrt(N)))
-    coarse = np.exp(-1j * np.pi * np.multiply.outer(np.arange(0, N, c, dtype=float), psi))
-    fine = np.exp(-1j * np.pi * np.multiply.outer(np.arange(c, dtype=float), psi))
-    return (coarse[:, None] * fine[None, :]).reshape((-1,) + psi.shape)[:N] / np.sqrt(N)
+    return np.exp(-1j * np.pi * np.multiply.outer(np.arange(N), psi)) / np.sqrt(N)
 
 
 def dirichlet_sinc(a, N: int):

@@ -8,7 +8,8 @@ Subcommands:
   show-config  print the fully resolved configuration
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (the
-redraw cap was reached, the draw overflowed or a sum rate was non-finite).
+redraw cap was reached, the draw or the channel's Gram core overflowed, or a
+sum rate was non-finite).
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ the effective channel, normalized to the MK total power constraint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -29,14 +30,21 @@ class DegenerateChannelError(RuntimeError):
 
 @dataclass
 class Dictionary:
-    """Steering-atom dictionaries over uniform sine-space grids."""
+    """Transmit and receive direction grids; the (N_T, N_F) and (N_R, N_W) steering
+    atoms ``D_F`` / ``D_W`` are built on first access, and no trial reads them."""
 
-    D_F: np.ndarray        # (N_T, N_F) transmit atoms
-    D_W: np.ndarray        # (N_R, N_W) receive atoms
-    grid_f: np.ndarray     # (N_F,) in [-1, 1]
-    grid_w: np.ndarray     # (N_W,) in [-1, 1]
+    N_T: int
+    N_R: int
     psi_f: np.ndarray      # (N_F,) the direction each atom dilates from, as unwrap_phases
     psi_w: np.ndarray      # (N_W,) reads it: the grid, with a(-1) = a(+1) read as +1
+
+    @cached_property
+    def D_F(self) -> np.ndarray:
+        return steering_vector(self.N_T, self.psi_f)
+
+    @cached_property
+    def D_W(self) -> np.ndarray:
+        return steering_vector(self.N_R, self.psi_w)
 
 
 @dataclass
@@ -54,26 +62,21 @@ class BeamformerSet:
     F_BB: np.ndarray        # (M, N_RF, K)
     psi_t: np.ndarray       # (N_RF,) or (M, N_RF), the steering directions of F_RF
     psi_r: np.ndarray       # (K,), the steering directions of W_RF
-    selected_atoms: list[tuple[int, int]] = field(default_factory=list)
 
 
 def build_dictionaries(cfg: SystemConfig) -> Dictionary:
-    """Uniform [-1, 1] grids with N_F / N_W steering atoms.
+    """Uniform [-1, 1] direction grids of N_F transmit and N_W receive atoms.
 
-    Only the carrier atoms are stored: :func:`omp_select` correlates their
-    dilations in closed form, and :func:`sd_dictionary` gives one dilated
-    dictionary on its own.
+    ``linspace(-1, 1, N)`` with -1 read as +1, since a(-1) = a(+1): the one
+    place the grid and its alias are stated. Only directions are stored:
+    :func:`omp_select` correlates their dilations in closed form, and
+    :func:`omp_hybrid_beamformer` steers the K selected beams.
     """
-    grid_f = np.linspace(-1.0, 1.0, cfg.N_F)
-    grid_w = np.linspace(-1.0, 1.0, cfg.N_W)
-    return Dictionary(
-        D_F=steering_vector(cfg.N_T, grid_f),
-        D_W=steering_vector(cfg.N_R, grid_w),
-        grid_f=grid_f,
-        grid_w=grid_w,
-        psi_f=np.where(grid_f == -1.0, 1.0, grid_f),
-        psi_w=np.where(grid_w == -1.0, 1.0, grid_w),
-    )
+    def grid(N: int) -> np.ndarray:
+        psi = np.linspace(-1.0, 1.0, N)
+        return np.where(psi == -1.0, 1.0, psi)
+
+    return Dictionary(N_T=cfg.N_T, N_R=cfg.N_R, psi_f=grid(cfg.N_F), psi_w=grid(cfg.N_W))
 
 
 # a dilated dictionary is the one dilation; the acceptance suite imports this name
@@ -152,7 +155,7 @@ def _atom_correlations(atoms: _AtomTables, paths: np.ndarray, coords: np.ndarray
 
 
 def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
-               dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]]]:
+               dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
     """Per-user joint atom selection against the dilated dictionaries.
 
     ``x`` / ``y`` are the path coordinates of the unconstrained precoders
@@ -164,22 +167,22 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     shared by every user; only entries with |sin(pi d/2)| < ``_EXACT`` are
     evaluated from d directly. Ties resolve to the smallest (p, then q). A
     transmit atom is never reused across users (a duplicate would make the
-    effective channel singular); the plain atoms form F_RF / W_RF.
+    effective channel singular). Returns the (K,) index arrays (p*, q*) into
+    ``psi_f`` / ``psi_w``.
     """
     K = x.shape[0]
-    if K > dictionary.D_F.shape[1]:
+    if K > dictionary.psi_f.size:
         raise ValueError(f"need K <= N_F, got K={K}")
     tx = _AtomTables.build(channels.N_T, dictionary.psi_f, channels.eta)
     rx = _AtomTables.build(channels.N_R, dictionary.psi_w, channels.eta)
-    selected: list[tuple[int, int]] = []
+    p_star, q_star = np.empty((2, K), dtype=np.intp)
     for k in range(K):
         corr_f = _atom_correlations(tx, channels.vartheta[k], x[k])
         corr_w = _atom_correlations(rx, channels.theta[k], y[k])
         objective = corr_f.T @ corr_w
-        objective[[p for p, _ in selected], :] = -np.inf
-        selected.append(divmod(int(np.argmax(objective)), objective.shape[1]))
-    p_star, q_star = zip(*selected)
-    return dictionary.D_F[:, p_star], dictionary.D_W[:, q_star], selected
+        objective[p_star[:k], :] = -np.inf
+        p_star[k], q_star[k] = divmod(int(np.argmax(objective)), objective.shape[1])
+    return p_star, q_star
 
 
 def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
@@ -240,10 +243,9 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
         dictionary = build_dictionaries(cfg)
     x = unconstrained_precoders(channels)
     y = unconstrained_combiners(channels, cfg.sigma_n2)
-    F_RF, W_RF, selected = omp_select(channels, x, y, dictionary)
-    p_star, q_star = np.array(selected).T
+    p_star, q_star = omp_select(channels, x, y, dictionary)
     psi_t, psi_r = dictionary.psi_f[p_star], dictionary.psi_w[q_star]
+    F_RF = steering_vector(cfg.N_T, psi_t)
     H_eff = effective_channel(channels, psi_r, psi_t)
-    F_BB = baseband_zf(H_eff, F_RF)
-    return BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB, psi_t=psi_t,
-                         psi_r=psi_r, selected_atoms=selected)
+    return BeamformerSet(F_RF=F_RF, W_RF=steering_vector(cfg.N_R, psi_r), H_eff=H_eff,
+                         F_BB=baseband_zf(H_eff, F_RF), psi_t=psi_t, psi_r=psi_r)

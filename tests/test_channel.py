@@ -79,6 +79,10 @@ class TestDirichletSinc:
     def test_first_null(self):
         assert t.dirichlet_sinc(1 / 8, 8) == pytest.approx(0.0, abs=1e-15)
 
+    def test_zero_order_rejected(self):
+        with pytest.raises(ValueError, match="N must be >= 1"):
+            t.dirichlet_sinc(0.3, 0)
+
     def test_off_peak_value(self):
         expected = math.sin(128 * math.pi * 0.0125) / (128 * math.sin(math.pi * 0.0125))
         assert t.dirichlet_sinc(0.0125, 128) == pytest.approx(expected, rel=1e-12)
@@ -307,6 +311,10 @@ class TestPathParams:
         with pytest.raises(ValueError, match="sine-space"):
             t.PathParams(alpha=[[1.0]], phi=[[1.5]], varphi=[[0.0]], tau=[[0.0]])
 
+    def test_inconsistent_shapes_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent PathParams shapes"):
+            t.PathParams(alpha=[[1.0, 0.5]], phi=[[0.2]], varphi=[[0.0]], tau=[[0.0]])
+
     @pytest.mark.parametrize("field", ["alpha", "phi", "varphi", "tau"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_draw_rejected(self, field, bad):
@@ -376,6 +384,13 @@ class TestArrayGain:
             gains = [t.array_gain(u, float(pb), m, cfg) for pb in grid]
             best = grid[int(np.argmax(gains))]
             assert abs(best - eta[m] * phi) <= (grid[1] - grid[0]) + 1e-12
+
+    def test_wrong_length_or_subcarrier_rejected(self, desk_cfg):
+        u = t.steering_vector(desk_cfg.N_T, 0.3)
+        with pytest.raises(ValueError, match=f"length-{desk_cfg.N_T} vector"):
+            t.array_gain(u[:-1], 0.3, 0, desk_cfg)
+        with pytest.raises(ValueError, match="subcarrier index"):
+            t.array_gain(u, 0.3, desk_cfg.M, desk_cfg)
 
     def test_zero_vector_rejected(self, desk_cfg):
         with pytest.raises(ValueError, match="zero"):

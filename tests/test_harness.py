@@ -127,8 +127,9 @@ class TestRunTrial:
 
     @pytest.mark.parametrize("methods", [t.METHODS, ("omp",), ("omp", "fully_digital")])
     def test_trial_never_builds_H(self, monkeypatch, methods):
-        # every trial quantity comes from the L path factors: the dense
-        # (K, M, N_R, N_T) stack is never built, so it is never decomposed
+        # every trial quantity comes from the L path factors and the K selected
+        # directions: neither the dense (K, M, N_R, N_T) stack nor the (N_T, N_F)
+        # and (N_R, N_W) atom matrices are built, and no stack is decomposed
         from thzbsa.channel import ChannelSet
 
         cfg = small_cfg()
@@ -140,11 +141,15 @@ class TestRunTrial:
             count["n"] += np.shape(a) == stack
             return original(a, *args, **kwargs)
 
-        def refuse(self):
-            raise AssertionError("run_trial built the dense channel stack")
+        def refuse(what):
+            def build(self):
+                raise AssertionError(f"run_trial built {what}")
+            return property(build)
 
         monkeypatch.setattr(np.linalg, "svd", counted)
-        monkeypatch.setattr(ChannelSet, "H", property(refuse))
+        monkeypatch.setattr(ChannelSet, "H", refuse("the dense channel stack"))
+        monkeypatch.setattr(t.Dictionary, "D_F", refuse("the transmit atoms"))
+        monkeypatch.setattr(t.Dictionary, "D_W", refuse("the receive atoms"))
         res = t.run_trial(cfg, 7, methods=methods)
         assert set(res.reports) == set(methods)
         assert res.redraws == 0
@@ -240,6 +245,12 @@ class TestSweepSpec:
     def test_rejects_unknown_axis(self):
         with pytest.raises(ValueError, match="axis"):
             t.SweepSpec(axis="frequency", values=[0], base_config=small_cfg())
+        with pytest.raises(ValueError, match="unknown axis 'frequency'"):
+            config_for_axis_value(small_cfg(), "frequency", 1.0)
+
+    def test_rejects_zero_trials(self):
+        with pytest.raises(t.ConfigError, match="trials must be >= 1"):
+            t.SweepSpec(axis="snr_db", values=[0], trials=0, base_config=small_cfg())
 
     def test_values_fixed_after_construction(self):
         # appending 5 would otherwise run the unchecked, non-monotone sweep 0, 10, 5
@@ -411,6 +422,15 @@ class TestConfigModule:
             t.SystemConfig(sinr_convention="mystery").validate()
         with pytest.raises(t.ConfigError, match="M"):
             t.SystemConfig(M=0).validate()
+        for fields, message in (({"f_c": -1.0}, "f_c must be positive"),
+                                ({"N_T": 0}, "antenna counts must be >= 1"),
+                                ({"N_R": 0}, "antenna counts must be >= 1"),
+                                ({"L": 0}, "L must be >= 1"),
+                                ({"N_F": 3}, "N_F must be >= N_RF"),
+                                ({"N_W": 0}, "N_W must be >= 1"),
+                                ({"excess_delay": -1e-9}, "excess_delay must be nonnegative")):
+            with pytest.raises(t.ConfigError, match=message):
+                t.SystemConfig(**fields)
 
     def test_frozen_and_checked_on_construction(self):
         cfg = t.SystemConfig()
@@ -458,10 +478,15 @@ sinr_convention = as_printed
         assert overrides == base.to_dict()
         assert t.SystemConfig(**overrides) == base
 
-    def test_config_file_rejects_unknown_key(self, tmp_path):
+    @pytest.mark.parametrize("line, message", [
+        ("antennas = 12", "unknown config key"),
+        ("N_T 12", "expected 'key = value'"),
+        ("K = 4.0", "cannot parse"),
+    ], ids=["unknown_key", "no_equals", "fractional_int"])
+    def test_config_file_rejects_unknown_key(self, tmp_path, line, message):
         bad = tmp_path / "bad.cfg"
-        bad.write_text("antennas = 12\n")
-        with pytest.raises(t.ConfigError, match="unknown config key"):
+        bad.write_text(line + "\n")
+        with pytest.raises(t.ConfigError, match=message):
             t.parse_config_file(bad)
 
     def test_hash_changes_iff_any_field_changes(self):

@@ -51,6 +51,11 @@ def _sinr_oracle(ch, bf, s2, convention):
 
 
 class TestSinr:
+    def test_unknown_convention_rejected(self):
+        _, _, bf, _ = _matched_single_user()
+        with pytest.raises(ValueError, match="unknown sinr convention"):
+            t.sum_rate(bf, 0.25, "mystery")
+
     def test_single_user_no_interference_term(self):
         cfg, ch, bf, _ = _matched_single_user()
         s2 = 0.25

@@ -26,9 +26,10 @@ class TestBuildDictionaries:
     def test_endpoint_grid(self):
         cfg = t.SystemConfig(N_T=8, N_R=4, K=1, N_RF=1, N_F=3, N_W=3)
         d = t.build_dictionaries(cfg)
-        np.testing.assert_allclose(d.grid_f, [-1.0, 0.0, 1.0])
-        for j, phi in enumerate(d.grid_f):
-            np.testing.assert_allclose(d.D_F[:, j], t.steering_vector(8, phi))
+        # the grid [-1, 0, 1], its -1 end read as the same beam a(+1)
+        np.testing.assert_array_equal(d.psi_f, [1.0, 0.0, 1.0])
+        for j, phi in enumerate([-1.0, 0.0, 1.0]):
+            np.testing.assert_allclose(d.D_F[:, j], t.steering_vector(8, phi), atol=1e-14)
 
     def test_sd_dictionary_identity_at_center(self):
         cfg = t.SystemConfig(N_T=8, N_R=4, K=2, N_RF=2)
@@ -36,17 +37,14 @@ class TestBuildDictionaries:
         np.testing.assert_allclose(sd_dictionary(d.D_F, 1.0), d.D_F, atol=1e-14)
 
     def test_sd_columns_are_dilated_steering(self):
-        cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, N_F=9)
-        d = t.build_dictionaries(cfg)
-        out = sd_dictionary(d.D_F, 1.03)
-        for j, phi in enumerate(d.grid_f):
-            if abs(phi) == 1.0:
-                continue     # grid-edge atoms checked separately below
-            np.testing.assert_allclose(out[:, j], t.steering_vector(16, 1.03 * phi),
-                                       atol=1e-12)
-        # a(-1) and a(+1) are the same vector; both edges dilate to a(+1.03)
-        np.testing.assert_allclose(out[:, 0], t.steering_vector(16, 1.03), atol=1e-11)
-        np.testing.assert_allclose(out[:, -1], t.steering_vector(16, 1.03), atol=1e-11)
+        # every atom of the real grids, edges included, dilates to the steering vector at eta psi
+        for profile in ("desk", "paper"):
+            cfg = t.build_config(profile)
+            d = t.build_dictionaries(cfg)
+            eta = np.append(t.frequency_ratios(cfg)[[0, -1]], 1.03)
+            for N, D, psi in ((cfg.N_T, d.D_F, d.psi_f), (cfg.N_R, d.D_W, d.psi_w)):
+                expected = np.moveaxis(t.steering_vector(N, np.multiply.outer(eta, psi)), 0, 1)
+                np.testing.assert_allclose(sd_dictionary(D, eta), expected, rtol=0, atol=1e-12)
 
     def test_unit_norm_columns(self, desk_cfg):
         d = t.build_dictionaries(desk_cfg)
@@ -143,14 +141,14 @@ class TestOmpSelect:
                              N_F=65, N_W=17).validate()
         d = t.build_dictionaries(cfg)
         p0, q0 = 40, 11
-        paths = t.PathParams(alpha=[[1.0]], phi=[[d.grid_w[q0]]],
-                             varphi=[[d.grid_f[p0]]], tau=[[0.0]])
+        paths = t.PathParams(alpha=[[1.0]], phi=[[d.psi_w[q0]]],
+                             varphi=[[d.psi_f[p0]]], tau=[[0.0]])
         ch = t.generate_channel(cfg, paths)
         x = t.unconstrained_precoders(ch)
         y = t.unconstrained_combiners(ch, cfg.sigma_n2)
-        _, _, selected = t.omp_select(ch, x, y, d)
+        p_star, q_star = t.omp_select(ch, x, y, d)
         F_opt, W_opt = _dense_designs(ch, cfg.sigma_n2)
-        assert selected == [(p0, q0)]
+        assert (p_star.tolist(), q_star.tolist()) == ([p0], [q0])
         oracle = _kron_objective(F_opt, W_opt, d, ch.eta, 0)
         assert np.unravel_index(np.argmax(oracle), oracle.shape) == (p0, q0)
 
@@ -178,7 +176,7 @@ class TestOmpSelect:
         d = t.build_dictionaries(cfg)
         x = t.unconstrained_precoders(ch)
         y = t.unconstrained_combiners(ch, cfg.sigma_n2)
-        _, _, selected = t.omp_select(ch, x, y, d)
+        p_star, q_star = t.omp_select(ch, x, y, d)
         F_opt, W_opt = _dense_designs(ch, cfg.sigma_n2)
         # classic narrowband selection: plain dictionaries, same objective
         taken = []
@@ -189,7 +187,7 @@ class TestOmpSelect:
             obj[taken, :] = -np.inf
             p, q = np.unravel_index(np.argmax(obj), obj.shape)
             taken.append(p)
-            assert selected[k] == (p, q)
+            assert (p_star[k], q_star[k]) == (p, q)
 
     def test_transmit_atom_not_reused(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=1, M=2, N_F=33).validate()
@@ -197,17 +195,16 @@ class TestOmpSelect:
         # two users sharing the same dominant direction
         paths = t.PathParams(
             alpha=[[1.0], [1.0]],
-            phi=[[d.grid_w[3]], [d.grid_w[3]]],
-            varphi=[[d.grid_f[10]], [d.grid_f[10]]],
+            phi=[[d.psi_w[3]], [d.psi_w[3]]],
+            varphi=[[d.psi_f[10]], [d.psi_f[10]]],
             tau=[[0.0], [0.0]],
         )
         ch = t.generate_channel(cfg, paths)
         x = t.unconstrained_precoders(ch)
         y = t.unconstrained_combiners(ch, cfg.sigma_n2)
-        _, _, selected = t.omp_select(ch, x, y, d)
-        F_opt, W_opt = _dense_designs(ch, cfg.sigma_n2)
-        assert selected[0][0] == 10
-        assert selected[1][0] != 10
+        p_star, _ = t.omp_select(ch, x, y, d)
+        assert p_star[0] == 10
+        assert p_star[1] != 10
 
     def test_constant_modulus_outputs(self, desk_cfg):
         ch = _random_channelset(desk_cfg, 2)
@@ -220,7 +217,7 @@ class TestOmpSelect:
         ch = _random_channelset(t.SystemConfig(N_T=8, N_R=4, K=6, N_RF=6, M=1), 3)
         x = np.zeros((6, 1, 3), complex)
         d = t.build_dictionaries(t.SystemConfig(N_T=8, N_R=4, K=2, N_RF=2, N_F=9, N_W=5))
-        assert len({p for p, _ in t.omp_select(ch, x, x, d)[2]}) == 6
+        assert len(set(t.omp_select(ch, x, x, d)[0])) == 6
         d = t.build_dictionaries(t.SystemConfig(N_T=8, N_R=4, K=2, N_RF=2, N_F=5, N_W=9))
         with pytest.raises(ValueError, match="K <= N_F"):
             t.omp_select(ch, x, x, d)
@@ -389,7 +386,8 @@ class TestPipeline:
         ch = _random_channelset(desk_cfg, 31)
         a = t.omp_hybrid_beamformer(desk_cfg, ch)
         b = t.omp_hybrid_beamformer(desk_cfg, ch)
-        assert a.selected_atoms == b.selected_atoms
+        np.testing.assert_array_equal(a.psi_t, b.psi_t)
+        np.testing.assert_array_equal(a.psi_r, b.psi_r)
         np.testing.assert_array_equal(a.F_BB, b.F_BB)
 
     def test_power_constraint_total(self, desk_cfg):
@@ -404,10 +402,10 @@ class TestPipeline:
         d = t.build_dictionaries(cfg)
         x = t.unconstrained_precoders(ch)
         y = t.unconstrained_combiners(ch, cfg.sigma_n2)
-        _, _, selected = t.omp_select(ch, x, y, d)
+        selected = t.omp_select(ch, x, y, d)
         F_opt, W_opt = _dense_designs(ch, cfg.sigma_n2)
         taken = []
-        for k, (p, q) in enumerate(selected):
+        for k, (p, q) in enumerate(zip(*selected)):
             oracle = _kron_objective(F_opt, W_opt, d, ch.eta, k)
             oracle[taken, :] = -np.inf
             assert oracle[p, q] == pytest.approx(np.max(oracle), rel=1e-12)

@@ -28,6 +28,10 @@ def constant_modulus_vectors(draw):
 
 
 class TestUnwrap:
+    def test_rejects_higher_rank_input(self):
+        with pytest.raises(ValueError, match="vector or a matrix"):
+            t.unwrap_phases(np.ones((2, 2, 2)))
+
     def test_quarter_turn_steering(self):
         psi = t.unwrap_phases(t.steering_vector(4, 0.5))
         np.testing.assert_allclose(psi, [0, -np.pi / 2, -np.pi, -3 * np.pi / 2],

@@ -1,9 +1,13 @@
-"""The README's library example runs as written and prints what the README quotes."""
+"""The README's library example runs as written and prints what the README quotes,
+and the records it names list the fields the code has."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import numpy as np
+
+import thzbsa as t
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +27,8 @@ def test_library_example_figures():
     assert (f"Over the {len(scope['trials'])} trials `bsa_omp` averages "
             f"{rates['bsa_omp'].mean():.2f} against {rates['omp'].mean():.2f} for `omp` "
             f"and is ahead on {ahead} of them") in prose
+
+
+def test_beamformer_set_fields():
+    fields = re.search(r"`BeamformerSet\(([^)]*)\)`", README.read_text()).group(1)
+    assert re.split(r",\s+", fields) == [f.name for f in dataclasses.fields(t.BeamformerSet)]
