@@ -27,9 +27,9 @@ import numpy as np
 from . import channel
 from .config import (ConfigError, PROFILE_TRIALS, PROFILES, build_config,
                      parse_config_file)
-from .harness import METHODS, RedrawExhausted, SweepSpec, emit, run_sweep
+from .harness import AXES, METHODS, RedrawExhausted, SweepSpec, emit, run_sweep
 
-AXIS_BY_SWEEP = {"snr": "snr_db", "bandwidth": "bandwidth_hz", "users": "num_users"}
+SWEEPS = {sweep: axis for axis, (sweep, _, _) in AXES.items()}
 
 
 def _add_config_options(parser: argparse.ArgumentParser) -> None:
@@ -59,10 +59,6 @@ def _parse_values(raw: str) -> list[float]:
         raise ConfigError(f"cannot parse sweep values {raw!r}") from None
 
 
-DEFAULT_VALUES = {"snr": "-10,-5,0,5,10", "bandwidth": "1e9,10e9,30e9,50e9,70e9",
-                  "users": "2,4,8"}
-
-
 def _write(text: str, out: Path | None) -> None:
     """Result text to ``out``, or to stdout when no file is given."""
     if out is None:
@@ -85,10 +81,11 @@ def _check_out(out: Path) -> None:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    values = _parse_values(DEFAULT_VALUES[args.sweep] if args.values is None else args.values)
+    axis = SWEEPS[args.sweep]
+    values = AXES[axis][1] if args.values is None else _parse_values(args.values)
     trials = args.trials if args.trials is not None else PROFILE_TRIALS[args.profile]
     spec = SweepSpec(
-        axis=AXIS_BY_SWEEP[args.sweep],
+        axis=axis,
         values=values,
         trials=trials,
         methods=tuple(_split_list(args.methods, "--methods")),
@@ -140,9 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="run a Monte-Carlo sweep")
     _add_config_options(sim)
-    sim.add_argument("--sweep", choices=sorted(AXIS_BY_SWEEP), required=True)
+    sim.add_argument("--sweep", choices=sorted(SWEEPS), required=True)
+    defaults = "; ".join(f"{sweep} " + ",".join(f"{v:g}" for v in values)
+                         for sweep, values, _ in AXES.values())
     sim.add_argument("--values", type=str, default=None,
-                     help="comma-separated axis values (default per sweep)")
+                     help=f"comma-separated axis values (default per sweep: {defaults})")
     sim.add_argument("--trials", type=int, default=None,
                      help="Monte-Carlo trials per axis value (default per profile)")
     sim.add_argument("--methods", type=str, default=",".join(METHODS))

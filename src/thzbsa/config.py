@@ -13,6 +13,8 @@ import dataclasses
 import hashlib
 import json
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +51,12 @@ class SystemConfig:
     sinr_convention: str = "physical"
 
     def __post_init__(self) -> None:
+        # each field as its declared type, so equal configs hash equal
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None and f.type != "str":
+                check = checked_int if f.type.startswith("int") else _checked_real
+                object.__setattr__(self, f.name, check(f.name, value))
         for name, value in self._derived_sizes().items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
@@ -102,6 +110,20 @@ class SystemConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def checked_int(name: str, value) -> int:
+    """``value`` as a plain int; a float, even a whole one, raises ConfigError naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _checked_real(name: str, value) -> float:
+    if not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 # Named presets. "paper" is the full-scale reference profile; "desk" keeps

@@ -1,9 +1,10 @@
 """Seeded Monte-Carlo campaigns: single trials, axis sweeps, CSV/JSON output.
 
 A trial draws one channel realization, designs the hybrid beamformers once
-and evaluates every requested method on it (paired comparison). Sweeps derive
-one config per axis value and aggregate mean/std sum rates over trials, with
-sub-seeds split deterministically from the master seed. Degenerate draws
+and evaluates every requested method on it (paired comparison). A sweep's
+spec derives one config per axis value from the ``AXES`` table; the sweep
+aggregates mean/std sum rates over trials, with sub-seeds split
+deterministically from the master seed. Degenerate draws
 (rank-deficient effective channel) are redrawn up to a cap and counted.
 """
 
@@ -21,14 +22,19 @@ import numpy as np
 
 from .bsa import apply_bsa, sd_oracle_beamformers
 from .channel import draw_paths, generate_channel
-from .config import ConfigError, SystemConfig, config_hash
+from .config import ConfigError, SystemConfig, checked_int, config_hash
 from .metrics import RateReport, fully_digital_yardstick, sum_rate, sum_rate_sd_analog
 from .omp import DegenerateChannelError, build_dictionaries, omp_hybrid_beamformer
 
 METHODS = ("omp", "bsa_omp", "sd_oracle", "fully_digital")
 HYBRID_METHODS = ("omp", "bsa_omp", "sd_oracle")
 
-AXES = ("snr_db", "bandwidth_hz", "num_users")
+# axis -> (CLI --sweep name, CLI default values, config change for one value)
+AXES = {
+    "snr_db": ("snr", (-10.0, -5.0, 0.0, 5.0, 10.0), lambda v: {"sigma_n2": 10.0 ** (-v / 10.0)}),
+    "bandwidth_hz": ("bandwidth", (1e9, 10e9, 30e9, 50e9, 70e9), lambda v: {"B": v}),
+    "num_users": ("users", (2.0, 4.0, 8.0), lambda v: {"K": int(v)}),
+}
 
 MAX_REDRAWS = 10        # degenerate draws retried per trial before giving up
 
@@ -52,7 +58,11 @@ def _check_methods(methods: tuple[str, ...]) -> None:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep campaign: an axis, its values, and the trial budget; checked on construction."""
+    """One sweep campaign: an axis, its values, and the trial budget; checked on construction.
+
+    ``configs``, one per axis value, is derived when the spec is built, so a
+    point that cannot form a config raises ConfigError here, not in ``run_sweep``.
+    """
 
     axis: str
     values: tuple[float, ...]
@@ -61,15 +71,21 @@ class SweepSpec:
     base_config: SystemConfig = field(default_factory=SystemConfig)
     seed: int = 1
     workers: int = 1
+    configs: tuple[SystemConfig, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        # a tuple, so the checked values cannot change after construction
+        for name in ("trials", "seed", "workers"):
+            object.__setattr__(self, name, checked_int(name, getattr(self, name)))
+        # tuples, so the checked values and methods cannot change after construction
         object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "methods", tuple(self.methods))
         self.validate()
+        object.__setattr__(self, "configs", tuple(
+            config_for_axis_value(self.base_config, self.axis, v) for v in self.values))
 
     def validate(self) -> "SweepSpec":
         if self.axis not in AXES:
-            raise ConfigError(f"axis must be one of {AXES}, got {self.axis!r}")
+            raise ConfigError(f"axis must be one of {tuple(AXES)}, got {self.axis!r}")
         if len(self.values) == 0:
             raise ConfigError("sweep needs at least one axis value")
         values = np.asarray(self.values, dtype=float)
@@ -164,59 +180,51 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
 
 
 def config_for_axis_value(base: SystemConfig, axis: str, value: float) -> SystemConfig:
-    """Derive the per-point config (SNR = 1 / sigma_n2); ConfigError names a bad value."""
+    """``base`` with the change ``AXES`` states for one axis value (SNR = 1 / sigma_n2).
+
+    ConfigError names a value no config can be formed from.
+    """
+    if axis not in AXES:
+        raise ValueError(f"unknown axis {axis!r}")
     try:
-        if axis == "snr_db":
-            return base.replace(sigma_n2=10.0 ** (-value / 10.0))
-        if axis == "bandwidth_hz":
-            return base.replace(B=float(value))
-        if axis == "num_users":
-            return base.replace(K=int(value))
+        return base.replace(**AXES[axis][2](value))
     except (ConfigError, OverflowError) as err:    # only the SNR conversion can overflow
         reason = err if isinstance(err, ConfigError) else "sigma_n2 = 10^(-SNR/10) overflows"
         raise ConfigError(f"{axis} value {value}: {reason}") from None
-    raise ValueError(f"unknown axis {axis!r}")
 
 
 def _trial_seed(master_seed: int, axis_index: int, trial_index: int) -> int:
-    ss = np.random.SeedSequence([int(master_seed), int(axis_index), int(trial_index)])
+    ss = np.random.SeedSequence([master_seed, axis_index, trial_index])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def _sweep_task(args) -> tuple[int, int, TrialResult]:
-    axis_index, trial_index, cfg, seed, methods = args
-    return axis_index, trial_index, run_trial(cfg, seed, methods)
+def _sweep_task(args) -> TrialResult:
+    _, _, cfg, seed, methods = args     # leads with (axis index, trial index) for pool records
+    return run_trial(cfg, seed, methods)
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
-    """Run the full campaign and aggregate per (axis value, method).
+    """Run the campaign on the spec's configs and aggregate per (axis value, method).
 
     Channel draws are shared by all methods within a trial and independent
-    across axis values; aggregation order is fixed by (axis value, trial
-    index) so worker-pool execution cannot change the result.
+    across axis values. Trial outcomes stay in task order, axis value then
+    trial index, so worker-pool execution cannot change the result.
     """
-    configs = [config_for_axis_value(spec.base_config, spec.axis, value)
-               for value in spec.values]
-    tasks = []
-    for ai, cfg in enumerate(configs):
-        for ti in range(spec.trials):
-            seed = _trial_seed(spec.seed, ai, ti)
-            tasks.append((ai, ti, cfg, seed, tuple(spec.methods)))
-
+    tasks = [(ai, ti, cfg, _trial_seed(spec.seed, ai, ti), spec.methods)
+             for ai, cfg in enumerate(spec.configs) for ti in range(spec.trials)]
     if spec.workers > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             outcomes = list(pool.map(_sweep_task, tasks))
     else:
-        outcomes = map(_sweep_task, tasks)
-    results = {(ai, ti): res for ai, ti, res in outcomes}
+        outcomes = list(map(_sweep_task, tasks))
 
     rows: list[SweepRow] = []
-    for ai, (value, cfg) in enumerate(zip(spec.values, configs)):
+    for ai, (value, cfg) in enumerate(zip(spec.values, spec.configs)):
+        point = outcomes[ai * spec.trials:(ai + 1) * spec.trials]
         chash = config_hash(cfg)
-        redraws = sum(results[(ai, ti)].redraws for ti in range(spec.trials))
+        redraws = sum(res.redraws for res in point)
         for method in spec.methods:
-            rates = np.array([results[(ai, ti)].reports[method].sum_rate
-                              for ti in range(spec.trials)])
+            rates = np.array([res.reports[method].sum_rate for res in point])
             std = float(np.std(rates, ddof=1)) if spec.trials > 1 else 0.0
             rows.append(SweepRow(
                 axis_value=float(value),

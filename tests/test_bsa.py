@@ -152,6 +152,9 @@ class TestApplyBsa:
             expected = np.linalg.lstsq(bf.F_RF, sd.F_RF[m] @ sd.F_BB[m], rcond=None)[0]
             expected *= np.sqrt(cfg.K) / np.linalg.norm(bf.F_RF @ expected)
             np.testing.assert_allclose(out.F_BB[m], expected, atol=1e-10)
+            # the per-subcarrier correction the acceptance criteria call
+            np.testing.assert_allclose(out.F_BB[m], t.bsa_baseband(bf.F_RF, sd.F_BB[m], ch.eta[m]),
+                                       atol=1e-10)
 
     def test_preserves_inputs(self):
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=2, M=4).validate()

@@ -261,6 +261,45 @@ class TestSweepSpec:
             spec.values.append(5.0)
         assert spec.values == (0.0, 10.0)
         assert t.emit(t.run_sweep(spec), "csv") == csv_before
+        # a method appended to the caller's list after construction is not run
+        methods = ["omp"]
+        spec = t.SweepSpec(axis="snr_db", values=[0.0], trials=1, methods=methods,
+                           base_config=small_cfg())
+        methods.append("fully_digital")
+        assert spec.methods == ("omp",)
+        assert [row.method for row in t.run_sweep(spec).rows] == ["omp"]
+        # the run uses, and the rows report, the integers that were checked
+        for name, value in (("seed", 2.7), ("trials", 2.0), ("workers", 1.5)):
+            with pytest.raises(t.ConfigError, match=f"{name} must be an integer, got {value}"):
+                t.SweepSpec(axis="snr_db", values=[0.0], base_config=small_cfg(),
+                            **{name: value})
+        spec = t.SweepSpec(axis="snr_db", values=[0.0], trials=np.int64(1), methods=("omp",),
+                           base_config=small_cfg(), seed=np.int64(2), workers=np.int64(1))
+        assert all(type(getattr(spec, name)) is int for name in ("trials", "seed", "workers"))
+        assert json.loads(t.emit(t.run_sweep(spec), "json"))["rows"][0]["seed"] == 2
+
+    def test_configs_derived_when_built(self, monkeypatch):
+        from thzbsa import harness
+
+        spec = t.SweepSpec(axis="num_users", values=[1, 2], trials=1, methods=("omp",),
+                           base_config=small_cfg(), seed=3)
+        assert spec.configs == tuple(config_for_axis_value(small_cfg(), "num_users", k)
+                                     for k in (1, 2))
+        with pytest.raises(TypeError):
+            t.SweepSpec(axis="num_users", values=[1], configs=spec.configs)
+        # run_sweep reads the spec's configs and derives none of its own
+        monkeypatch.setattr(harness, "config_for_axis_value",
+                            lambda *args: pytest.fail("run_sweep derived a config"))
+        assert [row.axis_value for row in t.run_sweep(spec).rows] == [1.0, 2.0]
+
+    @pytest.mark.parametrize("axis, value, message", [
+        ("num_users", 100, "num_users value 100: need 1 <= K <= N_T"),
+        ("snr_db", -4000.0, "snr_db value -4000.0: sigma_n2 = 10"),
+    ])
+    def test_unrunnable_point_rejected_when_built(self, axis, value, message):
+        # each passes the axis-value checks, but no desk config has that point
+        with pytest.raises(t.ConfigError, match=re.escape(message)):
+            t.SweepSpec(axis=axis, values=[2, value] if axis == "num_users" else [value])
 
 
 class TestRunSweep:
@@ -402,6 +441,23 @@ class TestEmit:
 
 
 class TestConfigModule:
+    def test_fields_stored_as_declared_type(self):
+        # equal configs hash equal: a real field given as an int is stored as a float
+        assert t.SystemConfig(B=0) == t.SystemConfig(B=0.0)
+        assert t.config_hash(t.SystemConfig(B=0)) == t.config_hash(t.SystemConfig(B=0.0))
+        assert type(t.SystemConfig(B=0).B) is float
+
+    @pytest.mark.parametrize("name", ["M", "N_T", "N_R", "N_RF", "K", "L", "N_F", "N_W"])
+    def test_integer_field_rejects_float(self, name):
+        value = float(getattr(t.SystemConfig(), name))
+        with pytest.raises(t.ConfigError, match=f"{name} must be an integer, got {value}"):
+            t.SystemConfig(**{name: value})
+
+    def test_numpy_integer_stored_as_int(self):
+        cfg = t.SystemConfig(K=np.int64(2), N_T=np.int32(64))
+        assert type(cfg.K) is int and type(cfg.N_RF) is int and type(cfg.N_F) is int
+        assert t.config_hash(cfg) == t.config_hash(t.SystemConfig(K=2))
+
     def test_profiles(self):
         desk = t.build_config("desk")
         paper = t.build_config("paper")
@@ -847,6 +903,46 @@ class TestCli:
 
 
 class TestBenchmarkContract:
+    def test_pool_tasks_lead_with_axis_and_trial_index(self, monkeypatch):
+        # the benchmark swaps harness.ProcessPoolExecutor for a recording pool,
+        # reads task[0], task[1] as the trial id, and relies on _sweep_task
+        # looking run_trial up by name so forked workers run its traced wrapper
+        from thzbsa import harness
+
+        tasks, calls = [], {"n": 0}
+        original = harness.run_trial
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                assert fn is harness._sweep_task
+                tasks.extend(iterable)
+                return map(fn, tasks)
+
+        def counted(*args, **kwargs):
+            calls["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness, "run_trial", counted)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        spec = t.SweepSpec(axis="snr_db", values=[-5.0, 5.0], trials=2, methods=("omp",),
+                           base_config=small_cfg(), seed=11, workers=2)
+        pooled = t.run_sweep(spec)
+        assert [task[:2] for task in tasks] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [task[3] for task in tasks] == [harness._trial_seed(11, ai, ti)
+                                               for ai in (0, 1) for ti in (0, 1)]
+        assert calls["n"] == 4
+        assert pooled.rows == t.run_sweep(dataclasses.replace(spec, workers=1)).rows
+
     def test_traced_names_resolve(self):
         # the benchmark traces by replacing these module-level names; a
         # deleted or renamed one would break its per-module trace

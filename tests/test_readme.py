@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 import thzbsa as t
+from thzbsa.harness import AXES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -32,3 +33,11 @@ def test_library_example_figures():
 def test_beamformer_set_fields():
     fields = re.search(r"`BeamformerSet\(([^)]*)\)`", README.read_text()).group(1)
     assert re.split(r",\s+", fields) == [f.name for f in dataclasses.fields(t.BeamformerSet)]
+
+
+def test_cli_default_values():
+    sentence = re.search(r"Without `--values` a sweep runs its default values: ([^.]*)\.",
+                         " ".join(README.read_text().split())).group(1)
+    stated = {sweep: tuple(float(v) for v in values.split(","))
+              for sweep, values in re.findall(r"`(\w+)` `([^`]+)`", sentence)}
+    assert stated == {sweep: values for sweep, values, _ in AXES.values()}
