@@ -41,9 +41,10 @@ def apply_bsa(bf: BeamformerSet, target: BeamformerSet) -> BeamformerSet:
 
     ``target`` is the SD oracle of :func:`sd_oracle_beamformers` (what the
     virtual SD beamformer would deploy). One pseudo-inverse of the analog
-    beamformer matches every subcarrier; the analog stage and ``H_eff`` stay.
+    beamformer matches every subcarrier, applied to the target's analog stack
+    first, so the products are (M, N_RF, N_RF); the analog stage and ``H_eff`` stay.
     """
-    corrected = pseudo_inverse(bf.F_RF) @ (target.F_RF @ target.F_BB)
+    corrected = (pseudo_inverse(bf.F_RF) @ target.F_RF) @ target.F_BB
     return replace(bf, F_BB=unit_power(bf.F_RF, corrected))
 
 

@@ -107,10 +107,10 @@ def cmd_array_gain(args: argparse.Namespace) -> int:
         raise ConfigError(f"--phi must be finite and in [-1, 1], got {args.phi}")
     if args.grid_points is not None and args.grid_points < 1:
         raise ConfigError(f"--grid-points must be >= 1, got {args.grid_points}")
-    m = args.subcarrier - 1
-    u = channel.steering_vector(cfg.N_T, args.phi)
     grid = np.linspace(-1.0, 1.0, args.grid_points or 16 * cfg.N_T + 1)
-    gains = channel.array_gain(u, grid, m, cfg)
+    # |a(eta_m phi)^H a(phi_bar)|^2 from phi itself: a(-1) = a(+1), so a vector loses the sign
+    eta_m = channel.frequency_ratios(cfg)[args.subcarrier - 1]
+    gains = np.abs(channel.steering_kernel(cfg.N_T, eta_m * args.phi, grid)) ** 2
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["phi_bar", "gain"])

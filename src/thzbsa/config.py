@@ -5,6 +5,9 @@ All array sizes, the subcarrier grid and the noise power flow from ``SystemConfi
 belongs to the sweep (``SweepSpec.seed``), not to the system.
 Two named parameter presets are provided: ``desk`` (small, CI-friendly) and
 ``paper`` (full-scale reference profile).
+A value is checked once, when a ``SystemConfig`` stores it: integer fields
+through ``checked_int``, real fields through ``checked_real`` (which sweep axis
+values share); ``validate`` then checks ranges and relations only.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class SystemConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             if value is not None and f.type != "str":
-                check = checked_int if f.type.startswith("int") else _checked_real
+                check = checked_int if f.type.startswith("int") else checked_real
                 object.__setattr__(self, f.name, check(f.name, value))
         for name, value in self._derived_sizes().items():
             if getattr(self, name) is None:
@@ -71,11 +74,7 @@ class SystemConfig:
         return SPEED_OF_LIGHT / (2.0 * self.f_c)
 
     def validate(self) -> "SystemConfig":
-        """Check invariants, raising ConfigError on the first violation; returns self."""
-        for name, value in vars(self).items():
-            # NaN slips through every ordering check, so test first
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{name} must be finite, got {value}")
+        """Check ranges and relations, raising ConfigError on the first violation; returns self."""
         if self.M < 1:
             raise ConfigError(f"M must be >= 1, got {self.M}")
         if self.N_T < 1 or self.N_R < 1:
@@ -120,10 +119,17 @@ def checked_int(name: str, value) -> int:
         raise ConfigError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _checked_real(name: str, value) -> float:
+def checked_real(name: str, value) -> float:
+    """``value`` as a finite float, -0.0 as 0.0; else ConfigError naming ``name``."""
     if not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        real = float(value) + 0.0      # -0.0 + 0.0 is 0.0, so equal values hash equal
+    except OverflowError:              # an int beyond the float range
+        real = math.inf
+    if not math.isfinite(real):
+        raise ConfigError(f"{name} must be finite, got {real}")
+    return real
 
 
 # Named presets. "paper" is the full-scale reference profile; "desk" keeps
@@ -136,27 +142,24 @@ PROFILES: dict[str, dict] = {
 PROFILE_TRIALS = {"desk": 20, "paper": 100}
 
 
-def _coerce(name: str, raw: str, target_type) -> object:
-    raw = raw.strip()
-    try:
-        if target_type is int:
-            return int(raw)
-        if target_type is float:
-            return float(raw)
-    except ValueError:
-        raise ConfigError(f"cannot parse {name}={raw!r}") from None
+def _literal(raw: str) -> int | float | str:
+    """``raw`` read as an int literal, else a float literal, else as text."""
+    for parse in (int, float):
+        try:
+            return parse(raw)
+        except ValueError:
+            pass
     return raw
-
-
-_FIELD_TYPES = {k: type(v) for k, v in SystemConfig().to_dict().items()}
 
 
 def parse_config_file(path: str | Path) -> dict:
     """Parse a flat ``key = value`` config file into a field dict.
 
     Blank lines and ``#`` comments are ignored; keys must be SystemConfig
-    field names, each set at most once.
+    field names, each set at most once. Each value is read as an int literal,
+    else a float literal, else text; ``SystemConfig`` checks its type.
     """
+    names = {f.name for f in dataclasses.fields(SystemConfig)}
     overrides: dict = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -170,11 +173,11 @@ def parse_config_file(path: str | Path) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in names:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in overrides:
             raise ConfigError(f"{path}:{lineno}: config key {key!r} is set twice")
-        overrides[key] = _coerce(key, value, _FIELD_TYPES[key])
+        overrides[key] = _literal(value.strip())
     return overrides
 
 

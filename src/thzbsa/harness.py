@@ -22,7 +22,7 @@ import numpy as np
 
 from .bsa import apply_bsa, sd_oracle_beamformers
 from .channel import draw_paths, generate_channel
-from .config import ConfigError, SystemConfig, checked_int, config_hash
+from .config import ConfigError, SystemConfig, checked_int, checked_real, config_hash
 from .metrics import RateReport, fully_digital_yardstick, sum_rate, sum_rate_sd_analog
 from .omp import DegenerateChannelError, build_dictionaries, omp_hybrid_beamformer
 
@@ -77,7 +77,8 @@ class SweepSpec:
         for name in ("trials", "seed", "workers"):
             object.__setattr__(self, name, checked_int(name, getattr(self, name)))
         # tuples, so the checked values and methods cannot change after construction
-        object.__setattr__(self, "values", tuple(self.values))
+        object.__setattr__(self, "values", tuple(checked_real("axis values", v)
+                                                 for v in self.values))
         object.__setattr__(self, "methods", tuple(self.methods))
         self.validate()
         object.__setattr__(self, "configs", tuple(
@@ -88,9 +89,7 @@ class SweepSpec:
             raise ConfigError(f"axis must be one of {tuple(AXES)}, got {self.axis!r}")
         if len(self.values) == 0:
             raise ConfigError("sweep needs at least one axis value")
-        values = np.asarray(self.values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(f"axis values must be finite, got {self.values}")
+        values = np.asarray(self.values)
         if self.axis == "num_users" and np.any(values != np.round(values)):
             raise ConfigError(f"num_users values must be integers, got {self.values}")
         diffs = np.diff(values)
@@ -227,7 +226,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             rates = np.array([res.reports[method].sum_rate for res in point])
             std = float(np.std(rates, ddof=1)) if spec.trials > 1 else 0.0
             rows.append(SweepRow(
-                axis_value=float(value),
+                axis_value=value,
                 method=method,
                 mean_sum_rate=float(rates.mean()),
                 std_sum_rate=std,

@@ -293,7 +293,7 @@ class TestSweepSpec:
         assert [row.axis_value for row in t.run_sweep(spec).rows] == [1.0, 2.0]
 
     @pytest.mark.parametrize("axis, value, message", [
-        ("num_users", 100, "num_users value 100: need 1 <= K <= N_T"),
+        ("num_users", 100, "num_users value 100.0: need 1 <= K <= N_T"),
         ("snr_db", -4000.0, "snr_db value -4000.0: sigma_n2 = 10"),
     ])
     def test_unrunnable_point_rejected_when_built(self, axis, value, message):
@@ -446,6 +446,19 @@ class TestConfigModule:
         assert t.SystemConfig(B=0) == t.SystemConfig(B=0.0)
         assert t.config_hash(t.SystemConfig(B=0)) == t.config_hash(t.SystemConfig(B=0.0))
         assert type(t.SystemConfig(B=0).B) is float
+        # an int, a float, a NumPy float and -0.0 of one value store one value and one hash
+        for name, value in (("f_c", 300e9), ("B", 0), ("sigma_n2", 2),
+                            ("nlos_penalty_db", 0), ("excess_delay", 0)):
+            forms = [int(value), float(value), np.float64(value)] + [-0.0] * (value == 0)
+            cfgs = [t.SystemConfig(**{name: v}) for v in forms]
+            assert {repr(getattr(cfg, name)) for cfg in cfgs} == {repr(float(value))}
+            assert len({t.config_hash(cfg) for cfg in cfgs}) == 1
+        # so do the sweep's axis values: -0.0 is swept, and reported, as 0.0
+        emitted = [t.emit(t.run_sweep(t.SweepSpec(axis="bandwidth_hz", values=(zero, 1e9),
+                                                  trials=1, methods=("omp",),
+                                                  base_config=small_cfg())), "csv")
+                   for zero in (-0.0, 0.0)]
+        assert emitted[0] == emitted[1]
 
     @pytest.mark.parametrize("name", ["M", "N_T", "N_R", "N_RF", "K", "L", "N_F", "N_W"])
     def test_integer_field_rejects_float(self, name):
@@ -537,13 +550,13 @@ sinr_convention = as_printed
     @pytest.mark.parametrize("line, message", [
         ("antennas = 12", "unknown config key"),
         ("N_T 12", "expected 'key = value'"),
-        ("K = 4.0", "cannot parse"),
+        ("K = 4.0", "K must be an integer, got 4.0"),
     ], ids=["unknown_key", "no_equals", "fractional_int"])
     def test_config_file_rejects_unknown_key(self, tmp_path, line, message):
         bad = tmp_path / "bad.cfg"
         bad.write_text(line + "\n")
         with pytest.raises(t.ConfigError, match=message):
-            t.parse_config_file(bad)
+            t.build_config("desk", t.parse_config_file(bad))
 
     def test_hash_changes_iff_any_field_changes(self):
         base = t.SystemConfig()
@@ -766,6 +779,20 @@ class TestCli:
         eta_m = t.frequency_ratios(cfg)[7]
         assert abs(phi_bar[np.argmax(gains)] - eta_m * 0.5) <= phi_bar[1] - phi_bar[0]
 
+    def test_array_gain_endfire_keeps_its_sign(self, tmp_path):
+        # a(-1) = a(+1) as vectors, yet --phi -1 must peak at -eta_m, mirroring --phi 1
+        curves = {}
+        for phi in ("-1", "1"):
+            out = tmp_path / f"gain{phi}.csv"
+            assert cli.main(["array-gain", "--phi", phi, "--subcarrier", "1",
+                             "--out", str(out)]) == 0
+            rows = list(csv.reader(io.StringIO(out.read_text())))[1:]
+            curves[phi] = np.array(rows, dtype=float).T
+        phi_bar, gains = curves["-1"]
+        eta_1 = t.frequency_ratios(t.build_config("desk"))[0]
+        assert abs(phi_bar[np.argmax(gains)] + eta_1) <= phi_bar[1] - phi_bar[0]
+        np.testing.assert_allclose(gains, curves["1"][1][::-1], rtol=0, atol=1e-12)
+
     def test_array_gain_bad_subcarrier(self, tmp_path, capsys):
         code = cli.main(["array-gain", "--phi", "0.1", "--subcarrier", "9999"])
         assert code == 2
@@ -811,6 +838,30 @@ class TestCli:
         captured = capsys.readouterr()
         assert "sigma_n2 must be finite" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("literal", [
+        pytest.param(v, id=v or "empty")
+        for v in ("0", "-0", "-1", "nan", "inf", "4.5", "1e400", "1e-320", "", "True",
+                  "0x10", "1_0")])
+    @pytest.mark.parametrize("key", list(t.SystemConfig().to_dict()))
+    def test_malformed_config_value_exit_code(self, tmp_path, capsys, key, literal):
+        # any literal in any field exits 0, or 2 or 3 with one line; never a traceback.
+        # The small base keeps the run fast; N_RF is left to follow K.
+        base = {k: v for k, v in SMALL.items() if k not in (key, "N_RF")}
+        cfg_file = tmp_path / "value.cfg"
+        cfg_file.write_text("".join(f"{k} = {v}\n" for k, v in base.items())
+                            + f"{key} = {literal}\n")
+        code = cli.main(["simulate", "--sweep", "snr", "--values", "0", "--trials", "1",
+                         "--config", str(cfg_file)])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3)
+        if code == 0:
+            assert captured.err == "" and captured.out.startswith("axis,")
+        else:
+            prefix = "config error: " if code == 2 else "numerical failure: "
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith(prefix), captured.err
+            assert captured.out == ""
 
     @pytest.mark.parametrize("workers", ["0", "-2", "3"])
     def test_workers_out_of_range_exit_code(self, monkeypatch, capsys, workers):
