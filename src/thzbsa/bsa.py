@@ -28,7 +28,7 @@ def bsa_baseband(F_RF: np.ndarray, F_BB_m: np.ndarray, eta_m: float,
     """Least-squares corrected baseband for one subcarrier.
 
     Solves min_X ||F_RF X - F_bar[m] F_BB[m]||_F with the pseudo-inverse of
-    F_RF, the same solver as the zero-forcing stage. With ``normalize`` the
+    F_RF, of any shape. With ``normalize`` the
     result is rescaled to its per-subcarrier power convention
     (||F_RF X||_F^2 = K); disable it to inspect the raw minimizer.
     """

@@ -18,6 +18,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +96,11 @@ class SystemConfig:
             raise ConfigError(f"N_F must be >= N_RF, got N_F={self.N_F}")
         if self.N_W < 1:
             raise ConfigError(f"N_W must be >= 1, got N_W={self.N_W}")
+        # every array of a trial has at most this many entries (L twice: the L x L Gram cores)
+        entries = math.prod((self.M, self.N_T, self.N_R, self.K, self.L, self.L, self.N_F, self.N_W))
+        if 16 * entries > sys.maxsize:     # complex128 bytes beyond NumPy's index range (intp)
+            raise ConfigError("sizes too large: the M N_T N_R K L^2 N_F N_W complex entries "
+                              "of one trial exceed NumPy's index range")
         if self.excess_delay < 0:
             raise ConfigError("excess_delay must be nonnegative")
         if self.sinr_convention not in SINR_CONVENTIONS:

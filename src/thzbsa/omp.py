@@ -3,8 +3,9 @@
 Pipeline: unconstrained precoders (dominant right singular vectors) and
 MMSE-style combiners as coordinates on the L path steering vectors, joint
 transmit/receive atom selection by summed closed-form correlation with the
-frequency-dilated atoms, then the per-subcarrier zero-forcing baseband on
-the effective channel, normalized to the MK total power constraint.
+frequency-dilated atoms, then the per-subcarrier zero-forcing baseband: the
+inverse of each square K x K effective channel, normalized to the MK total
+power constraint.
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ _EXACT = 1e-3      # |sin(pi d/2)| below which the atom kernel is evaluated from
 
 
 class DegenerateChannelError(RuntimeError):
-    """Effective channel lost rank; the draw should be retried."""
+    """A matrix lost rank under the ``_RCOND`` rule; the draw should be retried.
+
+    Raised by :func:`baseband_zf` when an effective channel's Frobenius
+    condition number exceeds 1/``_RCOND`` or is not finite, and by
+    :func:`pseudo_inverse` when s_min < ``_RCOND`` s_max.
+    """
 
 
 @dataclass
@@ -206,9 +212,9 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:
     """Moore-Penrose inverse of one matrix or of each slice of an (M, r, c) stack.
 
-    One batched SVD under the one ``_RCOND`` rank rule. Raises
-    DegenerateChannelError when a matrix is rank-deficient, naming the
-    first such subcarrier of a stack.
+    The least squares of the BSA correction, for an analog matrix of any shape:
+    one batched SVD, rank-deficient when s_min < ``_RCOND`` s_max. Raises
+    DegenerateChannelError naming the first such subcarrier of a stack.
     """
     u, s, vh = np.linalg.svd(A, full_matrices=False)
     degenerate = np.flatnonzero((s[..., 0] == 0) | (s[..., -1] < _RCOND * s[..., 0]))
@@ -222,18 +228,39 @@ def pseudo_inverse(A: np.ndarray) -> np.ndarray:
     return (np.swapaxes(vh.conj(), -1, -2) / s[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
 
 
+def _squared_norms(A: np.ndarray) -> np.ndarray:
+    """||A||_F^2 of each trailing matrix, summed over the float view: no complex temporary."""
+    A = np.ascontiguousarray(A)
+    real = A.view(np.finfo(A.dtype).dtype)
+    return np.einsum("...ij,...ij->...", real, real)
+
+
 def unit_power(F_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
     """Scale each subcarrier's baseband so that ||F_RF F_BB[m]||_F^2 = K."""
     K = F_BB.shape[-1]
-    return F_BB * (np.sqrt(K) / np.linalg.norm(F_RF @ F_BB, axis=(-2, -1), keepdims=True))
+    return F_BB * np.sqrt(K / _squared_norms(F_RF @ F_BB))[..., None, None]
 
 
 def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray) -> np.ndarray:
-    """Zero-forcing baseband: pseudo-inverse of each H_eff[m], scaled so that
-    ||F_RF F_BB[m]||_F^2 = K (MK in total). Raises DegenerateChannelError,
-    naming the first such subcarrier, when an effective channel is rank-deficient.
+    """Zero-forcing baseband: the inverse of each square H_eff[m] (N_RF = K), scaled
+    so that ||F_RF F_BB[m]||_F^2 = K (MK in total).
+
+    The rank rule is on the Frobenius condition number kappa_F = ||H||_F ||H^-1||_F,
+    which bounds kappa_2 <= kappa_F <= K kappa_2: DegenerateChannelError names the
+    first subcarrier whose kappa_F exceeds 1/``_RCOND`` or is not finite, an
+    exactly singular one included.
     """
-    return unit_power(F_RF, pseudo_inverse(H_eff))
+    try:
+        H_inv = np.linalg.inv(H_eff)
+        kappa = np.sqrt(_squared_norms(H_eff) * _squared_norms(H_inv))
+    except np.linalg.LinAlgError:       # an exactly singular slice: cond reads it as inf
+        kappa = np.linalg.cond(H_eff, "fro")
+    degenerate = np.flatnonzero(~(kappa <= 1 / _RCOND))
+    if degenerate.size:
+        m = degenerate[0]
+        raise DegenerateChannelError(
+            f"matrix at subcarrier {m} is rank-deficient (condition number {kappa[m]:.3e})")
+    return unit_power(F_RF, H_inv)
 
 
 def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,

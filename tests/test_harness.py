@@ -842,7 +842,7 @@ class TestCli:
     @pytest.mark.parametrize("literal", [
         pytest.param(v, id=v or "empty")
         for v in ("0", "-0", "-1", "nan", "inf", "4.5", "1e400", "1e-320", "", "True",
-                  "0x10", "1_0")])
+                  "0x10", "1_0", "1000000000000000000000000000000")])
     @pytest.mark.parametrize("key", list(t.SystemConfig().to_dict()))
     def test_malformed_config_value_exit_code(self, tmp_path, capsys, key, literal):
         # any literal in any field exits 0, or 2 or 3 with one line; never a traceback.

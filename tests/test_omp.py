@@ -3,6 +3,7 @@ import pytest
 
 import thzbsa as t
 from thzbsa import omp
+from thzbsa.harness import HYBRID_METHODS, _trial_seed, run_trial
 from thzbsa.omp import DegenerateChannelError, pseudo_inverse, sd_dictionary
 
 
@@ -379,6 +380,32 @@ class TestBasebandZF:
         F_RF = np.eye(2, dtype=complex)
         with pytest.raises(DegenerateChannelError, match="rank"):
             t.baseband_zf(H_eff, F_RF)
+
+    def test_exactly_singular_subcarrier_named(self, rng):
+        # the square inverse refuses a zero column itself; it must not escape as LinAlgError
+        H_eff = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        H_eff[2, :, 1] = 0
+        with pytest.raises(DegenerateChannelError,
+                           match="at subcarrier 2 is rank-deficient .condition number inf"):
+            t.baseband_zf(H_eff, np.eye(3, dtype=complex))
+
+    def test_frobenius_condition_rule(self):
+        # kappa_F of diag(1, e) is about 1/e, against the 1/_RCOND = 1e12 bound
+        eye = np.eye(2, dtype=complex)
+        with pytest.raises(DegenerateChannelError, match="condition number 1.000e.13"):
+            t.baseband_zf(np.diag([1.0, 1e-13]).astype(complex)[None], eye)
+        H_eff = np.diag([1.0, 1e-11]).astype(complex)[None]
+        F_BB = t.baseband_zf(H_eff, eye)
+        np.testing.assert_allclose(H_eff[0] @ F_BB[0], F_BB[0, 0, 0] * eye, rtol=1e-12)
+
+    @pytest.mark.parametrize("i", [12, 27, 77, 139])
+    def test_unit_power_exact_on_sixteen_users(self, i):
+        # the MK power is summed over the dense product F_RF F_BB[m]; a K x K Gram form
+        # tr(X^H F_RF^H F_RF X) leaves the SD oracle's residual at 4.0e-10 .. 4.7e-9 on these draws
+        cfg = t.build_config("desk", {"K": 16})
+        result = run_trial(cfg, _trial_seed(3, 0, i), HYBRID_METHODS)
+        for method, report in result.reports.items():
+            assert report.power_residual <= 1e-12, method
 
 
 class TestPipeline:
