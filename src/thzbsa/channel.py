@@ -146,16 +146,22 @@ class ChannelSet:
         """Read-only (s, x, y): each H_k[m]'s largest singular value, shape (K, M),
         and its unit vectors v = A_T x and u = A_R y in path coordinates (K, M, L).
 
-        S = U sqrt(w), from the eigenpairs (w, U) of G_T = A_T^H A_T, is a square-root
-        factor (S S^H = G_T), never inverted: s^2 and z are the top eigenpair of the core
-        (D S)^H G_R (D S), D = diag(gain); y = D S z / s and x = D^H G_R y / s, which is
-        v = H^H u / s; where s = 0, y = 0 and x = e_1. v_1 = sum(x) / sqrt(N_T) is real >= 0.
+        S is the Cholesky factor of G_T = A_T^H A_T, a square-root factor (S S^H = G_T)
+        that is never inverted; when a Gram of the batch is singular (coincident DODs,
+        L > N_T) the whole batch takes S = U sqrt(w) from the eigenpairs (w, U) of G_T.
+        s^2 and z are the top eigenpair of the core (D S)^H G_R (D S), D = diag(gain);
+        y = D S z / s and x = D^H G_R y / s, which is v = H^H u / s; where s = 0, y = 0
+        and x = e_1. v_1 = sum(x) / sqrt(N_T) is real >= 0.
         """
-        w, U = np.linalg.eigh(steering_kernel(self.N_T, self.vartheta[..., None],
-                                              self.vartheta[..., None, :]))
+        G_T = steering_kernel(self.N_T, self.vartheta[..., None], self.vartheta[..., None, :])
+        try:
+            S = np.linalg.cholesky(G_T)
+        except np.linalg.LinAlgError:       # a singular Gram: any square-root factor serves
+            w, U = np.linalg.eigh(G_T)
+            S = U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
         G_R = steering_kernel(self.N_R, self.theta[..., None], self.theta[..., None, :])
         with np.errstate(over="ignore", invalid="ignore"):     # refused just below
-            DS = self.gain[..., None] * U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+            DS = self.gain[..., None] * S
             core = np.swapaxes(DS.conj(), -1, -2) @ G_R @ DS
         if not np.all(np.isfinite(core)):
             raise FloatingPointError("non-finite channel Gram core")

@@ -7,9 +7,9 @@ Subcommands:
                over a probe-direction grid
   show-config  print the fully resolved configuration
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (the
-redraw cap was reached, the draw or the channel's Gram core overflowed, or a
-sum rate was non-finite).
+Exit codes: 0 success, 2 configuration error (sizes whose arrays memory
+cannot hold included), 3 numerical failure (the redraw cap was reached, the
+draw or the channel's Gram core overflowed, or a sum rate was non-finite).
 """
 
 from __future__ import annotations
@@ -189,6 +189,10 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError as err:      # NumPy's message names the size and shape asked for
+        print(f"config error: {args.command} needs more memory than is available"
+              + (f": {err}" if str(err) else ""), file=sys.stderr)
         return 2
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channel import ChannelSet
 from .config import SINR_CONVENTIONS
-from .omp import BeamformerSet
+from .omp import BeamformerSet, analog_power
 
 
 @dataclass
@@ -48,7 +48,7 @@ def _sinr_from_coupling(T: np.ndarray, sigma_n2: float, convention: str) -> np.n
 def power_constraint_residual(F_RF: np.ndarray, F_BB: np.ndarray) -> float:
     """Relative deviation of Sum_m ||F_RF F_BB[m]||_F^2 from MK."""
     M, _, K = F_BB.shape
-    total = float(np.sum(np.abs(F_RF @ F_BB) ** 2))
+    total = float(analog_power(F_RF, F_BB).sum())
     return abs(total - M * K) / (M * K)
 
 

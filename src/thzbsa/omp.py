@@ -5,7 +5,7 @@ MMSE-style combiners as coordinates on the L path steering vectors, joint
 transmit/receive atom selection by summed closed-form correlation with the
 frequency-dilated atoms, then the per-subcarrier zero-forcing baseband: the
 inverse of each square K x K effective channel, normalized to the MK total
-power constraint.
+power constraint through :func:`analog_power`.
 """
 
 from __future__ import annotations
@@ -235,10 +235,23 @@ def _squared_norms(A: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", real, real)
 
 
+def analog_power(F_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
+    """||F_RF F_BB[m]||_F^2 of each subcarrier's baseband.
+
+    One (N_T, N_RF) analog matrix is replaced by its triangular QR factor R:
+    F_RF = Q R with Q unitary gives ||F_RF X||_F = ||R X||_F exactly, with no
+    N_T-long product and no squared condition number. The SD oracle's
+    (M, N_T, N_RF) stack is multiplied out.
+    """
+    if F_RF.ndim == 2:
+        F_RF = np.linalg.qr(F_RF, mode="r")
+    return _squared_norms(F_RF @ F_BB)
+
+
 def unit_power(F_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
     """Scale each subcarrier's baseband so that ||F_RF F_BB[m]||_F^2 = K."""
     K = F_BB.shape[-1]
-    return F_BB * np.sqrt(K / _squared_norms(F_RF @ F_BB))[..., None, None]
+    return F_BB * np.sqrt(K / analog_power(F_RF, F_BB))[..., None, None]
 
 
 def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray) -> np.ndarray:

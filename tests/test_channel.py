@@ -254,18 +254,20 @@ class TestFactorPathOracles:
         with pytest.raises(ValueError, match="psi_r must be"):
             t.effective_channel(ch, psi_r[None], psi_t)
 
-    @pytest.mark.parametrize("L", [1, 4, 7])
-    def test_coincident_and_surplus_paths(self, L):
-        # every path on one direction (G_T of rank one), and L > N_T
-        cfg = t.SystemConfig(N_T=4, N_R=2, K=1, N_RF=1, L=L, M=3).validate()
+    @pytest.mark.parametrize("L,K", [(1, 1), (4, 1), (7, 1), (3, 2)],
+                             ids=["1", "4", "7", "3-user_1_distinct"])
+    def test_coincident_and_surplus_paths(self, L, K):
+        # every path of user 0 on one direction (G_T of rank one), and L > N_T; with
+        # K = 2 user 1's DODs stay distinct, so one Gram of the batch is singular
+        cfg = t.SystemConfig(N_T=4, N_R=2, K=K, N_RF=K, L=L, M=3).validate()
         paths = t.draw_paths(cfg, np.random.default_rng(L))
-        paths.varphi[:] = 0.3
+        paths.varphi[0] = 0.3
         _assert_matches_svd(t.generate_channel(cfg, paths), 1e-10)
-        # the last DOD copied from, or set 1e-9 from, the first: G_T has an eigenvalue
-        # at rounding level, which its square-root factor never divides by
+        # user 0's last DOD copied from, or set 1e-9 from, its first: G_T has an
+        # eigenvalue at rounding level, which its square-root factor never divides by
         for offset in (0.0, 1e-9):
             paths = t.draw_paths(cfg, np.random.default_rng(L))
-            paths.varphi[:, -1] = np.clip(paths.varphi[:, 0] + offset, -1.0, 1.0)
+            paths.varphi[0, -1] = np.clip(paths.varphi[0, 0] + offset, -1.0, 1.0)
             _assert_matches_svd(t.generate_channel(cfg, paths), 1e-12)
 
     def test_worst_conditioned_desk_draw(self, desk_cfg):

@@ -863,6 +863,26 @@ class TestCli:
             assert len(lines) == 1 and lines[0].startswith(prefix), captured.err
             assert captured.out == ""
 
+    @pytest.mark.parametrize("message", [
+        "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) and data type "
+        "float64", ""])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--sweep", "snr", "--values", "0", "--trials", "1"],
+        ["array-gain", "--phi", "0.3", "--subcarrier", "1"]], ids=["simulate", "array_gain"])
+    def test_out_of_memory_exit_code(self, monkeypatch, capsys, argv, message):
+        # sizes that pass validation but that memory cannot hold; nothing is allocated here
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "run_sweep", out_of_memory)
+        monkeypatch.setattr(cli.channel, "steering_kernel", out_of_memory)
+        code = cli.main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert lines == [f"config error: {argv[0]} needs more memory than is available"
+                         + (f": {message}" if message else "")]
+        assert captured.out == ""
+
     @pytest.mark.parametrize("workers", ["0", "-2", "3"])
     def test_workers_out_of_range_exit_code(self, monkeypatch, capsys, workers):
         # rejected at validation, before any pool exists

@@ -400,12 +400,78 @@ class TestBasebandZF:
 
     @pytest.mark.parametrize("i", [12, 27, 77, 139])
     def test_unit_power_exact_on_sixteen_users(self, i):
-        # the MK power is summed over the dense product F_RF F_BB[m]; a K x K Gram form
-        # tr(X^H F_RF^H F_RF X) leaves the SD oracle's residual at 4.0e-10 .. 4.7e-9 on these draws
+        # the MK power is summed over R F_BB[m], R the K x K QR factor of F_RF (over the dense
+        # product for the SD stack); a K x K Gram form tr(X^H F_RF^H F_RF X) squares the
+        # condition number and leaves the SD oracle's residual at 4.0e-10 .. 4.7e-9 here
         cfg = t.build_config("desk", {"K": 16})
         result = run_trial(cfg, _trial_seed(3, 0, i), HYBRID_METHODS)
         for method, report in result.reports.items():
             assert report.power_residual <= 1e-12, method
+
+
+def _dense_power(F_RF, F_BB):
+    """Reference ||F_RF F_BB[m]||_F^2 of each subcarrier, summed over the dense product."""
+    return np.sum(np.abs(F_RF @ F_BB) ** 2, axis=(-2, -1))
+
+
+def _pipeline_precoders(cfg, rng):
+    """(F_RF, F_BB) of omp, bsa_omp and the SD oracle on one channel draw."""
+    ch = t.generate_channel(cfg, t.draw_paths(cfg, rng))
+    bf = t.omp_hybrid_beamformer(cfg, ch)
+    sd = t.sd_oracle_beamformers(ch, bf)
+    return [(b.F_RF, b.F_BB) for b in (bf, t.apply_bsa(bf, sd), sd)]
+
+
+class TestAnalogPower:
+    """analog_power, unit_power and the power residual against the dense sum."""
+
+    @staticmethod
+    def _assert_matches_dense(F_RF, F_BB):
+        dense = _dense_power(F_RF, F_BB)
+        np.testing.assert_allclose(omp.analog_power(F_RF, F_BB), dense, rtol=1e-13, atol=0)
+        # the scale, not the power of the scaled product: an SD-oracle product re-rounds
+        # at 3e-13 of K, whichever sum scaled it
+        K = F_BB.shape[-1]
+        scale = np.sqrt(K / dense)[..., None, None]
+        np.testing.assert_allclose(omp.unit_power(F_RF, F_BB), F_BB * scale,
+                                   rtol=1e-13, atol=0)
+        if F_BB.ndim == 3:
+            MK = F_BB.shape[0] * K
+            residual = abs(dense.sum() - MK) / MK
+            assert t.power_constraint_residual(F_RF, F_BB) == pytest.approx(
+                residual, rel=0, abs=1e-13 * dense.sum() / MK)
+
+    @pytest.mark.parametrize("profile,seed", [("desk", 17), ("paper", 3)])
+    def test_seeded_pipelines(self, profile, seed):
+        cfg = t.build_config(profile)
+        for F_RF, F_BB in _pipeline_precoders(cfg, np.random.default_rng(seed)):
+            self._assert_matches_dense(F_RF, F_BB)
+            self._assert_matches_dense(F_RF, 2 * F_BB)
+
+    @pytest.mark.parametrize("i", [12, 27, 77, 139])
+    def test_sixteen_user_draws(self, i):
+        # the draws of test_unit_power_exact_on_sixteen_users, first attempt of each
+        cfg = t.build_config("desk", {"K": 16})
+        rng = np.random.default_rng(np.random.SeedSequence([_trial_seed(3, 0, i), 0]))
+        for F_RF, F_BB in _pipeline_precoders(cfg, rng):
+            self._assert_matches_dense(F_RF, F_BB)
+
+    def test_wide_analog_matrix_through_bsa(self, rng):
+        # N_T < N_RF: the QR factor R is N_T x N_RF, and F_RF X is still ||R X||
+        F_RF = t.steering_vector(4, rng.uniform(-1, 1, 6))
+        F_BB_m = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        raw = t.bsa_baseband(F_RF, F_BB_m, 1.1, normalize=False)
+        self._assert_matches_dense(F_RF, raw)
+        corrected = t.bsa_baseband(F_RF, F_BB_m, 1.1)
+        assert _dense_power(F_RF, corrected) == pytest.approx(3.0, rel=1e-13)
+
+    def test_rank_deficient_analog_matrix(self, rng):
+        # a repeated beam: the least squares refuses it, the power identity holds regardless
+        F_RF = t.steering_vector(8, np.array([0.2, -0.5, 0.2]))
+        F_BB = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+        self._assert_matches_dense(F_RF, F_BB)
+        with pytest.raises(DegenerateChannelError, match="rank-deficient"):
+            t.bsa_baseband(F_RF, F_BB[0], 1.1)
 
 
 class TestPipeline:
