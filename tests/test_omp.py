@@ -457,7 +457,7 @@ class TestAnalogPower:
             self._assert_matches_dense(F_RF, F_BB)
 
     def test_wide_analog_matrix_through_bsa(self, rng):
-        # N_T < N_RF: the QR factor R is N_T x N_RF, and F_RF X is still ||R X||
+        # N_T < N_RF: the QR factor R is N_T x N_RF, and ||F_RF X|| is still ||R X||
         F_RF = t.steering_vector(4, rng.uniform(-1, 1, 6))
         F_BB_m = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         raw = t.bsa_baseband(F_RF, F_BB_m, 1.1, normalize=False)
