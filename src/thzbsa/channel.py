@@ -73,6 +73,23 @@ def steering_kernel(N: int, x, y):
     return np.exp(0.5j * np.pi * (N - 1) * d) * dirichlet_sinc(d / 2.0, N)
 
 
+def _gram(N: int, v: np.ndarray) -> np.ndarray:
+    """The Hermitian Grams a_N(v_i)^H a_N(v_j) over the last axis of ``v``, (..., L, L).
+
+    Steering kernels fill the strict upper triangle only: the diagonal is exactly 1
+    and the lower triangle is the upper's conjugate, bit for bit.
+    """
+    L = v.shape[-1]
+    i, j = np.nonzero(np.less.outer(np.arange(L), np.arange(L)))     # cheaper than triu_indices
+    upper = steering_kernel(N, v[..., i], v[..., j])
+    G = np.empty(v.shape + (L,), dtype=complex)
+    G[..., i, j] = upper
+    G[..., j, i] = upper.conj()
+    diagonal = np.arange(L)
+    G[..., diagonal, diagonal] = 1.0
+    return G
+
+
 @dataclass
 class PathParams:
     """Per-user multipath descriptors, arrays of shape (K, L): the complex gain
@@ -153,13 +170,13 @@ class ChannelSet:
         y = D S z / s and x = D^H G_R y / s, which is v = H^H u / s; where s = 0, y = 0
         and x = e_1. v_1 = sum(x) / sqrt(N_T) is real >= 0.
         """
-        G_T = steering_kernel(self.N_T, self.vartheta[..., None], self.vartheta[..., None, :])
+        G_T = _gram(self.N_T, self.vartheta)
         try:
             S = np.linalg.cholesky(G_T)
         except np.linalg.LinAlgError:       # a singular Gram: any square-root factor serves
             w, U = np.linalg.eigh(G_T)
             S = U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
-        G_R = steering_kernel(self.N_R, self.theta[..., None], self.theta[..., None, :])
+        G_R = _gram(self.N_R, self.theta)
         with np.errstate(over="ignore", invalid="ignore"):     # refused just below
             DS = self.gain[..., None] * S
             core = np.swapaxes(DS.conj(), -1, -2) @ G_R @ DS

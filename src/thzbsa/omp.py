@@ -11,7 +11,7 @@ power constraint through :func:`analog_power`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +22,8 @@ from .phase_ops import scale_analog_matrix
 
 
 _RCOND = 1e-12
-_EXACT = 1e-3      # |sin(pi d/2)| below which the atom kernel is evaluated from d itself
+_EXACT = 1e-3      # |sin(pi d/2)| below which a Dirichlet kernel is evaluated from d itself
+_ATOM_TABLES_CACHED = 8    # atom sine tables kept per process; a config uses two
 
 
 class DegenerateChannelError(RuntimeError):
@@ -104,54 +105,81 @@ def unconstrained_combiners(channels: ChannelSet, sigma_n2: float) -> np.ndarray
     return y * (s / (s**2 + sigma_n2))[..., None]
 
 
+class _Sines(NamedTuple):
+    """Directions x with the sine and cosine of alpha = pi x / 2 and of N alpha: the
+    angle-addition factors from which :func:`_dirichlet_kernel` pairs two tables."""
+
+    x: np.ndarray
+    sin: np.ndarray
+    cos: np.ndarray
+    sin_n: np.ndarray
+    cos_n: np.ndarray
+
+    @classmethod
+    def of(cls, N: int, x: np.ndarray) -> _Sines:
+        alpha = (0.5 * np.pi) * x
+        return cls(x, np.sin(alpha), np.cos(alpha), np.sin(N * alpha), np.cos(N * alpha))
+
+
+def _dirichlet_kernel(N: int, a: _Sines, b: _Sines, out: np.ndarray | None = None) -> np.ndarray:
+    """N D_N(d/2) = sin(N pi d/2) / sin(pi d/2) for d = a.x - b.x, broadcast.
+
+    Angle addition gives sin(pi d/2) = sin(alpha - beta) and sin(N pi d/2) =
+    sin(N alpha - N beta) from the two tables, so no entry takes a new sine. Where
+    |sin(pi d/2)| < ``_EXACT`` the difference cancels (d near an even integer: a
+    beam on a path, grating lobes at |d| = 2, N = 1); those entries are evaluated
+    from d itself by :func:`dirichlet_sinc`.
+    """
+    den = a.sin * b.cos
+    den -= a.cos * b.sin
+    ker = np.multiply(a.sin_n, b.cos_n, out=out)
+    ker -= a.cos_n * b.sin_n
+    near = np.abs(den) < _EXACT
+    den[near] = 1.0                     # those entries are replaced below
+    ker /= den
+    if near.any():
+        ker[near] = N * dirichlet_sinc(np.subtract(a.x, b.x)[near] / 2.0, N)
+    return ker
+
+
+@lru_cache(maxsize=_ATOM_TABLES_CACHED)
+def _atom_sines(N: int, psi: bytes, eta: bytes) -> _Sines:
+    """The read-only sine table of the directions eta_m psi_p, keyed on the grids' bytes."""
+    tables = _Sines.of(N, np.multiply.outer(np.frombuffer(eta), np.frombuffer(psi)))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 class _AtomTables(NamedTuple):
-    """One dictionary's frequency-dilated atoms a_N(eta_m psi_p), as the sine and
-    cosine of alpha = pi eta_m psi_p / 2 and of N alpha, each (M, P); every user
-    shares them."""
+    """One dictionary's frequency-dilated atoms a_N(eta_m psi_p), as the (M, P) sine
+    table of their directions; built once per (N, grid, eta) and shared by every
+    user and every trial of that config."""
 
     N: int
-    psi: np.ndarray
-    eta: np.ndarray
-    sin_a: np.ndarray
-    cos_a: np.ndarray
-    sin_na: np.ndarray
-    cos_na: np.ndarray
+    atoms: _Sines
 
     @classmethod
     def build(cls, N: int, psi: np.ndarray, eta: np.ndarray) -> _AtomTables:
-        alpha = (0.5 * np.pi) * np.multiply.outer(eta, psi)
-        return cls(N, psi, eta, np.sin(alpha), np.cos(alpha), np.sin(N * alpha), np.cos(N * alpha))
+        as_bytes = (np.asarray(v, dtype=float).tobytes() for v in (psi, eta))
+        return cls(N, _atom_sines(N, *as_bytes))
 
 
-def _atom_correlations(atoms: _AtomTables, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
+def _atom_correlations(tables: _AtomTables, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """|a_N(eta_m psi_p)^H sum_l coords_l a_N(paths_l)| as (M, P), for one user.
 
     By the steering kernel this is |sum_l coords_l exp(-j pi (N-1) paths_l / 2) D_N(d/2)|,
-    d = eta_m psi_p - paths_l, once the p-dependent unit phase drops out. With
-    beta = pi paths_l / 2, angle addition gives sin(pi d/2) = sin(alpha - beta) and
-    sin(N pi d/2) = sin(N alpha - N beta) from the shared tables, so only the
-    (M, L) path factors take new sines. The kernel is laid out (L, M, P), atom
-    axis contiguous, one (M, P) slice per path. Where |sin(pi d/2)| < ``_EXACT``
-    the difference cancels (on-grid paths, grating lobes at |d| = 2, N = 1);
-    those entries are evaluated from d itself by :func:`dirichlet_sinc`.
+    d = eta_m psi_p - paths_l, once the p-dependent unit phase drops out; the
+    Dirichlet factor pairs the shared atom table with the (M, L) path sines by
+    :func:`_dirichlet_kernel`. The kernel is laid out (L, M, P), atom axis
+    contiguous, one (M, P) slice per path.
     """
-    N, psi, eta = atoms.N, atoms.psi, atoms.eta
-    beta = (0.5 * np.pi) * paths.T                                       # (L, M)
-    sin_b, cos_b, sin_nb, cos_nb = (v[..., None] for v in
-                                    (np.sin(beta), np.cos(beta), np.sin(N * beta), np.cos(N * beta)))
+    N, atoms = tables
+    path_sines = _Sines.of(N, paths.T[..., None])                         # (L, M, 1)
     weights = (coords * np.exp(-0.5j * np.pi * (N - 1) * paths)).T / N  # (L, M)
-    kernel = np.empty(beta.shape + atoms.sin_a.shape[1:])                # (L, M, P), N D_N
+    kernel = np.empty(paths.T.shape + atoms.x.shape[1:])                 # (L, M, P), N D_N
     for l, ker in enumerate(kernel):
-        den = atoms.sin_a * cos_b[l]
-        den -= atoms.cos_a * sin_b[l]
-        np.multiply(atoms.sin_na, cos_nb[l], out=ker)
-        ker -= atoms.cos_na * sin_nb[l]
-        near = np.flatnonzero(np.abs(den) < _EXACT)
-        den.flat[near] = 1.0            # those entries are replaced below
-        ker /= den
-        if near.size:
-            m, p = np.divmod(near, den.shape[1])
-            ker.flat[near] = N * dirichlet_sinc((eta[m] * psi[p] - paths[m, l]) / 2.0, N)
+        _dirichlet_kernel(N, atoms, _Sines(*(v[l] for v in path_sines)), out=ker)
     re = np.einsum("lmp,lm->mp", kernel, weights.real)
     im = np.einsum("lmp,lm->mp", kernel, weights.imag)
     re *= re
@@ -169,8 +197,8 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     maximizes sum_m |d_{p,q}[m]^H g_k[m]| with d the Kronecker dictionary
     atom and g_k[m] = conj(f_k[m]) kron w_k[m], which factors as
     conj(atom_F^H f) * (atom_W^H w). Both factors are closed-form Dirichlet
-    kernels over sin/cos tables of the dilated atoms, built once per call and
-    shared by every user; only entries with |sin(pi d/2)| < ``_EXACT`` are
+    kernels over sin/cos tables of the dilated atoms, built once per (N, grid, eta)
+    and shared by every user and trial; only entries with |sin(pi d/2)| < ``_EXACT`` are
     evaluated from d directly. Ties resolve to the smallest (p, then q). A
     transmit atom is never reused across users (a duplicate would make the
     effective channel singular). Returns the (K,) index arrays (p*, q*) into
@@ -198,15 +226,25 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
     w_k = a_R(psi_r[k]) and f_i = a_T(psi_t[..., i]), with ``psi_t`` (N_RF,) for one
     analog matrix or (M, N_RF) for a per-subcarrier stack; per path, the entry is the
     gain times two steering kernels, a_R(psi_r)^H a_R(theta) and a_T(vartheta)^H a_T(psi_t).
+    The transmit kernel's phase exp(j pi (N-1)(vartheta - psi_t)/2) is the product of one
+    phase per path and one per beam, and its Dirichlet factor comes by angle addition
+    from the sine tables of the paths and of the beams (:func:`_dirichlet_kernel`).
     """
     K = channels.gain.shape[0]
     psi_r = np.asarray(psi_r, dtype=float)
     if psi_r.shape != (K,):
         raise ValueError(f"psi_r must be (K,) = {(K,)}, got {psi_r.shape}")
-    rx = channels.gain * steering_kernel(channels.N_R, psi_r[:, None, None], channels.theta)
-    tx = steering_kernel(channels.N_T, channels.vartheta[..., None],
-                         np.asarray(psi_t, dtype=float)[..., None, :])   # (K, M, L, N_RF)
-    return np.einsum("kml,kmli->mki", rx, tx)
+    N = channels.N_T
+    psi_t = np.asarray(psi_t, dtype=float)
+    weights = channels.gain * steering_kernel(channels.N_R, psi_r[:, None, None], channels.theta)
+    weights *= np.exp(0.5j * np.pi * (N - 1) * channels.vartheta) / N  # (K, M, L)
+    # subcarriers innermost, so every broadcast loop runs M long
+    paths = np.ascontiguousarray(channels.vartheta.transpose(0, 2, 1))[:, :, None, :]
+    beams = np.ascontiguousarray(psi_t.T).reshape(psi_t.shape[-1], -1)  # (N_RF, 1) or (N_RF, M)
+    kernel = _dirichlet_kernel(N, _Sines.of(N, paths), _Sines.of(N, beams))  # (K, L, N_RF, M)
+    h = np.einsum("kml,klim->mki", weights, kernel)
+    h *= np.exp(-0.5j * np.pi * (N - 1) * psi_t[..., None, :])
+    return h
 
 
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:

@@ -222,6 +222,33 @@ class TestDominantMode:
             ch.dominant_mode
 
 
+class TestGram:
+    """The one-triangle Gram is the full kernel matrix, bit for bit."""
+
+    @staticmethod
+    def _assert_full_kernel(N, v):
+        full = t.steering_kernel(N, v[..., None], v[..., None, :])
+        assert np.array_equal(t.channel._gram(N, v), full)
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 5])
+    def test_seeded_draws(self, desk_cfg, L):
+        cfg = desk_cfg.replace(L=L)
+        for seed in range(5):
+            ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(seed)))
+            self._assert_full_kernel(ch.N_T, ch.vartheta)
+            self._assert_full_kernel(ch.N_R, ch.theta)
+
+    def test_coincident_directions(self, tiny_cfg, rng):
+        # user 0's paths all leave on one direction: a rank-one Gram, so dominant_mode
+        # takes its eigh factor
+        paths = t.draw_paths(tiny_cfg, rng)
+        paths.varphi[0] = 0.3
+        ch = t.generate_channel(tiny_cfg, paths)
+        self._assert_full_kernel(ch.N_T, ch.vartheta)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(t.channel._gram(ch.N_T, ch.vartheta))
+
+
 class TestFactorPathOracles:
     """The path-factor quantities against the dense SVD and einsum they replace."""
 

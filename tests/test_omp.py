@@ -313,6 +313,37 @@ class TestEffectiveChannel:
                                  for k in range(tiny_cfg.K)])
             np.testing.assert_allclose(h_eff[m], expected, atol=1e-12)
 
+    # per path l of user k, the offset d = vartheta - psi_t from beam l
+    _EDGE = (2 / np.pi) * np.arcsin(omp._EXACT)
+    OFFSETS = {"on_path": [[0.0, 0.0, 0.0], [0.0, -0.0, 0.0]],
+               "below_exact": [[_EDGE * (1 - 1e-6), -_EDGE * (1 - 1e-6), 0.0],
+                               [-_EDGE * (1 - 1e-9), _EDGE * (1 - 1e-9), 0.37]],
+               "above_exact": [[_EDGE * (1 + 1e-6), -_EDGE * (1 + 1e-6), 0.0],
+                               [-_EDGE * (1 + 1e-9), _EDGE * (1 + 1e-9), -0.37]],
+               "grating_lobe": [[-2.0, 2.0, -2.0 + 1e-13],
+                                [-2.0 - _EDGE * (1 - 1e-6), 2.0 + 1e-13, -2.0 + _EDGE * (1 + 1e-6)]]}
+
+    @pytest.mark.parametrize("case", sorted(OFFSETS))
+    @pytest.mark.parametrize("stacked", [False, True], ids=["analog", "sd_stack"])
+    @pytest.mark.parametrize("N_T", [1, 2, 3, 16])
+    def test_singular_offsets_match_dense(self, N_T, stacked, case):
+        # beams 0 and 1 are the endfire atoms: the SD stack dilates them beyond |psi| = 1,
+        # and a grating-lobe path d = -2 sign(psi) from one lies back inside [-1, 1]
+        eta = np.array([0.95, 1.0, 1.05])
+        psi = np.array([1.0, -1.0, 0.3])
+        beams = np.multiply.outer(eta, psi) if stacked else np.broadcast_to(psi, (3, 3))
+        rng = np.random.default_rng(N_T)
+        gain = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+        theta = rng.uniform(-1.0, 1.0, (2, 3, 3)) * eta[:, None]
+        vartheta = beams[None] + np.array(self.OFFSETS[case])[:, None, :]   # (K, M, L)
+        ch = t.ChannelSet(theta=theta, vartheta=vartheta, gain=gain, eta=eta, N_R=4, N_T=N_T)
+        psi_r = np.array([0.2, -0.6])
+        psi_t = beams if stacked else psi
+        F = np.moveaxis(t.steering_vector(N_T, beams), 0, 1)              # (M, N_T, N_RF)
+        want = np.einsum("rk,kmrt,mti->mki", t.steering_vector(4, psi_r).conj(), ch.H, F)
+        got = t.effective_channel(ch, psi_r, psi_t)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestBasebandZF:
     def test_zero_forcing_up_to_scalar(self, rng):
@@ -472,6 +503,46 @@ class TestAnalogPower:
         self._assert_matches_dense(F_RF, F_BB)
         with pytest.raises(DegenerateChannelError, match="rank-deficient"):
             t.bsa_baseband(F_RF, F_BB[0], 1.1)
+
+
+class TestAtomTableCache:
+    def test_cached_tables_are_read_only(self, desk_cfg):
+        ch = _random_channelset(desk_cfg, 3)
+        tables = omp._AtomTables.build(desk_cfg.N_T, t.build_dictionaries(desk_cfg).psi_f, ch.eta)
+        for table in tables.atoms:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0.0
+
+    def test_configs_sharing_a_process_keep_their_rates(self, desk_cfg):
+        # two configs differing only in B have different dilations, so different tables
+        configs = (desk_cfg, desk_cfg.replace(B=10e9))
+        seed = _trial_seed(4, 0, 0)
+
+        def rates(cfg):
+            return {m: r.sum_rate for m, r in run_trial(cfg, seed).reports.items()}
+
+        alone = []
+        for cfg in configs:
+            omp._atom_sines.cache_clear()
+            alone.append(rates(cfg))
+        assert alone[0] != alone[1]
+        for order in ((0, 1), (1, 0)):
+            omp._atom_sines.cache_clear()
+            shared = {i: rates(configs[i]) for i in order}
+            assert [shared[0], shared[1]] == alone
+
+    def test_cache_stays_within_its_bound(self):
+        psi = np.linspace(-1.0, 1.0, 9)
+        for i in range(omp._ATOM_TABLES_CACHED + 3):
+            omp._AtomTables.build(4, psi, np.array([1.0, 1.0 + i / 100]))
+            assert omp._atom_sines.cache_info().currsize <= omp._ATOM_TABLES_CACHED
+        assert omp._atom_sines.cache_info().currsize == omp._ATOM_TABLES_CACHED
+
+    def test_equal_contents_share_one_table(self, desk_cfg):
+        d = t.build_dictionaries(desk_cfg)
+        eta = t.frequency_ratios(desk_cfg)
+        first = omp._AtomTables.build(desk_cfg.N_T, d.psi_f, eta)
+        assert omp._AtomTables.build(desk_cfg.N_T, d.psi_f.copy(), eta.copy()).atoms is first.atoms
 
 
 class TestPipeline:
