@@ -1,10 +1,10 @@
 """Frequency-selective THz multipath channels, held as their L path factors.
 
 Every H_k[m] has rank L, so a ``ChannelSet`` keeps the dilated path
-directions and gains. Its dominant mode, like every effective channel between
-steering beams, comes from the steering kernel a_N(x)^H a_N(y), a Dirichlet
-kernel; the dense H is built only on request. Also the subcarrier grid,
-steering vectors, path draws and the wideband array gain.
+directions and gains. Every coupling of a trial is a steering kernel
+a_N(x)^H a_N(y), a Dirichlet kernel, held here with the sine tables its
+angle-addition form pairs; the dense H is built only on request. Also the
+subcarrier grid, steering vectors, path draws and the wideband array gain.
 Directions are sine-space, dilated by eta_m = f_m / f_c and kept as-is beyond
 [-1, 1]; gains follow the spreading law 1/eta_m normalised at the carrier;
 delays run from the LoS arrival.
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,13 +58,13 @@ def dirichlet_sinc(a, N: int):
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     a = np.asarray(a, dtype=float)
-    k = np.round(a)
+    k = np.rint(a)
     r = a - k
     with np.errstate(divide="ignore", invalid="ignore"):     # r = 0 is replaced below
         out = np.asarray(np.sin(N * np.pi * r) / (N * np.sin(np.pi * r)))
     out[np.abs(r) < 1e-12] = 1.0
     if N % 2 == 0:
-        out[k.astype(np.int64) % 2 == 1] *= -1.0
+        out[np.fmod(k, 2.0) != 0] *= -1.0
     return float(out) if out.ndim == 0 else out
 
 
@@ -71,6 +72,52 @@ def steering_kernel(N: int, x, y):
     """a_N(x)^H a_N(y) = exp(j pi (N-1) d / 2) D_N(d / 2), d = x - y, broadcast."""
     d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     return np.exp(0.5j * np.pi * (N - 1) * d) * dirichlet_sinc(d / 2.0, N)
+
+
+_EXACT = 1e-3      # |sin(pi d/2)| below which a Dirichlet kernel is evaluated from d itself
+
+
+class _Sines(NamedTuple):
+    """Directions x with the sine and cosine of alpha = pi x / 2 and of N alpha: the
+    angle-addition factors from which :func:`_dirichlet_kernel` pairs two tables.
+    ``of`` builds a read-only table (``x`` a view); ``at`` indexes every array."""
+
+    x: np.ndarray
+    sin: np.ndarray
+    cos: np.ndarray
+    sin_n: np.ndarray
+    cos_n: np.ndarray
+
+    @classmethod
+    def of(cls, N: int, x: np.ndarray) -> _Sines:
+        alpha = (0.5 * np.pi) * x
+        table = cls(x.view(), np.sin(alpha), np.cos(alpha), np.sin(N * alpha), np.cos(N * alpha))
+        for v in table:
+            v.setflags(write=False)
+        return table
+
+    def at(self, index) -> _Sines:
+        return _Sines(*(v[index] for v in self))
+
+
+def _dirichlet_kernel(N: int, a: _Sines, b: _Sines, out: np.ndarray | None = None) -> np.ndarray:
+    """N D_N(d/2) = sin(N pi d/2) / sin(pi d/2) for d = a.x - b.x, broadcast.
+
+    Angle addition gives sin(pi d/2) = sin(alpha - beta) and sin(N pi d/2) =
+    sin(N alpha - N beta) from the two tables, so no entry takes a new sine. Where
+    |sin(pi d/2)| < ``_EXACT`` the difference cancels (d near an even integer: a beam on
+    a path, grating lobes at |d| = 2, N = 1); those entries come from d by :func:`dirichlet_sinc`.
+    """
+    den = a.sin * b.cos
+    den -= a.cos * b.sin
+    ker = np.multiply(a.sin_n, b.cos_n, out=out)
+    ker -= a.cos_n * b.sin_n
+    near = np.abs(den) < _EXACT
+    den[near] = 1.0                     # those entries are replaced below
+    ker /= den
+    if near.any():
+        ker[near] = N * dirichlet_sinc(np.subtract(a.x, b.x)[near] / 2.0, N)
+    return ker
 
 
 def _gram(N: int, v: np.ndarray) -> np.ndarray:
@@ -142,7 +189,9 @@ class ChannelSet:
     """K x M stack of rank-L channels H_k[m] = A_R diag(gain) A_T^H, held as path factors.
 
     ``theta`` / ``vartheta`` are the dilated DOAs eta_m phi / DODs eta_m varphi
-    (the columns of A_R / A_T), ``gain`` the path gains, all (K, M, L).
+    (the columns of A_R / A_T), ``gain`` the path gains, all (K, M, L). Their (K, L, M)
+    sine tables ``theta_sines`` (N_R) and ``vartheta_sines`` (N_T) are cached read-only
+    on first access, like ``dominant_mode``; atom selection and effective channels read them.
     """
 
     theta: np.ndarray       # (K, M, L)
@@ -157,6 +206,14 @@ class ChannelSet:
         """The dense (K, M, N_R, N_T) stack, built on first access; no trial reads it."""
         return np.einsum("kml,rkml,tkml->kmrt", self.gain, steering_vector(self.N_R, self.theta),
                          steering_vector(self.N_T, self.vartheta).conj())
+
+    @cached_property
+    def theta_sines(self) -> _Sines:
+        return _Sines.of(self.N_R, np.ascontiguousarray(self.theta.transpose(0, 2, 1)))
+
+    @cached_property
+    def vartheta_sines(self) -> _Sines:
+        return _Sines.of(self.N_T, np.ascontiguousarray(self.vartheta.transpose(0, 2, 1)))
 
     @cached_property
     def dominant_mode(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

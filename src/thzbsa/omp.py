@@ -12,18 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelSet, dirichlet_sinc, steering_kernel, steering_vector
+from .channel import ChannelSet, _dirichlet_kernel, _Sines, steering_kernel, steering_vector
 from .config import SystemConfig
 from .phase_ops import scale_analog_matrix
 
 
 _RCOND = 1e-12
-_EXACT = 1e-3      # |sin(pi d/2)| below which a Dirichlet kernel is evaluated from d itself
-_ATOM_TABLES_CACHED = 8    # atom sine tables kept per process; a config uses two
 
 
 class DegenerateChannelError(RuntimeError):
@@ -105,81 +102,26 @@ def unconstrained_combiners(channels: ChannelSet, sigma_n2: float) -> np.ndarray
     return y * (s / (s**2 + sigma_n2))[..., None]
 
 
-class _Sines(NamedTuple):
-    """Directions x with the sine and cosine of alpha = pi x / 2 and of N alpha: the
-    angle-addition factors from which :func:`_dirichlet_kernel` pairs two tables."""
-
-    x: np.ndarray
-    sin: np.ndarray
-    cos: np.ndarray
-    sin_n: np.ndarray
-    cos_n: np.ndarray
-
-    @classmethod
-    def of(cls, N: int, x: np.ndarray) -> _Sines:
-        alpha = (0.5 * np.pi) * x
-        return cls(x, np.sin(alpha), np.cos(alpha), np.sin(N * alpha), np.cos(N * alpha))
-
-
-def _dirichlet_kernel(N: int, a: _Sines, b: _Sines, out: np.ndarray | None = None) -> np.ndarray:
-    """N D_N(d/2) = sin(N pi d/2) / sin(pi d/2) for d = a.x - b.x, broadcast.
-
-    Angle addition gives sin(pi d/2) = sin(alpha - beta) and sin(N pi d/2) =
-    sin(N alpha - N beta) from the two tables, so no entry takes a new sine. Where
-    |sin(pi d/2)| < ``_EXACT`` the difference cancels (d near an even integer: a
-    beam on a path, grating lobes at |d| = 2, N = 1); those entries are evaluated
-    from d itself by :func:`dirichlet_sinc`.
-    """
-    den = a.sin * b.cos
-    den -= a.cos * b.sin
-    ker = np.multiply(a.sin_n, b.cos_n, out=out)
-    ker -= a.cos_n * b.sin_n
-    near = np.abs(den) < _EXACT
-    den[near] = 1.0                     # those entries are replaced below
-    ker /= den
-    if near.any():
-        ker[near] = N * dirichlet_sinc(np.subtract(a.x, b.x)[near] / 2.0, N)
-    return ker
-
-
-@lru_cache(maxsize=_ATOM_TABLES_CACHED)
+@lru_cache(maxsize=8)      # atom tables kept per process; a config uses two
 def _atom_sines(N: int, psi: bytes, eta: bytes) -> _Sines:
-    """The read-only sine table of the directions eta_m psi_p, keyed on the grids' bytes."""
-    tables = _Sines.of(N, np.multiply.outer(np.frombuffer(eta), np.frombuffer(psi)))
-    for table in tables:
-        table.setflags(write=False)
-    return tables
+    """The read-only (M, P) sine table of the dilated atom directions eta_m psi_p, keyed
+    on the grids' bytes: one per (N, grid, eta), shared by every user and trial of a config."""
+    return _Sines.of(N, np.multiply.outer(np.frombuffer(eta), np.frombuffer(psi)))
 
 
-class _AtomTables(NamedTuple):
-    """One dictionary's frequency-dilated atoms a_N(eta_m psi_p), as the (M, P) sine
-    table of their directions; built once per (N, grid, eta) and shared by every
-    user and every trial of that config."""
-
-    N: int
-    atoms: _Sines
-
-    @classmethod
-    def build(cls, N: int, psi: np.ndarray, eta: np.ndarray) -> _AtomTables:
-        as_bytes = (np.asarray(v, dtype=float).tobytes() for v in (psi, eta))
-        return cls(N, _atom_sines(N, *as_bytes))
-
-
-def _atom_correlations(tables: _AtomTables, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
+def _atom_correlations(N: int, atoms: _Sines, paths: _Sines, coords: np.ndarray) -> np.ndarray:
     """|a_N(eta_m psi_p)^H sum_l coords_l a_N(paths_l)| as (M, P), for one user.
 
-    By the steering kernel this is |sum_l coords_l exp(-j pi (N-1) paths_l / 2) D_N(d/2)|,
-    d = eta_m psi_p - paths_l, once the p-dependent unit phase drops out; the
-    Dirichlet factor pairs the shared atom table with the (M, L) path sines by
-    :func:`_dirichlet_kernel`. The kernel is laid out (L, M, P), atom axis
-    contiguous, one (M, P) slice per path.
+    ``atoms`` is the (M, P) table of :func:`_atom_sines`, ``paths`` the user's (L, M)
+    slice of ``ChannelSet.theta_sines`` or ``vartheta_sines``, ``coords`` (M, L). By the
+    steering kernel this is |sum_l coords_l exp(-j pi (N-1) paths_l / 2) D_N(d/2)|,
+    d = eta_m psi_p - paths_l, once the p-dependent unit phase drops out; the Dirichlet
+    factor pairs the two tables by :func:`_dirichlet_kernel`, laid out (L, M, P).
     """
-    N, atoms = tables
-    path_sines = _Sines.of(N, paths.T[..., None])                         # (L, M, 1)
-    weights = (coords * np.exp(-0.5j * np.pi * (N - 1) * paths)).T / N  # (L, M)
-    kernel = np.empty(paths.T.shape + atoms.x.shape[1:])                 # (L, M, P), N D_N
+    weights = coords.T * np.exp(-0.5j * np.pi * (N - 1) * paths.x) / N  # (L, M)
+    kernel = np.empty(paths.x.shape + atoms.x.shape[1:])                 # (L, M, P), N D_N
     for l, ker in enumerate(kernel):
-        _dirichlet_kernel(N, atoms, _Sines(*(v[l] for v in path_sines)), out=ker)
+        _dirichlet_kernel(N, atoms, paths.at(np.s_[l, :, None]), out=ker)
     re = np.einsum("lmp,lm->mp", kernel, weights.real)
     im = np.einsum("lmp,lm->mp", kernel, weights.imag)
     re *= re
@@ -196,23 +138,24 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     f_k[m] = A_T x and combiners w_k[m] = A_R y. For user k the pair (p*, q*)
     maximizes sum_m |d_{p,q}[m]^H g_k[m]| with d the Kronecker dictionary
     atom and g_k[m] = conj(f_k[m]) kron w_k[m], which factors as
-    conj(atom_F^H f) * (atom_W^H w). Both factors are closed-form Dirichlet
-    kernels over sin/cos tables of the dilated atoms, built once per (N, grid, eta)
-    and shared by every user and trial; only entries with |sin(pi d/2)| < ``_EXACT`` are
-    evaluated from d directly. Ties resolve to the smallest (p, then q). A
-    transmit atom is never reused across users (a duplicate would make the
-    effective channel singular). Returns the (K,) index arrays (p*, q*) into
-    ``psi_f`` / ``psi_w``.
+    conj(atom_F^H f) * (atom_W^H w). Both factors are closed-form Dirichlet kernels
+    pairing the dilated atoms' sine tables (:func:`_atom_sines`, shared by every trial
+    of a config) with the user's (L, M) slices of the channel's path tables
+    ``vartheta_sines`` / ``theta_sines``; entries with |sin(pi d/2)| < ``_EXACT`` are
+    evaluated from d directly. Ties resolve to the smallest (p, then q). A transmit
+    atom is never reused across users (a duplicate would make the effective channel
+    singular). Returns the (K,) index arrays (p*, q*) into ``psi_f`` / ``psi_w``.
     """
     K = x.shape[0]
     if K > dictionary.psi_f.size:
         raise ValueError(f"need K <= N_F, got K={K}")
-    tx = _AtomTables.build(channels.N_T, dictionary.psi_f, channels.eta)
-    rx = _AtomTables.build(channels.N_R, dictionary.psi_w, channels.eta)
+    eta = np.asarray(channels.eta, dtype=float).tobytes()
+    tx, rx = (_atom_sines(N, np.asarray(psi, dtype=float).tobytes(), eta) for N, psi in
+              ((channels.N_T, dictionary.psi_f), (channels.N_R, dictionary.psi_w)))
     p_star, q_star = np.empty((2, K), dtype=np.intp)
     for k in range(K):
-        corr_f = _atom_correlations(tx, channels.vartheta[k], x[k])
-        corr_w = _atom_correlations(rx, channels.theta[k], y[k])
+        corr_f = _atom_correlations(channels.N_T, tx, channels.vartheta_sines.at(k), x[k])
+        corr_w = _atom_correlations(channels.N_R, rx, channels.theta_sines.at(k), y[k])
         objective = corr_f.T @ corr_w
         objective[p_star[:k], :] = -np.inf
         p_star[k], q_star[k] = divmod(int(np.argmax(objective)), objective.shape[1])
@@ -227,8 +170,8 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
     analog matrix or (M, N_RF) for a per-subcarrier stack; per path, the entry is the
     gain times two steering kernels, a_R(psi_r)^H a_R(theta) and a_T(vartheta)^H a_T(psi_t).
     The transmit kernel's phase exp(j pi (N-1)(vartheta - psi_t)/2) is the product of one
-    phase per path and one per beam, and its Dirichlet factor comes by angle addition
-    from the sine tables of the paths and of the beams (:func:`_dirichlet_kernel`).
+    phase per path and one per beam; its Dirichlet factor pairs a (K, L, 1, M) view of
+    ``channels.vartheta_sines`` with the beams' sine table (:func:`_dirichlet_kernel`).
     """
     K = channels.gain.shape[0]
     psi_r = np.asarray(psi_r, dtype=float)
@@ -239,9 +182,9 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
     weights = channels.gain * steering_kernel(channels.N_R, psi_r[:, None, None], channels.theta)
     weights *= np.exp(0.5j * np.pi * (N - 1) * channels.vartheta) / N  # (K, M, L)
     # subcarriers innermost, so every broadcast loop runs M long
-    paths = np.ascontiguousarray(channels.vartheta.transpose(0, 2, 1))[:, :, None, :]
+    paths = channels.vartheta_sines.at(np.s_[:, :, None, :])            # (K, L, 1, M)
     beams = np.ascontiguousarray(psi_t.T).reshape(psi_t.shape[-1], -1)  # (N_RF, 1) or (N_RF, M)
-    kernel = _dirichlet_kernel(N, _Sines.of(N, paths), _Sines.of(N, beams))  # (K, L, N_RF, M)
+    kernel = _dirichlet_kernel(N, paths, _Sines.of(N, beams))           # (K, L, N_RF, M)
     h = np.einsum("kml,klim->mki", weights, kernel)
     h *= np.exp(-0.5j * np.pi * (N - 1) * psi_t[..., None, :])
     return h

@@ -89,9 +89,14 @@ class TestDirichletSinc:
         assert expected == pytest.approx(-0.18925, abs=5e-5)
 
     def test_integer_arguments_follow_analytic_limit(self):
-        for N in (2, 3, 8):
-            for k in (-2, -1, 1, 2):
-                assert t.dirichlet_sinc(float(k), N) == (-1.0) ** ((N - 1) * k)
+        # integers and grating lobes 1e-13 off them, negative ones too, for even and odd N
+        ks = np.array([-5, -4, -3, -2, -1, 1, 2, 3, 4, 5])
+        for N in (2, 3, 8, 9, 64, 65):
+            limit = (-1.0) ** ((N - 1) * ks)
+            for offset in (0.0, 1e-13, -1e-13):
+                a = ks + offset
+                assert np.array_equal(t.dirichlet_sinc(a, N), limit)
+                assert [t.dirichlet_sinc(float(v), N) for v in a] == limit.tolist()
 
     def test_never_nan_near_integers(self):
         a = np.array([0.0, 1.0, -1.0, 1e-15, 1 - 1e-15])

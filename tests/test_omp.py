@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import thzbsa as t
-from thzbsa import omp
+from thzbsa import channel, harness, omp
 from thzbsa.harness import HYBRID_METHODS, _trial_seed, run_trial
 from thzbsa.omp import DegenerateChannelError, pseudo_inverse, sd_dictionary
 
@@ -249,7 +249,11 @@ class TestAtomKernel:
         rng = np.random.default_rng(N)
         paths = _kernel_paths(case, eta, psi, rng)
         coords = rng.standard_normal(paths.shape) + 1j * rng.standard_normal(paths.shape)
-        corr = omp._atom_correlations(omp._AtomTables.build(N, psi, eta), paths, coords)
+        # the user's (L, M) slice of the channel's path table, as omp_select reads it
+        ch = t.ChannelSet(theta=paths[None], vartheta=paths[None], gain=coords[None].copy(),
+                          eta=eta, N_R=N, N_T=N)
+        atoms = omp._atom_sines(N, psi.tobytes(), eta.tobytes())
+        corr = omp._atom_correlations(N, atoms, ch.vartheta_sines.at(0), coords)
         atoms = t.steering_vector(N, eta[:, None] * psi)                         # (N, M, P)
         design = np.einsum("nml,ml->nm", t.steering_vector(N, paths), coords)
         oracle = np.abs(np.einsum("nmp,nm->mp", atoms.conj(), design))
@@ -258,16 +262,17 @@ class TestAtomKernel:
     def test_exact_kernel_only_near_zeros(self, desk_cfg, monkeypatch):
         # the closed form calls dirichlet_sinc only where sin(pi d/2) nearly vanishes
         evaluated = []
-        exact = omp.dirichlet_sinc
+        exact = channel.dirichlet_sinc
 
         def counting(a, N):
             evaluated.append(np.size(a))
             return exact(a, N)
 
-        monkeypatch.setattr(omp, "dirichlet_sinc", counting)
         ch = _random_channelset(desk_cfg, 6)
         x = t.unconstrained_precoders(ch)
         y = t.unconstrained_combiners(ch, desk_cfg.sigma_n2)
+        # counted from here on: the dominant mode's Grams, now cached, call it too
+        monkeypatch.setattr(channel, "dirichlet_sinc", counting)
         t.omp_select(ch, x, y, t.build_dictionaries(desk_cfg))
         c = desk_cfg
         assert sum(evaluated) < 0.01 * c.K * c.M * (c.N_F + c.N_W) * c.L
@@ -314,7 +319,7 @@ class TestEffectiveChannel:
             np.testing.assert_allclose(h_eff[m], expected, atol=1e-12)
 
     # per path l of user k, the offset d = vartheta - psi_t from beam l
-    _EDGE = (2 / np.pi) * np.arcsin(omp._EXACT)
+    _EDGE = (2 / np.pi) * np.arcsin(channel._EXACT)
     OFFSETS = {"on_path": [[0.0, 0.0, 0.0], [0.0, -0.0, 0.0]],
                "below_exact": [[_EDGE * (1 - 1e-6), -_EDGE * (1 - 1e-6), 0.0],
                                [-_EDGE * (1 - 1e-9), _EDGE * (1 - 1e-9), 0.37]],
@@ -508,8 +513,8 @@ class TestAnalogPower:
 class TestAtomTableCache:
     def test_cached_tables_are_read_only(self, desk_cfg):
         ch = _random_channelset(desk_cfg, 3)
-        tables = omp._AtomTables.build(desk_cfg.N_T, t.build_dictionaries(desk_cfg).psi_f, ch.eta)
-        for table in tables.atoms:
+        psi = t.build_dictionaries(desk_cfg).psi_f
+        for table in omp._atom_sines(desk_cfg.N_T, psi.tobytes(), ch.eta.tobytes()):
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0.0
 
@@ -532,17 +537,59 @@ class TestAtomTableCache:
             assert [shared[0], shared[1]] == alone
 
     def test_cache_stays_within_its_bound(self):
-        psi = np.linspace(-1.0, 1.0, 9)
-        for i in range(omp._ATOM_TABLES_CACHED + 3):
-            omp._AtomTables.build(4, psi, np.array([1.0, 1.0 + i / 100]))
-            assert omp._atom_sines.cache_info().currsize <= omp._ATOM_TABLES_CACHED
-        assert omp._atom_sines.cache_info().currsize == omp._ATOM_TABLES_CACHED
+        bound = omp._atom_sines.cache_parameters()["maxsize"]
+        psi = np.linspace(-1.0, 1.0, 9).tobytes()
+        for i in range(bound + 3):
+            omp._atom_sines(4, psi, np.array([1.0, 1.0 + i / 100]).tobytes())
+            assert omp._atom_sines.cache_info().currsize <= bound
+        assert omp._atom_sines.cache_info().currsize == bound
 
     def test_equal_contents_share_one_table(self, desk_cfg):
-        d = t.build_dictionaries(desk_cfg)
-        eta = t.frequency_ratios(desk_cfg)
-        first = omp._AtomTables.build(desk_cfg.N_T, d.psi_f, eta)
-        assert omp._AtomTables.build(desk_cfg.N_T, d.psi_f.copy(), eta.copy()).atoms is first.atoms
+        # two draws of one config hold equal grids in different arrays: two tables in all
+        omp._atom_sines.cache_clear()
+        for seed in (3, 4):
+            ch = _random_channelset(desk_cfg, seed)
+            x = t.unconstrained_precoders(ch)
+            y = t.unconstrained_combiners(ch, desk_cfg.sigma_n2)
+            t.omp_select(ch, x, y, t.build_dictionaries(desk_cfg))
+        info = omp._atom_sines.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+
+class TestPathTables:
+    def test_a_trial_builds_each_side_once(self, desk_cfg, monkeypatch):
+        built, drawn = [], []
+        of, generate = channel._Sines.of.__func__, harness.generate_channel
+
+        def counting(cls, N, x):
+            built.append((N, np.array(x)))
+            return of(cls, N, x)
+
+        def recording(cfg, paths):
+            drawn.append(generate(cfg, paths))
+            return drawn[-1]
+
+        monkeypatch.setattr(channel._Sines, "of", classmethod(counting))
+        monkeypatch.setattr(harness, "generate_channel", recording)
+        run_trial(desk_cfg, _trial_seed(4, 0, 0))
+        assert drawn
+        for ch in drawn:
+            for N, v in ((ch.N_R, ch.theta), (ch.N_T, ch.vartheta)):
+                v = v.transpose(0, 2, 1)
+                assert sum(n == N and np.array_equal(x, v) for n, x in built) == 1
+        assert sum(x.shape == drawn[0].theta.transpose(0, 2, 1).shape
+                   for _, x in built) == 2 * len(drawn)
+
+    def test_tables_are_read_only_and_laid_out_by_path(self, desk_cfg):
+        ch = _random_channelset(desk_cfg, 5)
+        for name, v in (("theta_sines", ch.theta), ("vartheta_sines", ch.vartheta)):
+            table = getattr(ch, name)
+            assert getattr(ch, name) is table
+            np.testing.assert_array_equal(table.x, v.transpose(0, 2, 1))
+            for array in table:
+                assert array.flags.c_contiguous
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = 0.0
 
 
 class TestPipeline:

@@ -1,7 +1,9 @@
 """The README's library example runs as written and prints what the README quotes,
-and the records it names list the fields the code has."""
+the records it names list the fields the code has, and every name its module
+table quotes still exists."""
 
 import dataclasses
+import importlib
 import re
 from pathlib import Path
 
@@ -41,3 +43,35 @@ def test_cli_default_values():
     stated = {sweep: tuple(float(v) for v in values.split(","))
               for sweep, values in re.findall(r"`(\w+)` `([^`]+)`", sentence)}
     assert stated == {sweep: values for sweep, values, _ in AXES.values()}
+
+
+IDENTIFIER = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _resolves(module, name: str) -> bool:
+    """``name`` is an attribute path in ``module``, or a field or attribute of a class
+    defined there."""
+    obj = module
+    for part in name.split("."):
+        if not hasattr(obj, part):
+            break
+        obj = getattr(obj, part)
+    else:
+        return True
+    classes = (c for c in vars(module).values()
+               if isinstance(c, type) and c.__module__ == module.__name__)
+    return any(hasattr(c, name) or name in getattr(c, "__annotations__", {}) for c in classes)
+
+
+def test_module_table_names_resolve():
+    rows = re.findall(r"^\| `(thzbsa\.\w+)` \| (.*) \|$", README.read_text(), re.M)
+    assert {name for name, _ in rows} >= {"thzbsa.channel", "thzbsa.omp"}
+    stale = [(name, ident) for name, cell in rows for ident in re.findall(r"`([^`]+)`", cell)
+             if IDENTIFIER.fullmatch(ident) and not _resolves(importlib.import_module(name), ident)]
+    assert stale == []
+
+
+def test_resolver_refuses_a_stale_name():
+    omp = importlib.import_module("thzbsa.omp")
+    assert _resolves(omp, "Dictionary") and _resolves(omp, "psi_f") and _resolves(omp, "D_F")
+    assert not _resolves(omp, "_AtomTables") and not _resolves(omp, "theta_sines")
