@@ -250,10 +250,10 @@ class TestAtomKernel:
         paths = _kernel_paths(case, eta, psi, rng)
         coords = rng.standard_normal(paths.shape) + 1j * rng.standard_normal(paths.shape)
         # the user's (L, M) slice of the channel's path table, as omp_select reads it
-        ch = t.ChannelSet(theta=paths[None], vartheta=paths[None], gain=coords[None].copy(),
+        ch = t.ChannelSet(theta=paths[None], vartheta=paths[None], gain=coords[None],
                           eta=eta, N_R=N, N_T=N)
-        atoms = omp._atom_sines(N, psi.tobytes(), eta.tobytes())
-        corr = omp._atom_correlations(N, atoms, ch.vartheta_sines.at(0), coords)
+        table = omp._atom_sines(N, psi.tobytes(), eta.tobytes())
+        corr = omp._atom_correlations(N, table, ch.vartheta_sines.at(0), coords)
         atoms = t.steering_vector(N, eta[:, None] * psi)                         # (N, M, P)
         design = np.einsum("nml,ml->nm", t.steering_vector(N, paths), coords)
         oracle = np.abs(np.einsum("nmp,nm->mp", atoms.conj(), design))
