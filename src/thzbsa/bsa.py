@@ -5,10 +5,15 @@ baseband is replaced with the least-squares match of the fixed-analog hybrid
 product to the ideal (phase-rescaled) per-subcarrier hybrid precoder, so the
 split compensation lives in the digital stage: exact iff the analog matrix
 has a left inverse (N_RF = N_T), else the projection onto its column space.
+The SD oracle's per-subcarrier analog stack, that ideal's analog stage, is
+built from two small dilations of the fixed analog matrix's leading
+sub-arrays, since a long steering vector is the Kronecker product of two
+short ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -48,14 +53,33 @@ def apply_bsa(bf: BeamformerSet, target: BeamformerSet) -> BeamformerSet:
     return replace(bf, F_BB=unit_power(bf.F_RF, corrected))
 
 
+def _dilated_stack(F_RF: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """The (M, N, N_RF) stack a_N(eta_m psi) of a steering matrix F_RF = a_N(psi).
+
+    With Q = ceil(sqrt(N)) and P = ceil(N / Q), entry n = q + Q p of a_N(x) is
+    sqrt(PQ / N) a_Q(x)[q] a_P(Q x)[p]: the first Q rows dilated by eta_m and the
+    first P rows by Q eta_m (exact, as the unwrap reads their slope for |psi| <= 1)
+    give it in M (P + Q) N_RF exponentials instead of M N N_RF.
+    """
+    N = F_RF.shape[0]
+    Q = math.isqrt(N - 1) + 1                    # ceil(sqrt(N)) in exact integers
+    P = -(-N // Q)
+    inner = scale_analog_matrix(F_RF[:Q], eta) * np.sqrt(P * Q / N)   # (M, Q, N_RF)
+    outer = scale_analog_matrix(F_RF[:P], Q * eta)                    # (M, P, N_RF)
+    stack = outer[:, :, None, :] * inner[:, None, :, :]              # (M, P, Q, N_RF)
+    return stack.reshape(len(eta), P * Q, -1)[:, :N]
+
+
 def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> BeamformerSet:
     """Ideal (hardware-infeasible) per-subcarrier analog stack and its ZF baseband.
 
-    The returned set has ``F_RF`` of shape (M, N_T, N_RF), built by one
-    batched rescaling, at the directions eta_m psi_t; used by the harness both
-    as the performance ceiling and as the target :func:`apply_bsa` matches.
+    The returned set has ``F_RF`` of shape (M, N_T, N_RF), the steering vectors
+    at the directions eta_m psi_t: ``bf.F_RF`` is steered to ``psi_t``, so the stack
+    comes from two dilations of its leading sub-arrays (:func:`_dilated_stack`).
+    Used by the harness both as the performance ceiling and as the target
+    :func:`apply_bsa` matches.
     """
-    F_bar = scale_analog_matrix(bf.F_RF, channels.eta)
+    F_bar = _dilated_stack(bf.F_RF, channels.eta)
     psi_bar = np.multiply.outer(channels.eta, bf.psi_t)
     H_eff = effective_channel(channels, bf.psi_r, psi_bar)
     return replace(bf, F_RF=F_bar, psi_t=psi_bar, H_eff=H_eff, F_BB=baseband_zf(H_eff, F_bar))

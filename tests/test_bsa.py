@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import thzbsa as t
+from thzbsa import bsa
 from thzbsa.omp import DegenerateChannelError
 
 
@@ -180,6 +181,24 @@ class TestSdOracleBeamformers:
         assert sd.W_RF is bf.W_RF
         assert t.power_constraint_residual(sd.F_RF, sd.F_BB) <= 1e-10
         np.testing.assert_allclose(np.abs(sd.F_RF), 1 / np.sqrt(16), atol=1e-9)
+
+
+class TestDilatedStack:
+    @pytest.mark.parametrize("B", [0.0, 70e9])
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 61, 64, 127, 128])
+    def test_steering_stack_from_two_sub_arrays(self, N, B):
+        # entry q + Q p of a_N(x) is sqrt(PQ/N) a_Q(x)[q] a_P(Q x)[p]; the directions
+        # take in +1 (the grid's -1 alias), broadside and the paper grid's end atoms
+        cfg = t.build_config("paper").replace(B=B)
+        eta = t.frequency_ratios(cfg)
+        grid = t.build_dictionaries(cfg).psi_f
+        psi = np.concatenate([[1.0, 0.0], grid[[0, 1, 2, -2, -1]], [-0.63, 0.41]])
+        F_RF = t.steering_vector(N, psi)
+        stack = bsa._dilated_stack(F_RF, eta)
+        assert stack.shape == (cfg.M, N, psi.size)
+        expected = np.moveaxis(t.steering_vector(N, np.multiply.outer(eta, psi)), 0, 1)
+        np.testing.assert_allclose(stack, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stack, t.scale_analog_matrix(F_RF, eta), rtol=0, atol=2e-12)
 
 
 class TestStoredEffectiveChannel:

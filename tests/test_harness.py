@@ -105,6 +105,30 @@ class TestRunTrial:
         assert set(res.reports) == set(t.METHODS)
         assert calls == {"baseband_zf": 2, "sd_oracle_beamformers": 1}
 
+    def test_sd_stack_dilates_two_sub_arrays(self, monkeypatch):
+        # the SD stack is two dilations of F_RF's first Q = ceil(sqrt(N_T)) and
+        # P = ceil(N_T / Q) rows, never a full N_T-row one; that needs F_RF to be
+        # the steering matrix of psi_t, bit for bit
+        from thzbsa import bsa, omp, phase_ops
+
+        cfg = small_cfg(N_T=40)                                   # Q = 7, P = 6
+        rows = []
+        original = phase_ops.scale_analog_matrix
+
+        def recorded(F_RF, eta):
+            rows.append(np.shape(F_RF)[0])
+            return original(F_RF, eta)
+
+        for module in (phase_ops, omp, bsa):
+            monkeypatch.setattr(module, "scale_analog_matrix", recorded)
+        res = t.run_trial(cfg, 7)
+        assert set(res.reports) == set(t.METHODS)
+        assert rows == [7, 6]
+
+        ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(7)))
+        bf = t.omp_hybrid_beamformer(cfg, ch)
+        np.testing.assert_array_equal(bf.F_RF, t.steering_vector(cfg.N_T, bf.psi_t))
+
     @pytest.mark.parametrize("methods,calls", [(t.METHODS, 2), (("omp",), 1),
                                                (("fully_digital",), 0)])
     def test_effective_channel_once_per_analog_matrix(self, monkeypatch, methods, calls):
