@@ -5,10 +5,9 @@ baseband is replaced with the least-squares match of the fixed-analog hybrid
 product to the ideal (phase-rescaled) per-subcarrier hybrid precoder, so the
 split compensation lives in the digital stage: exact iff the analog matrix
 has a left inverse (N_RF = N_T), else the projection onto its column space.
-The SD oracle's per-subcarrier analog stack, that ideal's analog stage, is
-built from two small dilations of the fixed analog matrix's leading
-sub-arrays, since a long steering vector is the Kronecker product of two
-short ones.
+That ideal's per-subcarrier analog stack (the SD oracle's) comes from two
+small dilations of the fixed analog matrix's leading sub-arrays, since a long
+steering vector is the Kronecker product of two short ones.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ def _dilated_stack(F_RF: np.ndarray, eta: np.ndarray) -> np.ndarray:
 
     With Q = ceil(sqrt(N)) and P = ceil(N / Q), entry n = q + Q p of a_N(x) is
     sqrt(PQ / N) a_Q(x)[q] a_P(Q x)[p]: the first Q rows dilated by eta_m and the
-    first P rows by Q eta_m (exact, as the unwrap reads their slope for |psi| <= 1)
+    first P rows by Q eta_m (exact for psi in (-1, 1], whose slope the unwrap reads)
     give it in M (P + Q) N_RF exponentials instead of M N N_RF.
     """
     N = F_RF.shape[0]
