@@ -163,7 +163,9 @@ def parse_config_file(path: str | Path) -> dict:
 
     Blank lines and ``#`` comments are ignored; keys must be SystemConfig
     field names, each set at most once. Each value is read as an int literal,
-    else a float literal, else text; ``SystemConfig`` checks its type.
+    else a float literal, else text; ``SystemConfig`` checks its type. One
+    leading UTF-8 byte-order mark is ignored; it is stripped after decoding, so
+    an invalid byte is still reported at its offset from the file's start.
     """
     names = {f.name for f in dataclasses.fields(SystemConfig)}
     overrides: dict = {}
@@ -171,7 +173,7 @@ def parse_config_file(path: str | Path) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as err:
         raise ConfigError(f"{path}: not valid UTF-8 ({err.reason} at byte {err.start})") from None
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

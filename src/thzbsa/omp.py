@@ -56,15 +56,17 @@ class BeamformerSet:
     """One hybrid precoder (omp, bsa_omp or the SD oracle) for one realization.
 
     ``F_RF`` is a single (N_T, N_RF) matrix or the SD oracle's
-    (M, N_T, N_RF) stack; ``H_eff`` is the effective channel ``F_BB`` was
-    solved on, so every method is scored by the coupling H_eff[m] F_BB[m].
+    (M, N_T, N_RF) stack, its per-subcarrier dilation; ``psi_t`` is always the
+    (N_RF,) directions of the fixed analog stage. ``H_eff`` is the effective
+    channel ``F_BB`` was solved on, so every method is scored by the coupling
+    H_eff[m] F_BB[m].
     """
 
     F_RF: np.ndarray        # (N_T, N_RF) or (M, N_T, N_RF), constant modulus
     W_RF: np.ndarray        # (N_R, K), constant-modulus columns
     H_eff: np.ndarray       # (M, K, N_RF)
     F_BB: np.ndarray        # (M, N_RF, K)
-    psi_t: np.ndarray       # (N_RF,) or (M, N_RF), the steering directions of F_RF
+    psi_t: np.ndarray       # (N_RF,), the fixed analog stage's steering directions
     psi_r: np.ndarray       # (K,), the steering directions of W_RF
 
 

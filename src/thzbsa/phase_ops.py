@@ -90,10 +90,10 @@ def scale_analog_matrix(F_RF: np.ndarray, eta) -> np.ndarray:
 
     Maps steering_vector(N, psi) to steering_vector(N, eta * psi) exactly,
     column by column, with entries of modulus 1/sqrt(N). With a scalar
-    ``eta`` the result has the shape of ``F_RF``. With an array of ratios
-    (one per subcarrier) the matrix is checked and unwrapped once and the
-    result is the ``(len(eta), N, cols)`` stack, equal entry for entry to
-    the per-ratio calls.
+    ``eta`` the result has the shape of ``F_RF``. With an array of ratios of
+    any shape S (one per subcarrier, or the SD stack's (2, M) pair of
+    dilations) the matrix is checked and unwrapped once and the result has
+    shape S + ``F_RF.shape``, equal entry for entry to the per-ratio calls.
     """
     ratios = np.asarray(eta, dtype=float)
     bad = np.flatnonzero(~np.isfinite(ratios) | (ratios <= 0))

@@ -182,6 +182,17 @@ class TestSdOracleBeamformers:
         assert t.power_constraint_residual(sd.F_RF, sd.F_BB) <= 1e-10
         np.testing.assert_allclose(np.abs(sd.F_RF), 1 / np.sqrt(16), atol=1e-9)
 
+    def test_every_set_keeps_the_fixed_directions(self):
+        # psi_t is the fixed analog stage's (N_RF,) directions for every hybrid set;
+        # the SD stack is their per-subcarrier dilation, not a second direction record
+        cfg = t.build_config("desk")
+        ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(8)))
+        bf = t.omp_hybrid_beamformer(cfg, ch)
+        sd = t.sd_oracle_beamformers(ch, bf)
+        for name, one in (("omp", bf), ("bsa_omp", t.apply_bsa(bf, sd)), ("sd", sd)):
+            assert one.psi_t.shape == (cfg.N_RF,), name
+            np.testing.assert_array_equal(one.psi_t, bf.psi_t, err_msg=name)
+
 
 class TestDilatedStack:
     @pytest.mark.parametrize("B", [0.0, 70e9])

@@ -105,25 +105,29 @@ class TestRunTrial:
         assert set(res.reports) == set(t.METHODS)
         assert calls == {"baseband_zf": 2, "sd_oracle_beamformers": 1}
 
-    def test_sd_stack_dilates_two_sub_arrays(self, monkeypatch):
-        # the SD stack is two dilations of F_RF's first Q = ceil(sqrt(N_T)) and
-        # P = ceil(N_T / Q) rows, never a full N_T-row one; that needs F_RF to be
+    def test_sd_stack_dilates_once(self, monkeypatch):
+        # the SD stack is one dilation of F_RF's first Q = ceil(sqrt(N_T)) rows by the
+        # (2, M) ratios (eta, Q eta), never a full N_T-row one; that needs F_RF to be
         # the steering matrix of psi_t, bit for bit
         from thzbsa import bsa, omp, phase_ops
 
-        cfg = small_cfg(N_T=40)                                   # Q = 7, P = 6
-        rows = []
+        cfg = small_cfg(N_T=40)                                   # Q = 7
+        calls = []
         original = phase_ops.scale_analog_matrix
 
         def recorded(F_RF, eta):
-            rows.append(np.shape(F_RF)[0])
+            calls.append((np.shape(F_RF)[0], np.array(eta)))
             return original(F_RF, eta)
 
         for module in (phase_ops, omp, bsa):
             monkeypatch.setattr(module, "scale_analog_matrix", recorded)
         res = t.run_trial(cfg, 7)
         assert set(res.reports) == set(t.METHODS)
-        assert rows == [7, 6]
+        assert len(calls) == 1
+        rows, ratios = calls[0]
+        eta = t.frequency_ratios(cfg)
+        assert rows == 7 and ratios.shape == (2, cfg.M)
+        np.testing.assert_array_equal(ratios, np.stack([eta, 7 * eta]))
 
         ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(7)))
         bf = t.omp_hybrid_beamformer(cfg, ch)
@@ -835,6 +839,22 @@ class TestCli:
         captured = capsys.readouterr()
         assert message in captured.err
         assert captured.out == ""
+
+    def test_config_file_with_bom(self, tmp_path, capsys):
+        # a UTF-8 byte-order mark, as some editors write it, is not part of the first key
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+        plain.write_text("N_T = 32\nK = 2\n")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert t.parse_config_file(marked) == t.parse_config_file(plain) == {"N_T": 32, "K": 2}
+        assert cli.main(["show-config", "--config", str(marked)]) == 0
+        assert "N_T = 32" in capsys.readouterr().out
+
+    def test_non_utf8_config_byte_counts_the_bom(self, tmp_path):
+        # the offset of an invalid byte counts from the file's first byte, BOM included
+        cfg_file = tmp_path / "bom_latin1.cfg"
+        cfg_file.write_bytes(b"\xef\xbb\xbfK = 2\n# caf\xff\n")
+        with pytest.raises(t.ConfigError, match=r"not valid UTF-8 \(invalid start byte at byte 14\)"):
+            t.parse_config_file(cfg_file)
 
     def test_non_utf8_config_exit_code(self, tmp_path, capsys):
         cfg_file = tmp_path / "latin1.cfg"

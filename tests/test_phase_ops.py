@@ -184,6 +184,11 @@ class TestScaleAnalogMatrix:
         assert stack.shape == (16, 32, 4)
         per_ratio = np.stack([t.scale_analog_matrix(F, e) for e in eta])
         np.testing.assert_array_equal(stack, per_ratio)
+        # a (2, M) ratio array, as the SD stack's one call passes, gives (2, M, N, cols)
+        pair = t.scale_analog_matrix(F, np.stack([eta, 7 * eta]))
+        assert pair.shape == (2, 16, 32, 4)
+        per_ratio = np.stack([[t.scale_analog_matrix(F, e) for e in row] for row in (eta, 7 * eta)])
+        np.testing.assert_array_equal(pair, per_ratio)
 
     @pytest.mark.parametrize("col", [0, 2, 4])
     def test_ratio_array_rejects_one_bad_column(self, col):
