@@ -47,10 +47,11 @@ def apply_bsa(bf: BeamformerSet, target: BeamformerSet) -> BeamformerSet:
     ``target`` is the SD oracle of :func:`sd_oracle_beamformers` (what the
     virtual SD beamformer would deploy). One pseudo-inverse of the analog
     beamformer matches every subcarrier, applied to the target's analog stack
-    first, so the products are (M, N_RF, N_RF); the analog stage and ``H_eff`` stay.
+    first, so the products are (M, N_RF, N_RF); the analog stage, its stored QR
+    factor and ``H_eff`` stay.
     """
     corrected = (pseudo_inverse(bf.F_RF) @ target.F_RF) @ target.F_BB
-    return replace(bf, F_BB=unit_power(bf.F_RF, corrected))
+    return replace(bf, F_BB=unit_power(bf.F_RF, corrected, bf.R_RF))
 
 
 def _dilated_stack(F_RF: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -79,4 +80,4 @@ def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> Beamformer
     """
     F_bar = _dilated_stack(bf.F_RF, channels.eta)
     H_eff = effective_channel(channels, bf.psi_r, np.multiply.outer(channels.eta, bf.psi_t))
-    return replace(bf, F_RF=F_bar, H_eff=H_eff, F_BB=baseband_zf(H_eff, F_bar))
+    return replace(bf, F_RF=F_bar, H_eff=H_eff, F_BB=baseband_zf(H_eff, F_bar), R_RF=None)

@@ -170,7 +170,7 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
                     raise FloatingPointError(f"non-finite {method} sum rate")
             return TrialResult(reports=reports, redraws=attempt)
         except DegenerateChannelError as err:
-            last_error = err
+            last_error = err.with_traceback(None)   # frees the failed draw's frames
         except FloatingPointError as err:
             raise FloatingPointError(f"{err} in trial seed {trial_seed}") from None
     raise RedrawExhausted(

@@ -5,7 +5,10 @@ MMSE-style combiners as coordinates on the L path steering vectors, joint
 transmit/receive atom selection by summed closed-form correlation with the
 frequency-dilated atoms, then the per-subcarrier zero-forcing baseband: the
 inverse of each square K x K effective channel, normalized to the MK total
-power constraint through :func:`analog_power`.
+power constraint through :func:`analog_power`. The fixed analog stage's QR
+factor is taken once per design and stored on the :class:`BeamformerSet`, so
+every later power sum of that stage reads it; the SD oracle's per-subcarrier
+stack is summed block by block over subcarriers, never multiplied out whole.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .phase_ops import scale_analog_matrix
 
 
 _RCOND = 1e-12
+_BLOCK_ENTRIES = 8192       # complex entries of one block of a stack's power product (128 KiB)
 
 
 class DegenerateChannelError(RuntimeError):
@@ -59,7 +63,9 @@ class BeamformerSet:
     (M, N_T, N_RF) stack, its per-subcarrier dilation; ``psi_t`` is always the
     (N_RF,) directions of the fixed analog stage. ``H_eff`` is the effective
     channel ``F_BB`` was solved on, so every method is scored by the coupling
-    H_eff[m] F_BB[m].
+    H_eff[m] F_BB[m]. ``R_RF`` is the triangular QR factor of a single ``F_RF``,
+    read by every power sum of it (:func:`analog_power`); None (a stack, or a set
+    built without it) means the power sums take what they need from ``F_RF``.
     """
 
     F_RF: np.ndarray        # (N_T, N_RF) or (M, N_T, N_RF), constant modulus
@@ -68,6 +74,7 @@ class BeamformerSet:
     F_BB: np.ndarray        # (M, N_RF, K)
     psi_t: np.ndarray       # (N_RF,), the fixed analog stage's steering directions
     psi_r: np.ndarray       # (K,), the steering directions of W_RF
+    R_RF: np.ndarray | None = None   # (min(N_T, N_RF), N_RF), F_RF = Q R_RF; None for a stack
 
 
 def build_dictionaries(cfg: SystemConfig) -> Dictionary:
@@ -111,6 +118,17 @@ def _atom_sines(N: int, psi: bytes, eta: bytes) -> _Sines:
     return _Sines.of(N, np.multiply.outer(np.frombuffer(eta), np.frombuffer(psi)))
 
 
+def _magnitude(subscripts: str, kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """|sum over paths of kernel * weights|: a real kernel contracted with the real and
+    imaginary parts of complex path weights, by the einsum ``subscripts``."""
+    re = np.einsum(subscripts, kernel, weights.real)
+    im = np.einsum(subscripts, kernel, weights.imag)
+    re *= re
+    im *= im
+    re += im
+    return np.sqrt(re, out=re)
+
+
 def _atom_correlations(N: int, atoms: _Sines, paths: _Sines, coords: np.ndarray) -> np.ndarray:
     """|a_N(eta_m psi_p)^H sum_l coords_l a_N(paths_l)| as (M, P), for one user.
 
@@ -124,12 +142,20 @@ def _atom_correlations(N: int, atoms: _Sines, paths: _Sines, coords: np.ndarray)
     kernel = np.empty(paths.x.shape + atoms.x.shape[1:])                 # (L, M, P), N D_N
     for l, ker in enumerate(kernel):
         _dirichlet_kernel(N, atoms, paths.at(np.s_[l, :, None]), out=ker)
-    re = np.einsum("lmp,lm->mp", kernel, weights.real)
-    im = np.einsum("lmp,lm->mp", kernel, weights.imag)
-    re *= re
-    im *= im
-    re += im
-    return np.sqrt(re, out=re)
+    return _magnitude("lmp,lm->mp", kernel, weights)
+
+
+def _all_user_correlations(N: int, atoms: _Sines, paths: _Sines,
+                           coords: np.ndarray) -> np.ndarray:
+    """:func:`_atom_correlations` of every user at once, as (K, M, P).
+
+    ``paths`` is the whole (K, L, M) path table and ``coords`` (K, M, L); one
+    :func:`_dirichlet_kernel` call lays the kernel out (K, L, M, P). Worth it for the
+    short receive side only: the transmit kernel of all users is too large a temporary.
+    """
+    weights = np.swapaxes(coords, -1, -2) * np.exp(-0.5j * np.pi * (N - 1) * paths.x) / N
+    kernel = _dirichlet_kernel(N, atoms, paths.at(np.s_[..., None]))   # (K, L, M, P), N D_N
+    return _magnitude("klmp,klm->kmp", kernel, weights)
 
 
 def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
@@ -154,11 +180,11 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     eta = np.asarray(channels.eta, dtype=float).tobytes()
     tx, rx = (_atom_sines(N, np.asarray(psi, dtype=float).tobytes(), eta) for N, psi in
               ((channels.N_T, dictionary.psi_f), (channels.N_R, dictionary.psi_w)))
+    corr_w = _all_user_correlations(channels.N_R, rx, channels.theta_sines, y)  # (K, M, N_W)
     p_star, q_star = np.empty((2, K), dtype=np.intp)
     for k in range(K):
         corr_f = _atom_correlations(channels.N_T, tx, channels.vartheta_sines.at(k), x[k])
-        corr_w = _atom_correlations(channels.N_R, rx, channels.theta_sines.at(k), y[k])
-        objective = corr_f.T @ corr_w
+        objective = corr_f.T @ corr_w[k]
         objective[p_star[:k], :] = -np.inf
         p_star[k], q_star[k] = divmod(int(np.argmax(objective)), objective.shape[1])
     return p_star, q_star
@@ -218,28 +244,43 @@ def _squared_norms(A: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", real, real)
 
 
-def analog_power(F_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
+def analog_power(F_RF: np.ndarray, F_BB: np.ndarray,
+                 R_RF: np.ndarray | None = None) -> np.ndarray:
     """||F_RF F_BB[m]||_F^2 of each subcarrier's baseband.
 
     One (N_T, N_RF) analog matrix is replaced by its triangular QR factor R:
     F_RF = Q R with Q unitary gives ||F_RF X||_F = ||R X||_F exactly, with no
-    N_T-long product and no squared condition number. The SD oracle's
-    (M, N_T, N_RF) stack is multiplied out.
+    N_T-long product and no squared condition number. ``R_RF`` is that factor when
+    the caller holds it (:class:`BeamformerSet`); else it is taken here. The SD
+    oracle's (M, N_T, N_RF) stack is summed over its dense products, a block of
+    subcarriers at a time: each block's product holds at most ``_BLOCK_ENTRIES``
+    entries (one subcarrier if a single one holds more), so no (M, N_T, K)
+    temporary is formed.
     """
     if F_RF.ndim == 2:
-        F_RF = np.linalg.qr(F_RF, mode="r")
-    return _squared_norms(F_RF @ F_BB)
+        R = np.linalg.qr(F_RF, mode="r") if R_RF is None else R_RF
+        return _squared_norms(R @ F_BB)
+    M, N_T, _ = F_RF.shape
+    F_BB = np.broadcast_to(F_BB, (M,) + F_BB.shape[-2:])
+    block = max(1, _BLOCK_ENTRIES // (N_T * F_BB.shape[-1]))
+    power = np.empty(M)
+    for m in range(0, M, block):
+        power[m:m + block] = _squared_norms(F_RF[m:m + block] @ F_BB[m:m + block])
+    return power
 
 
-def unit_power(F_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
-    """Scale each subcarrier's baseband so that ||F_RF F_BB[m]||_F^2 = K."""
+def unit_power(F_RF: np.ndarray, F_BB: np.ndarray,
+               R_RF: np.ndarray | None = None) -> np.ndarray:
+    """Scale each subcarrier's baseband so that ||F_RF F_BB[m]||_F^2 = K (``R_RF`` as in
+    :func:`analog_power`)."""
     K = F_BB.shape[-1]
-    return F_BB * np.sqrt(K / analog_power(F_RF, F_BB))[..., None, None]
+    return F_BB * np.sqrt(K / analog_power(F_RF, F_BB, R_RF))[..., None, None]
 
 
-def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray) -> np.ndarray:
+def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray,
+                R_RF: np.ndarray | None = None) -> np.ndarray:
     """Zero-forcing baseband: the inverse of each square H_eff[m] (N_RF = K), scaled
-    so that ||F_RF F_BB[m]||_F^2 = K (MK in total).
+    so that ||F_RF F_BB[m]||_F^2 = K (MK in total; ``R_RF`` as in :func:`analog_power`).
 
     The rank rule is on the Frobenius condition number kappa_F = ||H||_F ||H^-1||_F,
     which bounds kappa_2 <= kappa_F <= K kappa_2: DegenerateChannelError names the
@@ -256,7 +297,7 @@ def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray) -> np.ndarray:
         m = degenerate[0]
         raise DegenerateChannelError(
             f"matrix at subcarrier {m} is rank-deficient (condition number {kappa[m]:.3e})")
-    return unit_power(F_RF, H_inv)
+    return unit_power(F_RF, H_inv, R_RF)
 
 
 def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
@@ -269,6 +310,8 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
     p_star, q_star = omp_select(channels, x, y, dictionary)
     psi_t, psi_r = dictionary.psi_f[p_star], dictionary.psi_w[q_star]
     F_RF = steering_vector(cfg.N_T, psi_t)
+    R_RF = np.linalg.qr(F_RF, mode="r")         # the trial's one QR of the fixed stage
     H_eff = effective_channel(channels, psi_r, psi_t)
     return BeamformerSet(F_RF=F_RF, W_RF=steering_vector(cfg.N_R, psi_r), H_eff=H_eff,
-                         F_BB=baseband_zf(H_eff, F_RF), psi_t=psi_t, psi_r=psi_r)
+                         F_BB=baseband_zf(H_eff, F_RF, R_RF), psi_t=psi_t, psi_r=psi_r,
+                         R_RF=R_RF)

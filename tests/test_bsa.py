@@ -194,6 +194,17 @@ class TestSdOracleBeamformers:
             np.testing.assert_array_equal(one.psi_t, bf.psi_t, err_msg=name)
 
 
+    def test_only_the_single_analog_matrix_stores_its_factor(self):
+        # apply_bsa keeps the fixed stage's QR factor; the SD stack has none to keep
+        cfg = t.build_config("desk")
+        ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(8)))
+        bf = t.omp_hybrid_beamformer(cfg, ch)
+        sd = t.sd_oracle_beamformers(ch, bf)
+        np.testing.assert_array_equal(bf.R_RF, np.linalg.qr(bf.F_RF, mode="r"))
+        assert t.apply_bsa(bf, sd).R_RF is bf.R_RF
+        assert sd.R_RF is None
+
+
 class TestDilatedStack:
     @pytest.mark.parametrize("B", [0.0, 70e9])
     @pytest.mark.parametrize("N", [1, 2, 3, 7, 61, 64, 127, 128])

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 import thzbsa as t
 from thzbsa import cli
-from thzbsa.harness import (CSV_COLUMNS, HYBRID_METHODS, METHODS, SweepRow,
+from thzbsa.harness import (CSV_COLUMNS, HYBRID_METHODS, METHODS, SweepRow, _trial_seed,
                             config_for_axis_value)
 
 
@@ -132,6 +133,36 @@ class TestRunTrial:
         ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(7)))
         bf = t.omp_hybrid_beamformer(cfg, ch)
         np.testing.assert_array_equal(bf.F_RF, t.steering_vector(cfg.N_T, bf.psi_t))
+
+    def test_one_qr_of_the_fixed_stage_per_trial(self, monkeypatch):
+        # omp_hybrid_beamformer takes the QR factor once; the ZF scaling, apply_bsa and
+        # both hybrid power residuals read the stored factor
+        count = {"n": 0}
+        original = np.linalg.qr
+
+        def counted(*args, **kwargs):
+            count["n"] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted)
+        res = t.run_trial(small_cfg(), 7)
+        assert res.redraws == 0
+        assert set(res.reports) == set(t.METHODS)
+        assert count["n"] == 1
+
+    def test_paper_trial_memory_peak(self):
+        # no temporary of a paper trial is as large as the SD stack: the traced peak,
+        # the stack itself included, stays within twice its bytes
+        cfg = t.build_config("paper")
+        t.run_trial(cfg, _trial_seed(7, 0, 998))       # the config's atom tables, cached
+        tracemalloc.start()
+        try:
+            res = t.run_trial(cfg, _trial_seed(7, 0, 999))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.redraws == 0
+        assert peak <= 2 * cfg.M * cfg.N_T * cfg.K * 16
 
     @pytest.mark.parametrize("methods,calls", [(t.METHODS, 2), (("omp",), 1),
                                                (("fully_digital",), 0)])

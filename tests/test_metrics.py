@@ -118,6 +118,18 @@ class TestSumRate:
         report = t.sum_rate(silent, 1.0)
         assert report.sum_rate == 0.0
 
+    def test_set_without_stored_factor_scores_the_same(self):
+        # a set built without R_RF takes the QR factor itself when scored
+        cfg = t.SystemConfig().validate()
+        ch, bf = _desk_pipeline(cfg, 17)
+        assert bf.R_RF is not None
+        bare = t.BeamformerSet(F_RF=bf.F_RF, W_RF=bf.W_RF, H_eff=bf.H_eff, F_BB=bf.F_BB,
+                               psi_t=bf.psi_t, psi_r=bf.psi_r)
+        assert bare.R_RF is None
+        stored, taken = t.sum_rate(bf, 1.0), t.sum_rate(bare, 1.0)
+        assert taken.sum_rate == stored.sum_rate
+        assert taken.power_residual == stored.power_residual <= 1e-10
+
     def test_matched_single_user_closed_form(self):
         alpha, M = 0.7, 4
         cfg, ch, bf, paths = _matched_single_user(alpha=alpha, M=M)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,6 +224,50 @@ class TestOmpSelect:
         d = t.build_dictionaries(t.SystemConfig(N_T=8, N_R=4, K=2, N_RF=2, N_F=5, N_W=9))
         with pytest.raises(ValueError, match="K <= N_F"):
             t.omp_select(ch, x, x, d)
+
+
+def _per_user_select(ch, x, y, d):
+    """omp_select with both correlation sides taken user by user, as (p*, q*)."""
+    eta = ch.eta.tobytes()
+    tx = omp._atom_sines(ch.N_T, d.psi_f.tobytes(), eta)
+    rx = omp._atom_sines(ch.N_R, d.psi_w.tobytes(), eta)
+    p_star, q_star = [], []
+    for k in range(x.shape[0]):
+        corr_f = omp._atom_correlations(ch.N_T, tx, ch.vartheta_sines.at(k), x[k])
+        corr_w = omp._atom_correlations(ch.N_R, rx, ch.theta_sines.at(k), y[k])
+        objective = corr_f.T @ corr_w
+        objective[p_star, :] = -np.inf
+        p, q = divmod(int(np.argmax(objective)), objective.shape[1])
+        p_star.append(p)
+        q_star.append(q)
+    return p_star, q_star
+
+
+class TestBatchedReceiveSide:
+    @pytest.mark.parametrize("K", [1, 2, 4, 8])
+    def test_selection_matches_per_user_loop(self, K):
+        # the receive correlations of all users in one kernel call pick what a loop picks
+        cfg = t.build_config("desk", {"K": K})
+        d = t.build_dictionaries(cfg)
+        for seed in range(50):
+            ch = _random_channelset(cfg, seed)
+            x = t.unconstrained_precoders(ch)
+            y = t.unconstrained_combiners(ch, cfg.sigma_n2)
+            p_star, q_star = t.omp_select(ch, x, y, d)
+            assert (p_star.tolist(), q_star.tolist()) == _per_user_select(ch, x, y, d), seed
+
+    def test_correlations_match_per_user(self):
+        cfg = t.build_config("desk", {"K": 8})
+        ch = _random_channelset(cfg, 5)
+        y = t.unconstrained_combiners(ch, cfg.sigma_n2)
+        rx = omp._atom_sines(cfg.N_R, t.build_dictionaries(cfg).psi_w.tobytes(),
+                             ch.eta.tobytes())
+        batched = omp._all_user_correlations(cfg.N_R, rx, ch.theta_sines, y)
+        assert batched.shape == (cfg.K, cfg.M, cfg.N_W)
+        for k in range(cfg.K):
+            np.testing.assert_allclose(
+                batched[k], omp._atom_correlations(cfg.N_R, rx, ch.theta_sines.at(k), y[k]),
+                rtol=1e-14, atol=0)
 
 
 def _kernel_paths(case, eta, psi, rng):
@@ -491,6 +537,40 @@ class TestAnalogPower:
         rng = np.random.default_rng(np.random.SeedSequence([_trial_seed(3, 0, i), 0]))
         for F_RF, F_BB in _pipeline_precoders(cfg, rng):
             self._assert_matches_dense(F_RF, F_BB)
+
+    @pytest.mark.parametrize("M,N_T,K", [
+        (1, 128, 8),      # one subcarrier
+        (13, 128, 8),     # blocks of 8 subcarriers, the last one short
+        (40, 16, 16),     # K = N_T, blocks of 32
+        (3, 32, 32),      # K = N_T, one product per block
+        (5, 128, 128),    # K = N_T, a single product above the block bound
+    ])
+    def test_stack_block_edges(self, rng, M, N_T, K):
+        F_RF = t.steering_vector(N_T, rng.uniform(-1, 1, (M, K))).transpose(1, 0, 2)
+        F_BB = rng.standard_normal((M, K, K)) + 1j * rng.standard_normal((M, K, K))
+        self._assert_matches_dense(F_RF, F_BB)
+
+    def test_stored_factor_is_read(self, rng):
+        F_RF = t.steering_vector(16, rng.uniform(-1, 1, 3))
+        F_BB = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
+        R_RF = np.linalg.qr(F_RF, mode="r")
+        np.testing.assert_array_equal(omp.analog_power(F_RF, F_BB, R_RF),
+                                      omp.analog_power(F_RF, F_BB))
+        np.testing.assert_array_equal(omp.analog_power(F_RF, F_BB, 2 * R_RF),
+                                      4 * omp.analog_power(F_RF, F_BB))
+
+    def test_stack_power_never_forms_the_whole_product(self, rng):
+        # a paper-sized SD stack is summed a block of subcarriers at a time
+        M, N_T, K = 128, 128, 8
+        F_RF = t.steering_vector(N_T, rng.uniform(-1, 1, (M, K))).transpose(1, 0, 2)
+        F_BB = rng.standard_normal((M, K, K)) + 1j * rng.standard_normal((M, K, K))
+        tracemalloc.start()
+        try:
+            omp.analog_power(F_RF, F_BB)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (M * N_T * K * 16) / 4
 
     def test_wide_analog_matrix_through_bsa(self, rng):
         # N_T < N_RF: the QR factor R is N_T x N_RF, and ||F_RF X|| is still ||R X||
