@@ -168,8 +168,9 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     atom and g_k[m] = conj(f_k[m]) kron w_k[m], which factors as
     conj(atom_F^H f) * (atom_W^H w). Both factors are closed-form Dirichlet kernels
     pairing the dilated atoms' sine tables (:func:`_atom_sines`, shared by every trial
-    of a config) with the user's (L, M) slices of the channel's path tables
-    ``vartheta_sines`` / ``theta_sines``; entries with |sin(pi d/2)| < ``_EXACT`` are
+    of a config) with the channel's path tables: the user's (L, M) slice of
+    ``vartheta_sines``, and ``theta_sines`` of all users in one call
+    (:func:`_all_user_correlations`); entries with |sin(pi d/2)| < ``_EXACT`` are
     evaluated from d directly. Ties resolve to the smallest (p, then q). A transmit
     atom is never reused across users (a duplicate would make the effective channel
     singular). Returns the (K,) index arrays (p*, q*) into ``psi_f`` / ``psi_w``.
@@ -252,16 +253,15 @@ def analog_power(F_RF: np.ndarray, F_BB: np.ndarray,
     F_RF = Q R with Q unitary gives ||F_RF X||_F = ||R X||_F exactly, with no
     N_T-long product and no squared condition number. ``R_RF`` is that factor when
     the caller holds it (:class:`BeamformerSet`); else it is taken here. The SD
-    oracle's (M, N_T, N_RF) stack is summed over its dense products, a block of
-    subcarriers at a time: each block's product holds at most ``_BLOCK_ENTRIES``
-    entries (one subcarrier if a single one holds more), so no (M, N_T, K)
-    temporary is formed.
+    oracle's (M, N_T, N_RF) stack, with an (M, N_RF, K) ``F_BB``, is summed over
+    its dense products a block of subcarriers at a time: each block's product
+    holds at most ``_BLOCK_ENTRIES`` entries (one subcarrier if a single one
+    holds more), so no (M, N_T, K) temporary is formed.
     """
     if F_RF.ndim == 2:
         R = np.linalg.qr(F_RF, mode="r") if R_RF is None else R_RF
         return _squared_norms(R @ F_BB)
     M, N_T, _ = F_RF.shape
-    F_BB = np.broadcast_to(F_BB, (M,) + F_BB.shape[-2:])
     block = max(1, _BLOCK_ENTRIES // (N_T * F_BB.shape[-1]))
     power = np.empty(M)
     for m in range(0, M, block):

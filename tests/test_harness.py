@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +83,22 @@ class TestRunTrial:
         res = t.run_trial(small_cfg(), 1)
         assert res.redraws == 1
 
+    def test_redraw_frees_the_failed_draw(self, monkeypatch):
+        # the kept error must not hold the failed attempt's frames, and with them its channel
+        from thzbsa import harness
+
+        failed = []
+        original = harness.omp_hybrid_beamformer
+
+        def flaky(cfg, channels, dictionary):
+            if not failed:
+                failed.append(weakref.ref(channels))
+                raise t.DegenerateChannelError("first draw bad")
+            assert failed[0]() is None, "the failed draw's channel is still alive"
+            return original(cfg, channels, dictionary)
+
+        monkeypatch.setattr(harness, "omp_hybrid_beamformer", flaky)
+        assert t.run_trial(small_cfg(), 1).redraws == 1
 
     def test_sd_oracle_pair_computed_once(self, monkeypatch):
         # bsa_omp matches the SD-oracle pair that sd_oracle reports; it is
