@@ -48,10 +48,10 @@ def apply_bsa(bf: BeamformerSet, target: BeamformerSet) -> BeamformerSet:
     virtual SD beamformer would deploy). One pseudo-inverse of the analog
     beamformer matches every subcarrier, applied to the target's analog stack
     first, so the products are (M, N_RF, N_RF); the analog stage, its stored QR
-    factor and ``H_eff`` stay.
+    factor ``R_RF`` and ``H_eff`` stay.
     """
     corrected = (pseudo_inverse(bf.F_RF) @ target.F_RF) @ target.F_BB
-    return replace(bf, F_BB=unit_power(bf.F_RF, corrected, bf.R_RF))
+    return replace(bf, F_BB=unit_power(bf.R_RF, corrected))
 
 
 def _dilated_stack(F_RF: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -73,11 +73,11 @@ def _dilated_stack(F_RF: np.ndarray, eta: np.ndarray) -> np.ndarray:
 def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> BeamformerSet:
     """Ideal (hardware-infeasible) per-subcarrier analog stack and its ZF baseband.
 
-    The fixed analog stage dilated once: ``F_RF`` becomes the (M, N_T, N_RF) stack
-    a_N(eta_m psi_t) of :func:`_dilated_stack`, and ``psi_t`` stays the fixed stage's
-    (N_RF,) directions, which the stack dilates per subcarrier. Used by the harness
-    both as the performance ceiling and as the target :func:`apply_bsa` matches.
+    The fixed analog stage dilated once: ``F_RF`` and its power factor ``R_RF`` become the
+    (M, N_T, N_RF) stack a_N(eta_m psi_t) of :func:`_dilated_stack`; ``psi_t`` stays the
+    fixed stage's (N_RF,) directions, which the stack dilates per subcarrier. Used by the
+    harness both as the performance ceiling and as the target :func:`apply_bsa` matches.
     """
     F_bar = _dilated_stack(bf.F_RF, channels.eta)
     H_eff = effective_channel(channels, bf.psi_r, np.multiply.outer(channels.eta, bf.psi_t))
-    return replace(bf, F_RF=F_bar, H_eff=H_eff, F_BB=baseband_zf(H_eff, F_bar), R_RF=None)
+    return replace(bf, F_RF=F_bar, H_eff=H_eff, F_BB=baseband_zf(H_eff, F_bar), R_RF=F_bar)

@@ -118,16 +118,18 @@ class SystemConfig:
 
 
 def checked_int(name: str, value) -> int:
-    """``value`` as a plain int; a float, even a whole one, raises ConfigError naming ``name``."""
+    """``value`` as a plain int; a bool or any float raises ConfigError naming ``name``."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def checked_real(name: str, value) -> float:
-    """``value`` as a finite float, -0.0 as 0.0; else ConfigError naming ``name``."""
-    if not isinstance(value, numbers.Real):
+    """``value`` as a finite float, -0.0 as 0.0; else (a bool too) ConfigError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     try:
         real = float(value) + 0.0      # -0.0 + 0.0 is 0.0, so equal values hash equal

@@ -45,12 +45,11 @@ def _sinr_from_coupling(T: np.ndarray, sigma_n2: float, convention: str) -> np.n
         return (1 / K) * desired / ((1 / K) * interference + sigma_n2)
 
 
-def power_constraint_residual(F_RF: np.ndarray, F_BB: np.ndarray,
-                              R_RF: np.ndarray | None = None) -> float:
-    """Relative deviation of Sum_m ||F_RF F_BB[m]||_F^2 from MK (``R_RF``, the QR factor
-    of a single ``F_RF``, as in :func:`~thzbsa.omp.analog_power`)."""
+def power_constraint_residual(R_RF: np.ndarray, F_BB: np.ndarray) -> float:
+    """Relative deviation of Sum_m ||F_RF F_BB[m]||_F^2 from MK (``R_RF``, the power
+    factor of ``F_RF``, as in :func:`~thzbsa.omp.analog_power`)."""
     M, _, K = F_BB.shape
-    total = float(analog_power(F_RF, F_BB, R_RF).sum())
+    total = float(analog_power(R_RF, F_BB).sum())
     return abs(total - M * K) / (M * K)
 
 
@@ -65,7 +64,7 @@ def sum_rate(bf: BeamformerSet, sigma_n2: float, convention: str = "physical") -
     return RateReport(
         per_user_rate=per_user,
         sum_rate=float(per_user.sum()),
-        power_residual=power_constraint_residual(bf.F_RF, bf.F_BB, bf.R_RF),
+        power_residual=power_constraint_residual(bf.R_RF, bf.F_BB),
     )
 
 

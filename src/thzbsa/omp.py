@@ -5,10 +5,10 @@ MMSE-style combiners as coordinates on the L path steering vectors, joint
 transmit/receive atom selection by summed closed-form correlation with the
 frequency-dilated atoms, then the per-subcarrier zero-forcing baseband: the
 inverse of each square K x K effective channel, normalized to the MK total
-power constraint through :func:`analog_power`. The fixed analog stage's QR
-factor is taken once per design and stored on the :class:`BeamformerSet`, so
-every later power sum of that stage reads it; the SD oracle's per-subcarrier
-stack is summed block by block over subcarriers, never multiplied out whole.
+power constraint through :func:`analog_power`, which reads the power factor
+every :class:`BeamformerSet` stores: the fixed stage's triangular QR factor,
+taken once per design, or the SD oracle's per-subcarrier stack itself, summed
+block by block over subcarriers, never multiplied out whole.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ class BeamformerSet:
     (M, N_T, N_RF) stack, its per-subcarrier dilation; ``psi_t`` is always the
     (N_RF,) directions of the fixed analog stage. ``H_eff`` is the effective
     channel ``F_BB`` was solved on, so every method is scored by the coupling
-    H_eff[m] F_BB[m]. ``R_RF`` is the triangular QR factor of a single ``F_RF``,
-    read by every power sum of it (:func:`analog_power`); None (a stack, or a set
-    built without it) means the power sums take what they need from ``F_RF``.
+    H_eff[m] F_BB[m]. ``R_RF`` is the power factor of ``F_RF`` that every power
+    sum reads (:func:`analog_power`): the triangular QR factor of a single
+    matrix, or the SD oracle's stack itself.
     """
 
     F_RF: np.ndarray        # (N_T, N_RF) or (M, N_T, N_RF), constant modulus
@@ -74,7 +74,7 @@ class BeamformerSet:
     F_BB: np.ndarray        # (M, N_RF, K)
     psi_t: np.ndarray       # (N_RF,), the fixed analog stage's steering directions
     psi_r: np.ndarray       # (K,), the steering directions of W_RF
-    R_RF: np.ndarray | None = None   # (min(N_T, N_RF), N_RF), F_RF = Q R_RF; None for a stack
+    R_RF: np.ndarray        # (min(N_T, N_RF), N_RF) with F_RF = Q R_RF, or the stack F_RF
 
 
 def build_dictionaries(cfg: SystemConfig) -> Dictionary:
@@ -245,42 +245,38 @@ def _squared_norms(A: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", real, real)
 
 
-def analog_power(F_RF: np.ndarray, F_BB: np.ndarray,
-                 R_RF: np.ndarray | None = None) -> np.ndarray:
-    """||F_RF F_BB[m]||_F^2 of each subcarrier's baseband.
+def analog_power(R_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
+    """||F_RF F_BB[m]||_F^2 of each subcarrier's baseband, read through a power factor.
 
-    One (N_T, N_RF) analog matrix is replaced by its triangular QR factor R:
-    F_RF = Q R with Q unitary gives ||F_RF X||_F = ||R X||_F exactly, with no
-    N_T-long product and no squared condition number. ``R_RF`` is that factor when
-    the caller holds it (:class:`BeamformerSet`); else it is taken here. The SD
-    oracle's (M, N_T, N_RF) stack, with an (M, N_RF, K) ``F_BB``, is summed over
-    its dense products a block of subcarriers at a time: each block's product
-    holds at most ``_BLOCK_ENTRIES`` entries (one subcarrier if a single one
-    holds more), so no (M, N_T, K) temporary is formed.
+    ``R_RF`` is any factor with ||R_RF X||_F = ||F_RF X||_F for every baseband X, as
+    :class:`BeamformerSet` stores it; a matrix is a factor of itself. One (N_T, N_RF)
+    matrix stores the triangular R of F_RF = Q R, Q unitary: no N_T-long product and
+    no squared condition number. The SD oracle's (M, N_T, N_RF) stack is its own
+    factor, summed with an (M, N_RF, K) ``F_BB`` a block of subcarriers at a time:
+    each block's product holds at most ``_BLOCK_ENTRIES`` entries (one subcarrier if
+    a single one holds more), so no (M, N_T, K) temporary is formed.
     """
-    if F_RF.ndim == 2:
-        R = np.linalg.qr(F_RF, mode="r") if R_RF is None else R_RF
-        return _squared_norms(R @ F_BB)
-    M, N_T, _ = F_RF.shape
+    if R_RF.ndim == 2:
+        return _squared_norms(R_RF @ F_BB)
+    M, N_T, _ = R_RF.shape
     block = max(1, _BLOCK_ENTRIES // (N_T * F_BB.shape[-1]))
     power = np.empty(M)
     for m in range(0, M, block):
-        power[m:m + block] = _squared_norms(F_RF[m:m + block] @ F_BB[m:m + block])
+        power[m:m + block] = _squared_norms(R_RF[m:m + block] @ F_BB[m:m + block])
     return power
 
 
-def unit_power(F_RF: np.ndarray, F_BB: np.ndarray,
-               R_RF: np.ndarray | None = None) -> np.ndarray:
-    """Scale each subcarrier's baseband so that ||F_RF F_BB[m]||_F^2 = K (``R_RF`` as in
-    :func:`analog_power`)."""
+def unit_power(R_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
+    """Scale each subcarrier's baseband so that ||F_RF F_BB[m]||_F^2 = K (``R_RF``, the
+    power factor of ``F_RF``, as in :func:`analog_power`)."""
     K = F_BB.shape[-1]
-    return F_BB * np.sqrt(K / analog_power(F_RF, F_BB, R_RF))[..., None, None]
+    return F_BB * np.sqrt(K / analog_power(R_RF, F_BB))[..., None, None]
 
 
-def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray,
-                R_RF: np.ndarray | None = None) -> np.ndarray:
+def baseband_zf(H_eff: np.ndarray, R_RF: np.ndarray) -> np.ndarray:
     """Zero-forcing baseband: the inverse of each square H_eff[m] (N_RF = K), scaled
-    so that ||F_RF F_BB[m]||_F^2 = K (MK in total; ``R_RF`` as in :func:`analog_power`).
+    so that ||F_RF F_BB[m]||_F^2 = K (MK in total; ``R_RF``, the power factor of
+    ``F_RF``, as in :func:`analog_power`).
 
     The rank rule is on the Frobenius condition number kappa_F = ||H||_F ||H^-1||_F,
     which bounds kappa_2 <= kappa_F <= K kappa_2: DegenerateChannelError names the
@@ -297,7 +293,7 @@ def baseband_zf(H_eff: np.ndarray, F_RF: np.ndarray,
         m = degenerate[0]
         raise DegenerateChannelError(
             f"matrix at subcarrier {m} is rank-deficient (condition number {kappa[m]:.3e})")
-    return unit_power(F_RF, H_inv, R_RF)
+    return unit_power(R_RF, H_inv)
 
 
 def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
@@ -313,5 +309,5 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
     R_RF = np.linalg.qr(F_RF, mode="r")         # the trial's one QR of the fixed stage
     H_eff = effective_channel(channels, psi_r, psi_t)
     return BeamformerSet(F_RF=F_RF, W_RF=steering_vector(cfg.N_R, psi_r), H_eff=H_eff,
-                         F_BB=baseband_zf(H_eff, F_RF, R_RF), psi_t=psi_t, psi_r=psi_r,
+                         F_BB=baseband_zf(H_eff, R_RF), psi_t=psi_t, psi_r=psi_r,
                          R_RF=R_RF)

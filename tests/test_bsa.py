@@ -195,14 +195,15 @@ class TestSdOracleBeamformers:
 
 
     def test_only_the_single_analog_matrix_stores_its_factor(self):
-        # apply_bsa keeps the fixed stage's QR factor; the SD stack has none to keep
+        # the fixed stage stores its QR factor, which apply_bsa keeps; the SD stack is
+        # its own power factor, the same array and no copy
         cfg = t.build_config("desk")
         ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(8)))
         bf = t.omp_hybrid_beamformer(cfg, ch)
         sd = t.sd_oracle_beamformers(ch, bf)
         np.testing.assert_array_equal(bf.R_RF, np.linalg.qr(bf.F_RF, mode="r"))
         assert t.apply_bsa(bf, sd).R_RF is bf.R_RF
-        assert sd.R_RF is None
+        assert sd.R_RF is sd.F_RF
 
 
 class TestDilatedStack:

@@ -345,7 +345,8 @@ class TestSweepSpec:
         assert spec.methods == ("omp",)
         assert [row.method for row in t.run_sweep(spec).rows] == ["omp"]
         # the run uses, and the rows report, the integers that were checked
-        for name, value in (("seed", 2.7), ("trials", 2.0), ("workers", 1.5)):
+        for name, value in (("seed", 2.7), ("trials", 2.0), ("workers", 1.5),
+                            ("seed", False), ("trials", True), ("workers", True)):
             with pytest.raises(t.ConfigError, match=f"{name} must be an integer, got {value}"):
                 t.SweepSpec(axis="snr_db", values=[0.0], base_config=small_cfg(),
                             **{name: value})
@@ -538,9 +539,16 @@ class TestConfigModule:
 
     @pytest.mark.parametrize("name", ["M", "N_T", "N_R", "N_RF", "K", "L", "N_F", "N_W"])
     def test_integer_field_rejects_float(self, name):
-        value = float(getattr(t.SystemConfig(), name))
-        with pytest.raises(t.ConfigError, match=f"{name} must be an integer, got {value}"):
-            t.SystemConfig(**{name: value})
+        # a bool is an int to Python, not a count to the config
+        for value in (float(getattr(t.SystemConfig(), name)), True, False):
+            with pytest.raises(t.ConfigError, match=f"{name} must be an integer, got {value}"):
+                t.SystemConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["f_c", "B", "sigma_n2",
+                                      "excess_delay", "nlos_penalty_db"])
+    def test_real_field_rejects_bool(self, name):
+        with pytest.raises(t.ConfigError, match=f"{name} must be a real number, got True"):
+            t.SystemConfig(**{name: True})
 
     def test_numpy_integer_stored_as_int(self):
         cfg = t.SystemConfig(K=np.int64(2), N_T=np.int32(64))

@@ -16,7 +16,8 @@ def _matched_single_user(alpha=0.7, tau=2e-9, M=4):
     psi_t, psi_r = np.array([-0.2]), np.array([0.3])
     H_eff = t.effective_channel(ch, psi_r, psi_t)
     F_BB = t.baseband_zf(H_eff, F_RF)
-    bf = t.BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB, psi_t=psi_t, psi_r=psi_r)
+    bf = t.BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB, psi_t=psi_t, psi_r=psi_r,
+                         R_RF=F_RF)
     return cfg, ch, bf, paths
 
 
@@ -114,21 +115,10 @@ class TestSumRate:
     def test_zero_precoder_zero_rate(self):
         cfg, ch, bf, _ = _matched_single_user()
         silent = t.BeamformerSet(F_RF=bf.F_RF, W_RF=bf.W_RF, H_eff=bf.H_eff,
-                                 F_BB=np.zeros_like(bf.F_BB), psi_t=bf.psi_t, psi_r=bf.psi_r)
+                                 F_BB=np.zeros_like(bf.F_BB), psi_t=bf.psi_t, psi_r=bf.psi_r,
+                                 R_RF=bf.R_RF)
         report = t.sum_rate(silent, 1.0)
         assert report.sum_rate == 0.0
-
-    def test_set_without_stored_factor_scores_the_same(self):
-        # a set built without R_RF takes the QR factor itself when scored
-        cfg = t.SystemConfig().validate()
-        ch, bf = _desk_pipeline(cfg, 17)
-        assert bf.R_RF is not None
-        bare = t.BeamformerSet(F_RF=bf.F_RF, W_RF=bf.W_RF, H_eff=bf.H_eff, F_BB=bf.F_BB,
-                               psi_t=bf.psi_t, psi_r=bf.psi_r)
-        assert bare.R_RF is None
-        stored, taken = t.sum_rate(bf, 1.0), t.sum_rate(bare, 1.0)
-        assert taken.sum_rate == stored.sum_rate
-        assert taken.power_residual == stored.power_residual <= 1e-10
 
     def test_matched_single_user_closed_form(self):
         alpha, M = 0.7, 4

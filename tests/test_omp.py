@@ -497,20 +497,22 @@ def _dense_power(F_RF, F_BB):
 
 
 def _pipeline_precoders(cfg, rng):
-    """(F_RF, F_BB) of omp, bsa_omp and the SD oracle on one channel draw."""
+    """(F_RF, F_BB, R_RF) of omp, bsa_omp and the SD oracle on one channel draw."""
     ch = t.generate_channel(cfg, t.draw_paths(cfg, rng))
     bf = t.omp_hybrid_beamformer(cfg, ch)
     sd = t.sd_oracle_beamformers(ch, bf)
-    return [(b.F_RF, b.F_BB) for b in (bf, t.apply_bsa(bf, sd), sd)]
+    return [(b.F_RF, b.F_BB, b.R_RF) for b in (bf, t.apply_bsa(bf, sd), sd)]
 
 
 class TestAnalogPower:
     """analog_power, unit_power and the power residual against the dense sum."""
 
     @staticmethod
-    def _assert_matches_dense(F_RF, F_BB):
+    def _assert_matches_dense(F_RF, F_BB, R_RF):
         dense = _dense_power(F_RF, F_BB)
-        np.testing.assert_allclose(omp.analog_power(F_RF, F_BB), dense, rtol=1e-13, atol=0)
+        # the stored power factor, and F_RF as a factor of itself
+        for factor in (R_RF, F_RF):
+            np.testing.assert_allclose(omp.analog_power(factor, F_BB), dense, rtol=1e-13, atol=0)
         # the scale, not the power of the scaled product: an SD-oracle product re-rounds
         # at 3e-13 of K, whichever sum scaled it
         K = F_BB.shape[-1]
@@ -526,17 +528,17 @@ class TestAnalogPower:
     @pytest.mark.parametrize("profile,seed", [("desk", 17), ("paper", 3)])
     def test_seeded_pipelines(self, profile, seed):
         cfg = t.build_config(profile)
-        for F_RF, F_BB in _pipeline_precoders(cfg, np.random.default_rng(seed)):
-            self._assert_matches_dense(F_RF, F_BB)
-            self._assert_matches_dense(F_RF, 2 * F_BB)
+        for F_RF, F_BB, R_RF in _pipeline_precoders(cfg, np.random.default_rng(seed)):
+            self._assert_matches_dense(F_RF, F_BB, R_RF)
+            self._assert_matches_dense(F_RF, 2 * F_BB, R_RF)
 
     @pytest.mark.parametrize("i", [12, 27, 77, 139])
     def test_sixteen_user_draws(self, i):
         # the draws of test_unit_power_exact_on_sixteen_users, first attempt of each
         cfg = t.build_config("desk", {"K": 16})
         rng = np.random.default_rng(np.random.SeedSequence([_trial_seed(3, 0, i), 0]))
-        for F_RF, F_BB in _pipeline_precoders(cfg, rng):
-            self._assert_matches_dense(F_RF, F_BB)
+        for F_RF, F_BB, R_RF in _pipeline_precoders(cfg, rng):
+            self._assert_matches_dense(F_RF, F_BB, R_RF)
 
     @pytest.mark.parametrize("M,N_T,K", [
         (1, 128, 8),      # one subcarrier
@@ -548,16 +550,7 @@ class TestAnalogPower:
     def test_stack_block_edges(self, rng, M, N_T, K):
         F_RF = t.steering_vector(N_T, rng.uniform(-1, 1, (M, K))).transpose(1, 0, 2)
         F_BB = rng.standard_normal((M, K, K)) + 1j * rng.standard_normal((M, K, K))
-        self._assert_matches_dense(F_RF, F_BB)
-
-    def test_stored_factor_is_read(self, rng):
-        F_RF = t.steering_vector(16, rng.uniform(-1, 1, 3))
-        F_BB = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
-        R_RF = np.linalg.qr(F_RF, mode="r")
-        np.testing.assert_array_equal(omp.analog_power(F_RF, F_BB, R_RF),
-                                      omp.analog_power(F_RF, F_BB))
-        np.testing.assert_array_equal(omp.analog_power(F_RF, F_BB, 2 * R_RF),
-                                      4 * omp.analog_power(F_RF, F_BB))
+        self._assert_matches_dense(F_RF, F_BB, F_RF)
 
     def test_stack_power_never_forms_the_whole_product(self, rng):
         # a paper-sized SD stack is summed a block of subcarriers at a time
@@ -577,7 +570,7 @@ class TestAnalogPower:
         F_RF = t.steering_vector(4, rng.uniform(-1, 1, 6))
         F_BB_m = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
         raw = t.bsa_baseband(F_RF, F_BB_m, 1.1, normalize=False)
-        self._assert_matches_dense(F_RF, raw)
+        self._assert_matches_dense(F_RF, raw, np.linalg.qr(F_RF, mode="r"))
         corrected = t.bsa_baseband(F_RF, F_BB_m, 1.1)
         assert _dense_power(F_RF, corrected) == pytest.approx(3.0, rel=1e-13)
 
@@ -585,7 +578,7 @@ class TestAnalogPower:
         # a repeated beam: the least squares refuses it, the power identity holds regardless
         F_RF = t.steering_vector(8, np.array([0.2, -0.5, 0.2]))
         F_BB = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-        self._assert_matches_dense(F_RF, F_BB)
+        self._assert_matches_dense(F_RF, F_BB, np.linalg.qr(F_RF, mode="r"))
         with pytest.raises(DegenerateChannelError, match="rank-deficient"):
             t.bsa_baseband(F_RF, F_BB[0], 1.1)
 

@@ -49,18 +49,20 @@ IDENTIFIER = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
 def _resolves(module, name: str) -> bool:
-    """``name`` is an attribute path in ``module``, or a field or attribute of a class
-    defined there."""
-    obj = module
-    for part in name.split("."):
+    """``name`` is an attribute path in ``module`` or in a class defined there; its last
+    part may be a field that a class declares without a default."""
+    classes = [c for c in vars(module).values()
+               if isinstance(c, type) and c.__module__ == module.__name__]
+    return any(_walks(root, name.split(".")) for root in [module, *classes])
+
+
+def _walks(obj, parts: list[str]) -> bool:
+    *head, last = parts
+    for part in head:
         if not hasattr(obj, part):
-            break
+            return False
         obj = getattr(obj, part)
-    else:
-        return True
-    classes = (c for c in vars(module).values()
-               if isinstance(c, type) and c.__module__ == module.__name__)
-    return any(hasattr(c, name) or name in getattr(c, "__annotations__", {}) for c in classes)
+    return hasattr(obj, last) or last in getattr(obj, "__annotations__", {})
 
 
 def test_module_table_names_resolve():
@@ -75,3 +77,7 @@ def test_resolver_refuses_a_stale_name():
     omp = importlib.import_module("thzbsa.omp")
     assert _resolves(omp, "Dictionary") and _resolves(omp, "psi_f") and _resolves(omp, "D_F")
     assert not _resolves(omp, "_AtomTables") and not _resolves(omp, "theta_sines")
+    # a dotted path to a field declared without a default, and to one that is not declared
+    assert _resolves(omp, "BeamformerSet.F_RF") and _resolves(omp, "BeamformerSet.R_RF")
+    assert not _resolves(omp, "BeamformerSet.Q_RF")
+    assert _resolves(importlib.import_module("thzbsa.channel"), "ChannelSet.theta")
