@@ -75,6 +75,7 @@ def steering_kernel(N: int, x, y):
 
 
 _EXACT = 1e-3      # |sin(pi d/2)| below which a Dirichlet kernel is evaluated from d itself
+_BOUND_SLACK = 1e-9     # relative widening of a kernel bound, far above its rounding
 
 
 class _Sines(NamedTuple):
@@ -100,7 +101,7 @@ class _Sines(NamedTuple):
         return _Sines(*(v[index] for v in self))
 
 
-def _dirichlet_kernel(N: int, a: _Sines, b: _Sines, out: np.ndarray | None = None) -> np.ndarray:
+def _dirichlet_kernel(N: int, a: _Sines, b: _Sines) -> np.ndarray:
     """N D_N(d/2) = sin(N pi d/2) / sin(pi d/2) for d = a.x - b.x, broadcast.
 
     Angle addition gives sin(pi d/2) = sin(alpha - beta) and sin(N pi d/2) =
@@ -110,7 +111,7 @@ def _dirichlet_kernel(N: int, a: _Sines, b: _Sines, out: np.ndarray | None = Non
     """
     den = a.sin * b.cos
     den -= a.cos * b.sin
-    ker = np.multiply(a.sin_n, b.cos_n, out=out)
+    ker = a.sin_n * b.cos_n
     ker -= a.cos_n * b.sin_n
     near = np.abs(den) < _EXACT
     den[near] = 1.0                     # those entries are replaced below
@@ -118,6 +119,26 @@ def _dirichlet_kernel(N: int, a: _Sines, b: _Sines, out: np.ndarray | None = Non
     if near.any():
         ker[near] = N * dirichlet_sinc(np.subtract(a.x, b.x)[near] / 2.0, N)
     return ker
+
+
+def _dirichlet_bound(N: int, a: _Sines, b: _Sines) -> np.ndarray:
+    """An upper bound on |N D_N(d/2)| over every d between the two ends on axis -2 of
+    d = a.x - b.x, broadcast as in :func:`_dirichlet_kernel`; that axis is dropped.
+
+    |N D_N(d/2)| <= min(N, 1/|sin(pi d/2)|), and |sin(pi d/2)| is concave between its
+    zeros, the even integers. So over the segment its minimum is at an end, unless an
+    even integer (d = 0, or a grating lobe at d = +-2) lies between the ends, and then
+    the bound is N. A dilated atom against a dilated path, d = eta_m (psi - phi), is
+    such a segment over the subcarriers, with ends at the extreme eta. The bound is
+    widened by the relative ``_BOUND_SLACK`` for the rounding of the kernel and of
+    sums of bounded terms.
+    """
+    s = a.sin * b.cos
+    s -= a.cos * b.sin
+    s = np.abs(s).min(axis=-2)
+    half = np.floor(np.subtract(a.x, b.x) / 2.0)
+    s[half[..., 0, :] != half[..., 1, :]] = 0.0
+    return ((1.0 + _BOUND_SLACK) * N) / np.maximum(1.0, N * s)
 
 
 def _gram(N: int, v: np.ndarray) -> np.ndarray:

@@ -9,6 +9,13 @@ power constraint through :func:`analog_power`, which reads the power factor
 every :class:`BeamformerSet` stores: the fixed stage's triangular QR factor,
 taken once per design, or the SD oracle's per-subcarrier stack itself, summed
 block by block over subcarriers, never multiplied out whole.
+
+The selection is exact by bound-and-prune. |N D_N(d/2)| <= min(N, 1/|sin(pi d/2)|),
+taken over the band from its two end subcarriers, bounds each transmit atom's
+objective. The few seeds of largest bound per user are evaluated for all users at
+once; then, user by user, only the free atoms whose bound reaches the best free
+seed are. Ties go to the smallest (p, then q), since an objective's value does not
+depend on which other atoms are evaluated with it.
 """
 
 from __future__ import annotations
@@ -18,12 +25,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelSet, _dirichlet_kernel, _Sines, steering_kernel, steering_vector
+from .channel import (ChannelSet, _dirichlet_bound, _dirichlet_kernel, _Sines, steering_kernel,
+                      steering_vector)
 from .config import SystemConfig
 from .phase_ops import scale_analog_matrix
 
 
 _RCOND = 1e-12
+_SEEDS = 4                  # transmit atoms per user evaluated before any is pruned
 _BLOCK_ENTRIES = 8192       # complex entries of one block of a stack's power product (128 KiB)
 
 
@@ -112,82 +121,128 @@ def unconstrained_combiners(channels: ChannelSet, sigma_n2: float) -> np.ndarray
 
 
 @lru_cache(maxsize=8)      # atom tables kept per process; a config uses two
-def _atom_sines(N: int, psi: bytes, eta: bytes) -> _Sines:
-    """The read-only (M, P) sine table of the dilated atom directions eta_m psi_p, keyed
-    on the grids' bytes: one per (N, grid, eta), shared by every user and trial of a config."""
-    return _Sines.of(N, np.multiply.outer(np.frombuffer(eta), np.frombuffer(psi)))
+def _atom_sines(N: int, psi: bytes, eta: bytes) -> np.ndarray:
+    """The read-only sine table of the dilated atom directions eta_m psi_p, keyed on the
+    grids' bytes: one per (N, grid, eta), shared by every user and trial of a config.
+    Its five (P, M) ``_Sines`` arrays, one row per atom, are stacked on axis 0, so any
+    gather of atoms is one indexing: ``_Sines(*table[:, rows])``."""
+    table = np.stack(_Sines.of(N, np.multiply.outer(np.frombuffer(psi), np.frombuffer(eta))))
+    table.setflags(write=False)
+    return table
 
 
-def _magnitude(subscripts: str, kernel: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """|sum over paths of kernel * weights|: a real kernel contracted with the real and
-    imaginary parts of complex path weights, by the einsum ``subscripts``."""
-    re = np.einsum(subscripts, kernel, weights.real)
-    im = np.einsum(subscripts, kernel, weights.imag)
-    re *= re
-    im *= im
-    re += im
-    return np.sqrt(re, out=re)
+def _path_weights(N: int, paths: _Sines, coords: np.ndarray) -> np.ndarray:
+    """The weights coords_l exp(-j pi (N-1) paths_l / 2) / N of the path kernels, as a
+    (2, ..., L, M) pair of real and imaginary parts, from a (..., L, M) path table and
+    (..., M, L) path coordinates; the phase's sine and cosine come by angle addition
+    from the table's, as (N-1) alpha = N alpha - alpha."""
+    cos = paths.cos_n * paths.cos
+    cos += paths.sin_n * paths.sin
+    sin = paths.sin_n * paths.cos
+    sin -= paths.cos_n * paths.sin
+    c = np.swapaxes(coords, -1, -2) / N
+    weights = np.empty((2,) + cos.shape)
+    re = np.multiply(c.real, cos, out=weights[0])
+    re += c.imag * sin
+    im = np.multiply(c.imag, cos, out=weights[1])
+    im -= c.real * sin
+    return weights
 
 
-def _atom_correlations(N: int, atoms: _Sines, paths: _Sines, coords: np.ndarray) -> np.ndarray:
-    """|a_N(eta_m psi_p)^H sum_l coords_l a_N(paths_l)| as (M, P), for one user.
+def _correlations(N: int, atoms: _Sines, paths: _Sines, weights: np.ndarray) -> np.ndarray:
+    """|a_N(atom)^H sum_l coords_l a_N(paths_l)| as (..., P, M), broadcast.
 
-    ``atoms`` is the (M, P) table of :func:`_atom_sines`, ``paths`` the user's (L, M)
-    slice of ``ChannelSet.theta_sines`` or ``vartheta_sines``, ``coords`` (M, L). By the
-    steering kernel this is |sum_l coords_l exp(-j pi (N-1) paths_l / 2) D_N(d/2)|,
-    d = eta_m psi_p - paths_l, once the p-dependent unit phase drops out; the Dirichlet
-    factor pairs the two tables by :func:`_dirichlet_kernel`, laid out (L, M, P).
+    ``paths`` is a (..., L, M) path table and ``weights`` its :func:`_path_weights`;
+    ``atoms`` any (..., P, M) table of dilated atom directions that broadcasts against
+    them: the whole grid of :func:`_atom_sines`, or a gather of its rows. By the
+    steering kernel the correlation is |sum_l weights_l N D_N(d/2)|, d = atom - paths_l,
+    once the atom's unit phase drops out; :func:`_dirichlet_kernel` lays the kernel out
+    (..., P, L, M), subcarriers innermost. Each entry is one rounded product per path
+    and a sum over paths in an order set by the layout alone, so its value does not
+    depend on which other atoms are evaluated with it.
     """
-    weights = coords.T * np.exp(-0.5j * np.pi * (N - 1) * paths.x) / N  # (L, M)
-    kernel = np.empty(paths.x.shape + atoms.x.shape[1:])                 # (L, M, P), N D_N
-    for l, ker in enumerate(kernel):
-        _dirichlet_kernel(N, atoms, paths.at(np.s_[l, :, None]), out=ker)
-    return _magnitude("lmp,lm->mp", kernel, weights)
+    kernel = _dirichlet_kernel(N, atoms.at(np.s_[..., None, :]), paths.at(np.s_[..., None, :, :]))
+    parts = np.multiply(weights[..., None, :, :], kernel, order="C").sum(axis=-2)  # re, im
+    parts *= parts
+    return np.sqrt(np.add(*parts, out=parts[0]))
 
 
-def _all_user_correlations(N: int, atoms: _Sines, paths: _Sines,
-                           coords: np.ndarray) -> np.ndarray:
-    """:func:`_atom_correlations` of every user at once, as (K, M, P).
-
-    ``paths`` is the whole (K, L, M) path table and ``coords`` (K, M, L); one
-    :func:`_dirichlet_kernel` call lays the kernel out (K, L, M, P). Worth it for the
-    short receive side only: the transmit kernel of all users is too large a temporary.
-    """
-    weights = np.swapaxes(coords, -1, -2) * np.exp(-0.5j * np.pi * (N - 1) * paths.x) / N
-    kernel = _dirichlet_kernel(N, atoms, paths.at(np.s_[..., None]))   # (K, L, M, P), N D_N
-    return _magnitude("klmp,klm->kmp", kernel, weights)
+def _objective(corr_f: np.ndarray, corr_w: np.ndarray) -> np.ndarray:
+    """sum_m corr_f[..., p, m] corr_w[..., q, m] as (..., P, Q): each entry one rounded
+    product per subcarrier and one pairwise sum over them, so its value does not depend
+    on which other rows are evaluated with it (as a BLAS product's may)."""
+    terms = np.multiply(corr_f[..., :, None, :], corr_w[..., None, :, :], order="C")
+    return terms.sum(axis=-1)           # subcarriers innermost: a pairwise sum per entry
 
 
 def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
                dictionary: Dictionary) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user joint atom selection against the dilated dictionaries.
+    """Per-user joint atom selection against the dilated dictionaries, exact by
+    bound-and-prune.
 
     ``x`` / ``y`` are the path coordinates of the unconstrained precoders
     f_k[m] = A_T x and combiners w_k[m] = A_R y. For user k the pair (p*, q*)
-    maximizes sum_m |d_{p,q}[m]^H g_k[m]| with d the Kronecker dictionary
-    atom and g_k[m] = conj(f_k[m]) kron w_k[m], which factors as
+    maximizes the objective sum_m |d_{p,q}[m]^H g_k[m]| with d the Kronecker
+    dictionary atom and g_k[m] = conj(f_k[m]) kron w_k[m], which factors as
     conj(atom_F^H f) * (atom_W^H w). Both factors are closed-form Dirichlet kernels
-    pairing the dilated atoms' sine tables (:func:`_atom_sines`, shared by every trial
-    of a config) with the channel's path tables: the user's (L, M) slice of
-    ``vartheta_sines``, and ``theta_sines`` of all users in one call
-    (:func:`_all_user_correlations`); entries with |sin(pi d/2)| < ``_EXACT`` are
-    evaluated from d directly. Ties resolve to the smallest (p, then q). A transmit
-    atom is never reused across users (a duplicate would make the effective channel
-    singular). Returns the (K,) index arrays (p*, q*) into ``psi_f`` / ``psi_w``.
+    (:func:`_correlations`) pairing the dilated atoms' sine tables (:func:`_atom_sines`,
+    shared by every trial of a config) with the channel's path tables.
+
+    The receive side is evaluated for every atom of every user. The transmit side is
+    evaluated only where a bound cannot rule an atom out: |N D_N(d/2)| <= B[k, l, p],
+    the :func:`_dirichlet_bound` over the subcarriers from the two extreme ones (the
+    paths are eta_m times fixed directions, as :func:`generate_channel` builds them).
+    By the triangle inequality the objective is at most sum_l B[k, l, p] c[k, l, q],
+    c[k, l, q] = sum_m |x_kml| corr_w[k, q, m] / N_T, so UB[k, p] = max_q of that bounds
+    atom p. The ``_SEEDS`` atoms of largest UB per user are evaluated for all users in
+    one call. Then, user by user, the best seed no earlier user took is a lower bound
+    LB (0 if all are taken: the objective is never negative), and the candidates are
+    the free atoms with UB >= LB; only those that are not seeds are evaluated. Every
+    other atom's objective is below LB, so the argmax over the candidates is the
+    argmax over all free atoms. Ties resolve to the smallest (p, then q): each
+    objective value is the same whichever atoms are evaluated with it
+    (:func:`_objective`). A transmit atom is never reused across users (a duplicate
+    would make the effective channel singular). Returns the (K,) index arrays
+    (p*, q*) into ``psi_f`` / ``psi_w``.
     """
     K = x.shape[0]
-    if K > dictionary.psi_f.size:
+    N_T, N_F = channels.N_T, dictionary.psi_f.size
+    if K > N_F:
         raise ValueError(f"need K <= N_F, got K={K}")
-    eta = np.asarray(channels.eta, dtype=float).tobytes()
-    tx, rx = (_atom_sines(N, np.asarray(psi, dtype=float).tobytes(), eta) for N, psi in
-              ((channels.N_T, dictionary.psi_f), (channels.N_R, dictionary.psi_w)))
-    corr_w = _all_user_correlations(channels.N_R, rx, channels.theta_sines, y)  # (K, M, N_W)
+    eta = np.asarray(channels.eta, dtype=float)
+    tx, rx = (_atom_sines(N, np.asarray(psi, dtype=float).tobytes(), eta.tobytes()) for N, psi
+              in ((N_T, dictionary.psi_f), (channels.N_R, dictionary.psi_w)))
+    paths_t, paths_r = channels.vartheta_sines, channels.theta_sines
+    corr_w = _correlations(channels.N_R, _Sines(*rx), paths_r,
+                           _path_weights(channels.N_R, paths_r, y))      # (K, N_W, M)
+    weights = _path_weights(N_T, paths_t, x)                              # (2, K, L, M)
+
+    ends = [int(np.argmin(eta)), int(np.argmax(eta))]
+    bound = _dirichlet_bound(N_T, _Sines(*np.swapaxes(tx[:, :, ends], 1, 2)),
+                             paths_t.at(np.s_[:, :, ends, None]))         # (K, L, P)
+    c = np.abs(np.swapaxes(x, -1, -2)) @ np.swapaxes(corr_w, -1, -2) / N_T  # (K, L, N_W)
+    upper = (np.swapaxes(c, -1, -2) @ bound).max(axis=-2)                 # (K, P)
+
+    S = min(_SEEDS, N_F)
+    seeds = np.argpartition(upper, N_F - S, axis=-1)[:, N_F - S:]         # (K, S)
+    seed_obj = _objective(_correlations(N_T, _Sines(*tx[:, seeds]), paths_t, weights), corr_w)
+    seed_best = seed_obj.max(axis=-1)                                     # (K, S)
+    seed_row = np.full((K, N_F), -1)
+    seed_row[np.arange(K)[:, None], seeds] = np.arange(S)
+
     p_star, q_star = np.empty((2, K), dtype=np.intp)
     for k in range(K):
-        corr_f = _atom_correlations(channels.N_T, tx, channels.vartheta_sines.at(k), x[k])
-        objective = corr_f.T @ corr_w[k]
-        objective[p_star[:k], :] = -np.inf
-        p_star[k], q_star[k] = divmod(int(np.argmax(objective)), objective.shape[1])
+        cand = np.flatnonzero(upper[k] >= seed_best[k].max(initial=0.0))
+        row = seed_row[k, cand]
+        fresh = row < 0
+        objective = seed_obj[k, row]                # a fresh atom's row is filled below
+        if fresh.any():
+            corr_f = _correlations(N_T, _Sines(*tx[:, cand[fresh]]), paths_t.at(k), weights[:, k])
+            objective[fresh] = _objective(corr_f, corr_w[k])
+        i, q_star[k] = divmod(int(np.argmax(objective)), objective.shape[1])
+        p = p_star[k] = cand[i]
+        upper[:, p] = -1.0                          # below every lower bound from now on
+        seed_best[seeds == p] = 0.0
     return p_star, q_star
 
 

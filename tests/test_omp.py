@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -226,16 +227,19 @@ class TestOmpSelect:
             t.omp_select(ch, x, x, d)
 
 
-def _per_user_select(ch, x, y, d):
-    """omp_select with both correlation sides taken user by user, as (p*, q*)."""
-    eta = ch.eta.tobytes()
-    tx = omp._atom_sines(ch.N_T, d.psi_f.tobytes(), eta)
-    rx = omp._atom_sines(ch.N_R, d.psi_w.tobytes(), eta)
+def _side_correlations(N, psi, paths, coords, eta):
+    """One side's correlations for every atom of the grid ``psi``, (..., P, M)."""
+    table = channel._Sines(*omp._atom_sines(N, psi.tobytes(), eta.tobytes()))
+    return omp._correlations(N, table, paths, omp._path_weights(N, paths, coords))
+
+
+def _exhaustive_select(ch, x, y, d):
+    """omp_select by exhaustive search: every atom of both sides, user by user, as (p*, q*)."""
     p_star, q_star = [], []
     for k in range(x.shape[0]):
-        corr_f = omp._atom_correlations(ch.N_T, tx, ch.vartheta_sines.at(k), x[k])
-        corr_w = omp._atom_correlations(ch.N_R, rx, ch.theta_sines.at(k), y[k])
-        objective = corr_f.T @ corr_w
+        corr_f = _side_correlations(ch.N_T, d.psi_f, ch.vartheta_sines.at(k), x[k], ch.eta)
+        corr_w = _side_correlations(ch.N_R, d.psi_w, ch.theta_sines.at(k), y[k], ch.eta)
+        objective = omp._objective(corr_f, corr_w)
         objective[p_star, :] = -np.inf
         p, q = divmod(int(np.argmax(objective)), objective.shape[1])
         p_star.append(p)
@@ -243,36 +247,45 @@ def _per_user_select(ch, x, y, d):
     return p_star, q_star
 
 
+def _selections(cfg, seeds, N_T=None):
+    """(channels, bounded selection, exhaustive selection) on each seeded draw; ``N_T``
+    re-reads the drawn paths with another transmit array."""
+    d = t.build_dictionaries(cfg)
+    for seed in seeds:
+        ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(seed)))
+        if N_T is not None:
+            ch = dataclasses.replace(ch, N_T=N_T)
+        x = t.unconstrained_precoders(ch)
+        y = t.unconstrained_combiners(ch, cfg.sigma_n2)
+        p_star, q_star = t.omp_select(ch, x, y, d)
+        yield ch, (p_star.tolist(), q_star.tolist()), _exhaustive_select(ch, x, y, d)
+
+
 class TestBatchedReceiveSide:
     @pytest.mark.parametrize("K", [1, 2, 4, 8])
     def test_selection_matches_per_user_loop(self, K):
         # the receive correlations of all users in one kernel call pick what a loop picks
         cfg = t.build_config("desk", {"K": K})
-        d = t.build_dictionaries(cfg)
-        for seed in range(50):
-            ch = _random_channelset(cfg, seed)
-            x = t.unconstrained_precoders(ch)
-            y = t.unconstrained_combiners(ch, cfg.sigma_n2)
-            p_star, q_star = t.omp_select(ch, x, y, d)
-            assert (p_star.tolist(), q_star.tolist()) == _per_user_select(ch, x, y, d), seed
+        for seed, (_, bounded, exhaustive) in enumerate(_selections(cfg, range(50))):
+            assert bounded == exhaustive, seed
 
     def test_correlations_match_per_user(self):
         cfg = t.build_config("desk", {"K": 8})
         ch = _random_channelset(cfg, 5)
         y = t.unconstrained_combiners(ch, cfg.sigma_n2)
-        rx = omp._atom_sines(cfg.N_R, t.build_dictionaries(cfg).psi_w.tobytes(),
-                             ch.eta.tobytes())
-        batched = omp._all_user_correlations(cfg.N_R, rx, ch.theta_sines, y)
-        assert batched.shape == (cfg.K, cfg.M, cfg.N_W)
+        psi = t.build_dictionaries(cfg).psi_w
+        batched = _side_correlations(cfg.N_R, psi, ch.theta_sines, y, ch.eta)
+        assert batched.shape == (cfg.K, cfg.N_W, cfg.M)
         for k in range(cfg.K):
-            np.testing.assert_allclose(
-                batched[k], omp._atom_correlations(cfg.N_R, rx, ch.theta_sines.at(k), y[k]),
-                rtol=1e-14, atol=0)
+            np.testing.assert_array_equal(
+                batched[k], _side_correlations(cfg.N_R, psi, ch.theta_sines.at(k), y[k], ch.eta))
 
 
-def _kernel_paths(case, eta, psi, rng):
-    """(M, 3) path directions: one singular column by ``case``, two random ones."""
-    paths = rng.uniform(-1.0, 1.0, (eta.size, 3)) * eta[:, None]
+def _kernel_paths(case, eta, psi, rng, dilated=False):
+    """(M, 3) path directions: one singular column by ``case``, two random ones, drawn
+    per subcarrier or, if ``dilated``, as eta_m times one direction per path."""
+    shape = (3,) if dilated else (eta.size, 3)
+    paths = rng.uniform(-1.0, 1.0, shape) * eta[:, None]
     p0 = psi.size // 3
     if case == "on_atom":
         paths[:, 0] = eta * psi[p0]
@@ -281,6 +294,10 @@ def _kernel_paths(case, eta, psi, rng):
     elif case == "grating_lobe":
         paths[:, 0] = -eta            # at eta = 1, d = 2 against the +1 atom
         paths[:, 1] = eta - 2.0       # d = 2 against the +1 atom on every subcarrier
+    elif case == "crossing":
+        # undilated directions: over the band, d crosses 0 against atom p0, +2 against
+        # the +1 atom, and -2 against the atoms just above -1
+        paths[:] = [psi[p0], -1.0, 1.0]
     return paths
 
 
@@ -298,11 +315,10 @@ class TestAtomKernel:
         # the user's (L, M) slice of the channel's path table, as omp_select reads it
         ch = t.ChannelSet(theta=paths[None], vartheta=paths[None], gain=coords[None],
                           eta=eta, N_R=N, N_T=N)
-        table = omp._atom_sines(N, psi.tobytes(), eta.tobytes())
-        corr = omp._atom_correlations(N, table, ch.vartheta_sines.at(0), coords)
-        atoms = t.steering_vector(N, eta[:, None] * psi)                         # (N, M, P)
+        corr = _side_correlations(N, psi, ch.vartheta_sines.at(0), coords, eta)
+        atoms = t.steering_vector(N, psi[:, None] * eta)                         # (N, P, M)
         design = np.einsum("nml,ml->nm", t.steering_vector(N, paths), coords)
-        oracle = np.abs(np.einsum("nmp,nm->mp", atoms.conj(), design))
+        oracle = np.abs(np.einsum("npm,nm->pm", atoms.conj(), design))
         assert np.abs(corr - oracle).max() <= 1e-12 * oracle.max()
 
     def test_exact_kernel_only_near_zeros(self, desk_cfg, monkeypatch):
@@ -322,6 +338,148 @@ class TestAtomKernel:
         t.omp_select(ch, x, y, t.build_dictionaries(desk_cfg))
         c = desk_cfg
         assert sum(evaluated) < 0.01 * c.K * c.M * (c.N_F + c.N_W) * c.L
+
+
+class TestDirichletBound:
+    @pytest.mark.parametrize("case", ["on_atom", "near_atom_1e-11", "near_atom_1e-6",
+                                      "grating_lobe", "crossing", "random"])
+    @pytest.mark.parametrize("band", [(1, 0.0), (32, 0.0), (32, 70e9)], ids=["M1", "B0", "B70"])
+    @pytest.mark.parametrize("N", [1, 2, 5, 8, 64])
+    def test_never_below_the_kernel(self, N, band, case):
+        # the bound over the band, from its two end subcarriers, caps every subcarrier's
+        # kernel: the closed form omp_select evaluates, and |N D_N(d/2)| itself
+        M, B = band
+        cfg = t.SystemConfig(N_T=N, N_R=4, K=1, N_RF=1, N_F=33, M=M, B=B).validate()
+        psi = t.build_dictionaries(cfg).psi_f
+        eta = _random_channelset(cfg, 5).eta
+        rng = np.random.default_rng(N)
+        paths = _kernel_paths(case, eta, psi, rng, dilated=True)
+        ch = t.ChannelSet(theta=paths[None], vartheta=paths[None],
+                          gain=np.ones((1,) + paths.shape, complex), eta=eta, N_R=N, N_T=N)
+        stack = omp._atom_sines(N, psi.tobytes(), eta.tobytes())
+        table = channel._Sines(*stack)
+        ends = [int(np.argmin(eta)), int(np.argmax(eta))]
+        # as omp_select pairs them: the atoms' two end subcarriers (2, P), the paths' (1, L, 2, 1)
+        bound = channel._dirichlet_bound(N, channel._Sines(*np.swapaxes(stack[:, :, ends], 1, 2)),
+                                         ch.vartheta_sines.at(np.s_[:, :, ends, None]))
+        kernel = channel._dirichlet_kernel(N, table.at(np.s_[:, None, :]),
+                                           ch.vartheta_sines.at(np.s_[:, None, :, :]))
+        d = psi[:, None, None] * eta - paths.T                                   # (P, L, M)
+        exact = N * np.abs(t.dirichlet_sinc(d / 2.0, N))
+        assert bound.shape == (1, 3, psi.size)
+        bound = np.swapaxes(bound, -1, -2)[..., None]                            # (1, P, L, 1)
+        assert np.all(bound >= np.abs(kernel))
+        assert np.all(bound[0] >= exact)
+        assert np.all(bound <= N * (1 + 1e-9))
+
+    def test_grating_lobe_inside_the_band_reads_n(self):
+        # d = 1.9 eta against the +1 atom crosses 2 inside the band, not at its ends
+        cfg = t.SystemConfig(N_T=64, N_R=4, K=1, N_RF=1, N_F=33, B=70e9).validate()
+        eta = _random_channelset(cfg, 5).eta
+        atom = channel._Sines.of(64, np.array([[eta.min()], [eta.max()]]))
+        path = channel._Sines.of(64, -0.9 * np.array([[eta.min()], [eta.max()]]))
+        assert channel._dirichlet_bound(64, atom, path)[0] == pytest.approx(64, rel=1e-8)
+
+
+class TestBoundedSelection:
+    @pytest.mark.parametrize("B", [0.0, 1e9, 30e9, 70e9])
+    @pytest.mark.parametrize("K", [1, 2, 4, 8, 16])
+    def test_matches_exhaustive_search_at_desk(self, K, B):
+        cfg = t.build_config("desk", {"K": K, "B": B})
+        seeds = [_trial_seed(7, 0, i) for i in range(8)]
+        for seed, (_, bounded, exhaustive) in zip(seeds, _selections(cfg, seeds)):
+            assert bounded == exhaustive, seed
+
+    def test_matches_exhaustive_search_at_paper(self):
+        cfg = t.build_config("paper")
+        seeds = [_trial_seed(7, 0, i) for i in range(2)]
+        for seed, (_, bounded, exhaustive) in zip(seeds, _selections(cfg, seeds)):
+            assert bounded == exhaustive, seed
+
+    @pytest.mark.parametrize("B", [0.0, 70e9])
+    @pytest.mark.parametrize("N_T", [1, 3])
+    @pytest.mark.parametrize("N_F", [5, 9, 33])
+    def test_aliased_tie_goes_to_the_smaller_index(self, N_F, N_T, B):
+        # atoms 0 and N_F - 1 are one beam (a(-1) = a(+1)), so their objectives tie
+        # exactly, and with N_T = 1 every transmit atom ties: the smaller index wins
+        # (three users' paths, drawn by a config that allows them at N_T = 3)
+        cfg = t.SystemConfig(N_T=3, N_R=4, K=3, N_RF=3, N_F=N_F, M=8, B=B)
+        seeds = [_trial_seed(7, 0, i) for i in range(20)]
+        for seed, (_, bounded, exhaustive) in zip(seeds, _selections(cfg, seeds, N_T)):
+            assert bounded == exhaustive, seed
+            p_star = bounded[0]
+            for k, p in enumerate(p_star):
+                assert p != N_F - 1 or 0 in p_star[:k], seed
+            if N_T == 1:
+                assert p_star == list(range(cfg.K)), seed
+
+    def test_every_seed_taken(self, monkeypatch):
+        # two identical users and one seed each: the second user's seed is taken, so
+        # every free atom is a candidate, evaluated by the same code as a few
+        monkeypatch.setattr(omp, "_SEEDS", 1)
+        cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=1, M=2, N_F=33).validate()
+        d = t.build_dictionaries(cfg)
+        paths = t.PathParams(alpha=[[1.0], [1.0]], phi=[[d.psi_w[3]], [d.psi_w[3]]],
+                             varphi=[[d.psi_f[10]], [d.psi_f[10]]], tau=[[0.0], [0.0]])
+        ch = t.generate_channel(cfg, paths)
+        x = t.unconstrained_precoders(ch)
+        y = t.unconstrained_combiners(ch, cfg.sigma_n2)
+        evaluated, correlations = [], omp._correlations
+
+        def recording(N, atoms, paths, weights):
+            evaluated.append(np.shape(atoms.x))
+            return correlations(N, atoms, paths, weights)
+
+        monkeypatch.setattr(omp, "_correlations", recording)
+        p_star, q_star = t.omp_select(ch, x, y, d)
+        assert p_star[0] == 10
+        assert evaluated[-1] == (cfg.N_F - 1, cfg.M)
+        monkeypatch.setattr(omp, "_correlations", correlations)
+        assert (p_star.tolist(), q_star.tolist()) == _exhaustive_select(ch, x, y, d)
+
+    def test_objective_ignores_its_neighbours(self):
+        # a column's objective is the same bits in any batch, order or gather of atoms
+        cfg = t.build_config("desk", {"B": 70e9})
+        ch = _random_channelset(cfg, 8)
+        x = t.unconstrained_precoders(ch)
+        y = t.unconstrained_combiners(ch, cfg.sigma_n2)
+        d = t.build_dictionaries(cfg)
+        table = omp._atom_sines(cfg.N_T, d.psi_f.tobytes(), ch.eta.tobytes())
+        corr_w = _side_correlations(cfg.N_R, d.psi_w, ch.theta_sines.at(0), y[0], ch.eta)
+        weights = omp._path_weights(cfg.N_T, ch.vartheta_sines.at(0), x[0])
+
+        def objective(rows):
+            corr = omp._correlations(cfg.N_T, channel._Sines(*table[:, rows]),
+                                     ch.vartheta_sines.at(0), weights)
+            return omp._objective(corr, corr_w)
+
+        whole = objective(np.arange(cfg.N_F))
+        rng = np.random.default_rng(0)
+        for size in (1, 2, 3, 7, 8, 9, 40):
+            rows = rng.choice(cfg.N_F, size, replace=False)
+            np.testing.assert_array_equal(objective(rows), whole[rows])
+        np.testing.assert_array_equal(whole[0], whole[-1])
+
+    def test_evaluates_few_transmit_kernel_entries(self, monkeypatch):
+        # a timing-free guard: a paper selection evaluates under 10% of the transmit
+        # kernel's K L M N_F entries that an exhaustive search would
+        cfg = t.build_config("paper")
+        entries, kernel = [], omp._dirichlet_kernel
+
+        def counting(N, a, b):
+            out = kernel(N, a, b)
+            if N == cfg.N_T:
+                entries.append(out.size)
+            return out
+
+        monkeypatch.setattr(omp, "_dirichlet_kernel", counting)
+        for seed in (_trial_seed(7, 0, 0), _trial_seed(7, 0, 1)):
+            entries.clear()
+            ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(seed)))
+            x = t.unconstrained_precoders(ch)
+            y = t.unconstrained_combiners(ch, cfg.sigma_n2)
+            t.omp_select(ch, x, y, t.build_dictionaries(cfg))
+            assert 0 < sum(entries) < 0.1 * cfg.K * cfg.L * cfg.M * cfg.N_F, seed
 
 
 class TestEffectiveChannel:
