@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,52 +77,48 @@ _EXACT = 1e-3      # |sin(pi d/2)| below which a Dirichlet kernel is evaluated f
 _BOUND_SLACK = 1e-9     # relative widening of a kernel bound, far above its rounding
 
 
-class _Sines(NamedTuple):
-    """Directions x with the sine and cosine of alpha = pi x / 2 and of N alpha: the
-    angle-addition factors from which :func:`_dirichlet_kernel` pairs two tables.
-    ``of`` builds a read-only table (``x`` a view); ``at`` indexes every array."""
-
-    x: np.ndarray
-    sin: np.ndarray
-    cos: np.ndarray
-    sin_n: np.ndarray
-    cos_n: np.ndarray
-
-    @classmethod
-    def of(cls, N: int, x: np.ndarray) -> _Sines:
-        alpha = (0.5 * np.pi) * x
-        table = cls(x.view(), np.sin(alpha), np.cos(alpha), np.sin(N * alpha), np.cos(N * alpha))
-        for v in table:
-            v.setflags(write=False)
-        return table
-
-    def at(self, index) -> _Sines:
-        return _Sines(*(v[index] for v in self))
+def _sines(N: int, x: np.ndarray) -> np.ndarray:
+    """The read-only (5,) + x.shape stack of x and the sine and cosine of alpha = pi x / 2
+    and of N alpha, which :func:`_dirichlet_kernel` pairs by angle addition. C-contiguous,
+    x's last axis innermost whatever x's strides; an index keeping axis 0 whole is a table.
+    """
+    table = np.empty((5,) + np.shape(x))
+    table[0] = x
+    alpha = (0.5 * np.pi) * table[0]
+    np.sin(alpha, out=table[1])
+    np.cos(alpha, out=table[2])
+    alpha *= N
+    np.sin(alpha, out=table[3])
+    np.cos(alpha, out=table[4])
+    table.setflags(write=False)
+    return table
 
 
-def _dirichlet_kernel(N: int, a: _Sines, b: _Sines) -> np.ndarray:
-    """N D_N(d/2) = sin(N pi d/2) / sin(pi d/2) for d = a.x - b.x, broadcast.
+def _dirichlet_kernel(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """N D_N(d/2) = sin(N pi d/2) / sin(pi d/2) for d = a_x - b_x of two :func:`_sines`
+    tables, broadcast past axis 0.
 
     Angle addition gives sin(pi d/2) = sin(alpha - beta) and sin(N pi d/2) =
     sin(N alpha - N beta) from the two tables, so no entry takes a new sine. Where
     |sin(pi d/2)| < ``_EXACT`` the difference cancels (d near an even integer: a beam on
     a path, grating lobes at |d| = 2, N = 1); those entries come from d by :func:`dirichlet_sinc`.
     """
-    den = a.sin * b.cos
-    den -= a.cos * b.sin
-    ker = a.sin_n * b.cos_n
-    ker -= a.cos_n * b.sin_n
+    (a_x, a_sin, a_cos, a_sin_n, a_cos_n), (b_x, b_sin, b_cos, b_sin_n, b_cos_n) = a, b
+    den = a_sin * b_cos
+    den -= a_cos * b_sin
+    ker = a_sin_n * b_cos_n
+    ker -= a_cos_n * b_sin_n
     near = np.abs(den) < _EXACT
     den[near] = 1.0                     # those entries are replaced below
     ker /= den
     if near.any():
-        ker[near] = N * dirichlet_sinc(np.subtract(a.x, b.x)[near] / 2.0, N)
+        ker[near] = N * dirichlet_sinc(np.subtract(a_x, b_x)[near] / 2.0, N)
     return ker
 
 
-def _dirichlet_bound(N: int, a: _Sines, b: _Sines) -> np.ndarray:
+def _dirichlet_bound(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """An upper bound on |N D_N(d/2)| over every d between the two ends on axis -2 of
-    d = a.x - b.x, broadcast as in :func:`_dirichlet_kernel`; that axis is dropped.
+    d = a_x - b_x, broadcast as in :func:`_dirichlet_kernel`; that axis is dropped.
 
     |N D_N(d/2)| <= min(N, 1/|sin(pi d/2)|), and |sin(pi d/2)| is concave between its
     zeros, the even integers. So over the segment its minimum is at an end, unless an
@@ -133,10 +128,11 @@ def _dirichlet_bound(N: int, a: _Sines, b: _Sines) -> np.ndarray:
     widened by the relative ``_BOUND_SLACK`` for the rounding of the kernel and of
     sums of bounded terms.
     """
-    s = a.sin * b.cos
-    s -= a.cos * b.sin
+    (a_x, a_sin, a_cos), (b_x, b_sin, b_cos) = a[:3], b[:3]
+    s = a_sin * b_cos
+    s -= a_cos * b_sin
     s = np.abs(s).min(axis=-2)
-    half = np.floor(np.subtract(a.x, b.x) / 2.0)
+    half = np.floor(np.subtract(a_x, b_x) / 2.0)
     s[half[..., 0, :] != half[..., 1, :]] = 0.0
     return ((1.0 + _BOUND_SLACK) * N) / np.maximum(1.0, N * s)
 
@@ -210,9 +206,10 @@ class ChannelSet:
     """K x M stack of rank-L channels H_k[m] = A_R diag(gain) A_T^H, held as path factors.
 
     ``theta`` / ``vartheta`` are the dilated DOAs eta_m phi / DODs eta_m varphi
-    (the columns of A_R / A_T), ``gain`` the path gains, all (K, M, L). Their (K, L, M)
-    sine tables ``theta_sines`` (N_R) and ``vartheta_sines`` (N_T) are cached read-only
-    on first access, like ``dominant_mode``; atom selection and effective channels read them.
+    (the columns of A_R / A_T), ``gain`` the path gains, all (K, M, L). Their (5, K, L, M)
+    :func:`_sines` tables ``theta_sines`` (N_R) and ``vartheta_sines`` (N_T), subcarriers
+    innermost, are cached read-only on first access, like ``dominant_mode``; atom
+    selection and effective channels read them.
     """
 
     theta: np.ndarray       # (K, M, L)
@@ -229,12 +226,12 @@ class ChannelSet:
                          steering_vector(self.N_T, self.vartheta).conj())
 
     @cached_property
-    def theta_sines(self) -> _Sines:
-        return _Sines.of(self.N_R, np.ascontiguousarray(self.theta.transpose(0, 2, 1)))
+    def theta_sines(self) -> np.ndarray:
+        return _sines(self.N_R, self.theta.transpose(0, 2, 1))
 
     @cached_property
-    def vartheta_sines(self) -> _Sines:
-        return _Sines.of(self.N_T, np.ascontiguousarray(self.vartheta.transpose(0, 2, 1)))
+    def vartheta_sines(self) -> np.ndarray:
+        return _sines(self.N_T, self.vartheta.transpose(0, 2, 1))
 
     @cached_property
     def dominant_mode(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

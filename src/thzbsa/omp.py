@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import (ChannelSet, _dirichlet_bound, _dirichlet_kernel, _Sines, steering_kernel,
+from .channel import (ChannelSet, _dirichlet_bound, _dirichlet_kernel, _sines, steering_kernel,
                       steering_vector)
 from .config import SystemConfig
 from .phase_ops import scale_analog_matrix
@@ -122,24 +122,22 @@ def unconstrained_combiners(channels: ChannelSet, sigma_n2: float) -> np.ndarray
 
 @lru_cache(maxsize=8)      # atom tables kept per process; a config uses two
 def _atom_sines(N: int, psi: bytes, eta: bytes) -> np.ndarray:
-    """The read-only sine table of the dilated atom directions eta_m psi_p, keyed on the
-    grids' bytes: one per (N, grid, eta), shared by every user and trial of a config.
-    Its five (P, M) ``_Sines`` arrays, one row per atom, are stacked on axis 0, so any
-    gather of atoms is one indexing: ``_Sines(*table[:, rows])``."""
-    table = np.stack(_Sines.of(N, np.multiply.outer(np.frombuffer(psi), np.frombuffer(eta))))
-    table.setflags(write=False)
-    return table
+    """The read-only (5, P, M) :func:`_sines` table of the dilated atom directions
+    eta_m psi_p, keyed on the grids' bytes: one per (N, grid, eta), shared by every user
+    and trial of a config. A gather of atoms, ``table[:, rows]``, is again a table."""
+    return _sines(N, np.multiply.outer(np.frombuffer(psi), np.frombuffer(eta)))
 
 
-def _path_weights(N: int, paths: _Sines, coords: np.ndarray) -> np.ndarray:
+def _path_weights(N: int, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The weights coords_l exp(-j pi (N-1) paths_l / 2) / N of the path kernels, as a
-    (2, ..., L, M) pair of real and imaginary parts, from a (..., L, M) path table and
+    (2, ..., L, M) pair of real and imaginary parts, from a (5, ..., L, M) path table and
     (..., M, L) path coordinates; the phase's sine and cosine come by angle addition
     from the table's, as (N-1) alpha = N alpha - alpha."""
-    cos = paths.cos_n * paths.cos
-    cos += paths.sin_n * paths.sin
-    sin = paths.sin_n * paths.cos
-    sin -= paths.cos_n * paths.sin
+    _, p_sin, p_cos, p_sin_n, p_cos_n = paths
+    cos = p_cos_n * p_cos
+    cos += p_sin_n * p_sin
+    sin = p_sin_n * p_cos
+    sin -= p_cos_n * p_sin
     c = np.swapaxes(coords, -1, -2) / N
     weights = np.empty((2,) + cos.shape)
     re = np.multiply(c.real, cos, out=weights[0])
@@ -149,20 +147,25 @@ def _path_weights(N: int, paths: _Sines, coords: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _correlations(N: int, atoms: _Sines, paths: _Sines, weights: np.ndarray) -> np.ndarray:
-    """|a_N(atom)^H sum_l coords_l a_N(paths_l)| as (..., P, M), broadcast.
+def _path_sum(N: int, beams: np.ndarray, paths: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_l weights_l N D_N(d/2), d = beam - paths_l, as a (2, ..., P, M) pair of real
+    and imaginary parts: a_N(beam)^H sum_l coords_l a_N(paths_l) up to the beam's unit
+    phase exp(j pi (N-1) beam / 2), every coupling of a trial.
 
-    ``paths`` is a (..., L, M) path table and ``weights`` its :func:`_path_weights`;
-    ``atoms`` any (..., P, M) table of dilated atom directions that broadcasts against
-    them: the whole grid of :func:`_atom_sines`, or a gather of its rows. By the
-    steering kernel the correlation is |sum_l weights_l N D_N(d/2)|, d = atom - paths_l,
-    once the atom's unit phase drops out; :func:`_dirichlet_kernel` lays the kernel out
-    (..., P, L, M), subcarriers innermost. Each entry is one rounded product per path
-    and a sum over paths in an order set by the layout alone, so its value does not
-    depend on which other atoms are evaluated with it.
+    ``paths`` is a (5, ..., L, M) :func:`_sines` table, ``weights`` its :func:`_path_weights`
+    and ``beams`` any (5, ..., P, M) table that broadcasts against them; the kernel is laid
+    out (..., P, L, M), subcarriers innermost. Each entry is one rounded product per path
+    and a sum over paths in an order set by the layout alone, so its value does not depend
+    on which other beams are evaluated with it.
     """
-    kernel = _dirichlet_kernel(N, atoms.at(np.s_[..., None, :]), paths.at(np.s_[..., None, :, :]))
-    parts = np.multiply(weights[..., None, :, :], kernel, order="C").sum(axis=-2)  # re, im
+    kernel = _dirichlet_kernel(N, beams[..., None, :], paths[..., None, :, :])
+    return np.multiply(weights[..., None, :, :], kernel, order="C").sum(axis=-2)
+
+
+def _correlations(N: int, atoms: np.ndarray, paths: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """|a_N(atom)^H sum_l coords_l a_N(paths_l)| as (..., P, M): the magnitude of the
+    :func:`_path_sum` over the atoms of :func:`_atom_sines`, all or a gather of rows."""
+    parts = _path_sum(N, atoms, paths, weights)
     parts *= parts
     return np.sqrt(np.add(*parts, out=parts[0]))
 
@@ -213,19 +216,19 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     tx, rx = (_atom_sines(N, np.asarray(psi, dtype=float).tobytes(), eta.tobytes()) for N, psi
               in ((N_T, dictionary.psi_f), (channels.N_R, dictionary.psi_w)))
     paths_t, paths_r = channels.vartheta_sines, channels.theta_sines
-    corr_w = _correlations(channels.N_R, _Sines(*rx), paths_r,
+    corr_w = _correlations(channels.N_R, rx, paths_r,
                            _path_weights(channels.N_R, paths_r, y))      # (K, N_W, M)
     weights = _path_weights(N_T, paths_t, x)                              # (2, K, L, M)
 
     ends = [int(np.argmin(eta)), int(np.argmax(eta))]
-    bound = _dirichlet_bound(N_T, _Sines(*np.swapaxes(tx[:, :, ends], 1, 2)),
-                             paths_t.at(np.s_[:, :, ends, None]))         # (K, L, P)
+    bound = _dirichlet_bound(N_T, np.swapaxes(tx[:, :, ends], 1, 2),
+                             paths_t[..., ends, None])                    # (K, L, P)
     c = np.abs(np.swapaxes(x, -1, -2)) @ np.swapaxes(corr_w, -1, -2) / N_T  # (K, L, N_W)
     upper = (np.swapaxes(c, -1, -2) @ bound).max(axis=-2)                 # (K, P)
 
     S = min(_SEEDS, N_F)
     seeds = np.argpartition(upper, N_F - S, axis=-1)[:, N_F - S:]         # (K, S)
-    seed_obj = _objective(_correlations(N_T, _Sines(*tx[:, seeds]), paths_t, weights), corr_w)
+    seed_obj = _objective(_correlations(N_T, tx[:, seeds], paths_t, weights), corr_w)
     seed_best = seed_obj.max(axis=-1)                                     # (K, S)
     seed_row = np.full((K, N_F), -1)
     seed_row[np.arange(K)[:, None], seeds] = np.arange(S)
@@ -237,7 +240,7 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
         fresh = row < 0
         objective = seed_obj[k, row]                # a fresh atom's row is filled below
         if fresh.any():
-            corr_f = _correlations(N_T, _Sines(*tx[:, cand[fresh]]), paths_t.at(k), weights[:, k])
+            corr_f = _correlations(N_T, tx[:, cand[fresh]], paths_t[:, k], weights[:, k])
             objective[fresh] = _objective(corr_f, corr_w[k])
         i, q_star[k] = divmod(int(np.argmax(objective)), objective.shape[1])
         p = p_star[k] = cand[i]
@@ -251,25 +254,25 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
     """Per-subcarrier K x N_RF effective channel w_k^H H_k[m] f_i between steering beams.
 
     w_k = a_R(psi_r[k]) and f_i = a_T(psi_t[..., i]), with ``psi_t`` (N_RF,) for one
-    analog matrix or (M, N_RF) for a per-subcarrier stack; per path, the entry is the
-    gain times two steering kernels, a_R(psi_r)^H a_R(theta) and a_T(vartheta)^H a_T(psi_t).
-    The transmit kernel's phase exp(j pi (N-1)(vartheta - psi_t)/2) is the product of one
-    phase per path and one per beam; its Dirichlet factor pairs a (K, L, 1, M) view of
-    ``channels.vartheta_sines`` with the beams' sine table (:func:`_dirichlet_kernel`).
+    analog matrix or (M, N_RF) for a per-subcarrier stack. Per path, the entry is the gain
+    times a_R(psi_r)^H a_R(theta) and a_T(vartheta)^H a_T(psi_t); summed over paths, the
+    conjugate of the beams' :func:`_path_sum` against ``channels.vartheta_sines`` with path
+    coordinates conj(gain a_R(psi_r)^H a_R(theta)), times each beam's exp(-j pi (N-1) psi_t / 2).
     """
-    K = channels.gain.shape[0]
+    K, M, _ = channels.gain.shape
     psi_r = np.asarray(psi_r, dtype=float)
     if psi_r.shape != (K,):
         raise ValueError(f"psi_r must be (K,) = {(K,)}, got {psi_r.shape}")
-    N = channels.N_T
     psi_t = np.asarray(psi_t, dtype=float)
-    weights = channels.gain * steering_kernel(channels.N_R, psi_r[:, None, None], channels.theta)
-    weights *= np.exp(0.5j * np.pi * (N - 1) * channels.vartheta) / N  # (K, M, L)
-    # subcarriers innermost, so every broadcast loop runs M long
-    paths = channels.vartheta_sines.at(np.s_[:, :, None, :])            # (K, L, 1, M)
-    beams = np.ascontiguousarray(psi_t.T).reshape(psi_t.shape[-1], -1)  # (N_RF, 1) or (N_RF, M)
-    kernel = _dirichlet_kernel(N, paths, _Sines.of(N, beams))           # (K, L, N_RF, M)
-    h = np.einsum("kml,klim->mki", weights, kernel)
+    if psi_t.ndim == 0 or psi_t.shape[:-1] not in ((), (M,)):
+        raise ValueError(f"psi_t must be (N_RF,) or (M, N_RF) with M = {M}, got {psi_t.shape}")
+    N = channels.N_T
+    coords = channels.gain * steering_kernel(channels.N_R, psi_r[:, None, None], channels.theta)
+    paths = channels.vartheta_sines                                     # (5, K, L, M)
+    beams = _sines(N, psi_t.T.reshape(psi_t.shape[-1], -1))            # (5, N_RF, 1 or M)
+    re, im = _path_sum(N, beams, paths, _path_weights(N, paths, coords.conj()))  # (K, N_RF, M)
+    h = np.empty((M, K, beams.shape[1]), dtype=complex)
+    h.real, h.imag = re.transpose(2, 0, 1), -im.transpose(2, 0, 1)     # the conjugate sum
     h *= np.exp(-0.5j * np.pi * (N - 1) * psi_t[..., None, :])
     return h
 

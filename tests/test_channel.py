@@ -285,6 +285,9 @@ class TestFactorPathOracles:
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
         with pytest.raises(ValueError, match="psi_r must be"):
             t.effective_channel(ch, psi_r[None], psi_t)
+        for bad in (np.ones((M + 1, psi_t.size)), np.ones((1, M, psi_t.size)), np.float64(0.1)):
+            with pytest.raises(ValueError, match="psi_t must be"):
+                t.effective_channel(ch, psi_r, bad)
 
     @pytest.mark.parametrize("L,K", [(1, 1), (4, 1), (7, 1), (3, 2)],
                              ids=["1", "4", "7", "3-user_1_distinct"])

@@ -229,7 +229,7 @@ class TestOmpSelect:
 
 def _side_correlations(N, psi, paths, coords, eta):
     """One side's correlations for every atom of the grid ``psi``, (..., P, M)."""
-    table = channel._Sines(*omp._atom_sines(N, psi.tobytes(), eta.tobytes()))
+    table = omp._atom_sines(N, psi.tobytes(), eta.tobytes())
     return omp._correlations(N, table, paths, omp._path_weights(N, paths, coords))
 
 
@@ -237,8 +237,8 @@ def _exhaustive_select(ch, x, y, d):
     """omp_select by exhaustive search: every atom of both sides, user by user, as (p*, q*)."""
     p_star, q_star = [], []
     for k in range(x.shape[0]):
-        corr_f = _side_correlations(ch.N_T, d.psi_f, ch.vartheta_sines.at(k), x[k], ch.eta)
-        corr_w = _side_correlations(ch.N_R, d.psi_w, ch.theta_sines.at(k), y[k], ch.eta)
+        corr_f = _side_correlations(ch.N_T, d.psi_f, ch.vartheta_sines[:, k], x[k], ch.eta)
+        corr_w = _side_correlations(ch.N_R, d.psi_w, ch.theta_sines[:, k], y[k], ch.eta)
         objective = omp._objective(corr_f, corr_w)
         objective[p_star, :] = -np.inf
         p, q = divmod(int(np.argmax(objective)), objective.shape[1])
@@ -278,7 +278,7 @@ class TestBatchedReceiveSide:
         assert batched.shape == (cfg.K, cfg.N_W, cfg.M)
         for k in range(cfg.K):
             np.testing.assert_array_equal(
-                batched[k], _side_correlations(cfg.N_R, psi, ch.theta_sines.at(k), y[k], ch.eta))
+                batched[k], _side_correlations(cfg.N_R, psi, ch.theta_sines[:, k], y[k], ch.eta))
 
 
 def _kernel_paths(case, eta, psi, rng, dilated=False):
@@ -315,7 +315,7 @@ class TestAtomKernel:
         # the user's (L, M) slice of the channel's path table, as omp_select reads it
         ch = t.ChannelSet(theta=paths[None], vartheta=paths[None], gain=coords[None],
                           eta=eta, N_R=N, N_T=N)
-        corr = _side_correlations(N, psi, ch.vartheta_sines.at(0), coords, eta)
+        corr = _side_correlations(N, psi, ch.vartheta_sines[:, 0], coords, eta)
         atoms = t.steering_vector(N, psi[:, None] * eta)                         # (N, P, M)
         design = np.einsum("nml,ml->nm", t.steering_vector(N, paths), coords)
         oracle = np.abs(np.einsum("npm,nm->pm", atoms.conj(), design))
@@ -356,14 +356,13 @@ class TestDirichletBound:
         paths = _kernel_paths(case, eta, psi, rng, dilated=True)
         ch = t.ChannelSet(theta=paths[None], vartheta=paths[None],
                           gain=np.ones((1,) + paths.shape, complex), eta=eta, N_R=N, N_T=N)
-        stack = omp._atom_sines(N, psi.tobytes(), eta.tobytes())
-        table = channel._Sines(*stack)
+        table = omp._atom_sines(N, psi.tobytes(), eta.tobytes())
         ends = [int(np.argmin(eta)), int(np.argmax(eta))]
         # as omp_select pairs them: the atoms' two end subcarriers (2, P), the paths' (1, L, 2, 1)
-        bound = channel._dirichlet_bound(N, channel._Sines(*np.swapaxes(stack[:, :, ends], 1, 2)),
-                                         ch.vartheta_sines.at(np.s_[:, :, ends, None]))
-        kernel = channel._dirichlet_kernel(N, table.at(np.s_[:, None, :]),
-                                           ch.vartheta_sines.at(np.s_[:, None, :, :]))
+        bound = channel._dirichlet_bound(N, np.swapaxes(table[:, :, ends], 1, 2),
+                                         ch.vartheta_sines[..., ends, None])
+        kernel = channel._dirichlet_kernel(N, table[:, :, None, :],
+                                           ch.vartheta_sines[:, :, None, :, :])
         d = psi[:, None, None] * eta - paths.T                                   # (P, L, M)
         exact = N * np.abs(t.dirichlet_sinc(d / 2.0, N))
         assert bound.shape == (1, 3, psi.size)
@@ -376,8 +375,8 @@ class TestDirichletBound:
         # d = 1.9 eta against the +1 atom crosses 2 inside the band, not at its ends
         cfg = t.SystemConfig(N_T=64, N_R=4, K=1, N_RF=1, N_F=33, B=70e9).validate()
         eta = _random_channelset(cfg, 5).eta
-        atom = channel._Sines.of(64, np.array([[eta.min()], [eta.max()]]))
-        path = channel._Sines.of(64, -0.9 * np.array([[eta.min()], [eta.max()]]))
+        atom = channel._sines(64, np.array([[eta.min()], [eta.max()]]))
+        path = channel._sines(64, -0.9 * np.array([[eta.min()], [eta.max()]]))
         assert channel._dirichlet_bound(64, atom, path)[0] == pytest.approx(64, rel=1e-8)
 
 
@@ -427,7 +426,7 @@ class TestBoundedSelection:
         evaluated, correlations = [], omp._correlations
 
         def recording(N, atoms, paths, weights):
-            evaluated.append(np.shape(atoms.x))
+            evaluated.append(np.shape(atoms[0]))
             return correlations(N, atoms, paths, weights)
 
         monkeypatch.setattr(omp, "_correlations", recording)
@@ -445,12 +444,11 @@ class TestBoundedSelection:
         y = t.unconstrained_combiners(ch, cfg.sigma_n2)
         d = t.build_dictionaries(cfg)
         table = omp._atom_sines(cfg.N_T, d.psi_f.tobytes(), ch.eta.tobytes())
-        corr_w = _side_correlations(cfg.N_R, d.psi_w, ch.theta_sines.at(0), y[0], ch.eta)
-        weights = omp._path_weights(cfg.N_T, ch.vartheta_sines.at(0), x[0])
+        corr_w = _side_correlations(cfg.N_R, d.psi_w, ch.theta_sines[:, 0], y[0], ch.eta)
+        weights = omp._path_weights(cfg.N_T, ch.vartheta_sines[:, 0], x[0])
 
         def objective(rows):
-            corr = omp._correlations(cfg.N_T, channel._Sines(*table[:, rows]),
-                                     ch.vartheta_sines.at(0), weights)
+            corr = omp._correlations(cfg.N_T, table[:, rows], ch.vartheta_sines[:, 0], weights)
             return omp._objective(corr, corr_w)
 
         whole = objective(np.arange(cfg.N_F))
@@ -789,18 +787,20 @@ class TestAtomTableCache:
 
 class TestPathTables:
     def test_a_trial_builds_each_side_once(self, desk_cfg, monkeypatch):
+        # every sine table of a trial is counted, whichever module builds it
         built, drawn = [], []
-        of, generate = channel._Sines.of.__func__, harness.generate_channel
+        sines, generate = channel._sines, harness.generate_channel
 
-        def counting(cls, N, x):
+        def counting(N, x):
             built.append((N, np.array(x)))
-            return of(cls, N, x)
+            return sines(N, x)
 
         def recording(cfg, paths):
             drawn.append(generate(cfg, paths))
             return drawn[-1]
 
-        monkeypatch.setattr(channel._Sines, "of", classmethod(counting))
+        for module in (channel, omp):
+            monkeypatch.setattr(module, "_sines", counting)
         monkeypatch.setattr(harness, "generate_channel", recording)
         run_trial(desk_cfg, _trial_seed(4, 0, 0))
         assert drawn
@@ -813,14 +813,33 @@ class TestPathTables:
 
     def test_tables_are_read_only_and_laid_out_by_path(self, desk_cfg):
         ch = _random_channelset(desk_cfg, 5)
+        c = desk_cfg
         for name, v in (("theta_sines", ch.theta), ("vartheta_sines", ch.vartheta)):
             table = getattr(ch, name)
             assert getattr(ch, name) is table
-            np.testing.assert_array_equal(table.x, v.transpose(0, 2, 1))
+            assert table.shape == (5, c.K, c.L, c.M) and table.flags.c_contiguous
+            np.testing.assert_array_equal(table[0], v.transpose(0, 2, 1))
             for array in table:
                 assert array.flags.c_contiguous
                 with pytest.raises(ValueError, match="read-only"):
                     array[...] = 0.0
+
+    @pytest.mark.parametrize("N", [1, 8])
+    def test_a_transposed_view_gives_a_contiguous_table(self, N):
+        # a (K, M, L) array read as (K, L, M) keeps its strides; the table must not, or
+        # every broadcast loop over it runs L long instead of M (subcarriers innermost)
+        v = np.random.default_rng(N).uniform(-1.5, 1.5, (3, 16, 2))
+        view = v.transpose(0, 2, 1)
+        assert not view.flags.c_contiguous
+        table = channel._sines(N, view)
+        assert table.shape == (5, 3, 2, 16) and table.flags.c_contiguous
+        assert table.strides[-1] == table.itemsize
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+        x = np.ascontiguousarray(view)
+        alpha = 0.5 * np.pi * x
+        want = [x, np.sin(alpha), np.cos(alpha), np.sin(N * alpha), np.cos(N * alpha)]
+        np.testing.assert_array_equal(table, np.stack(want))
 
 
 class TestPipeline:

@@ -77,6 +77,7 @@ def test_resolver_refuses_a_stale_name():
     omp = importlib.import_module("thzbsa.omp")
     assert _resolves(omp, "Dictionary") and _resolves(omp, "psi_f") and _resolves(omp, "D_F")
     assert not _resolves(omp, "_AtomTables") and not _resolves(omp, "theta_sines")
+    assert not _resolves(importlib.import_module("thzbsa.channel"), "_Sines")
     # a dotted path to a field declared without a default, and to one that is not declared
     assert _resolves(omp, "BeamformerSet.F_RF") and _resolves(omp, "BeamformerSet.R_RF")
     assert not _resolves(omp, "BeamformerSet.Q_RF")
