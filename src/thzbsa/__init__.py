@@ -6,10 +6,9 @@ from .channel import (ChannelSet, PathParams, array_gain, dirichlet_sinc,
                       steering_kernel, steering_vector, subcarrier_frequencies)
 from .config import (ConfigError, PROFILES, SystemConfig, build_config,
                      config_hash, parse_config_file)
-from .harness import (METHODS, RedrawExhausted, SweepResult, SweepSpec,
-                      TrialResult, emit, load_sweep_json, run_sweep, run_trial)
-from .metrics import (RateReport, fully_digital_yardstick, power_constraint_residual,
-                      sum_rate, sum_rate_sd_analog)
+from .harness import (METHODS, SweepResult, SweepSpec, TrialResult, emit,
+                      load_sweep_json, run_sweep, run_trial)
+from .metrics import RateReport, fully_digital_yardstick, power_constraint_residual, sum_rate
 from .omp import (BeamformerSet, DegenerateChannelError, Dictionary,
                   baseband_zf, build_dictionaries, effective_channel,
                   omp_hybrid_beamformer, omp_select, sd_dictionary,

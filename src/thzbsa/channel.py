@@ -2,9 +2,9 @@
 
 Every H_k[m] has rank L, so a ``ChannelSet`` keeps the dilated path
 directions and gains. Every coupling of a trial is a steering kernel
-a_N(x)^H a_N(y), a Dirichlet kernel, held here with the sine tables its
-angle-addition form pairs; the dense H is built only on request. Also the
-subcarrier grid, steering vectors, path draws and the wideband array gain.
+a_N(x)^H a_N(y), a phase times a Dirichlet kernel, held here with the sine tables
+that carry its phase and its angle-addition form; the dense H is built only on
+request. Also the subcarrier grid, steering vectors, path draws and array gain.
 Directions are sine-space, dilated by eta_m = f_m / f_c and kept as-is beyond
 [-1, 1]; gains follow the spreading law 1/eta_m normalised at the carrier;
 delays run from the LoS arrival.
@@ -78,11 +78,13 @@ _BOUND_SLACK = 1e-9     # relative widening of a kernel bound, far above its rou
 
 
 def _sines(N: int, x: np.ndarray) -> np.ndarray:
-    """The read-only (5,) + x.shape stack of x and the sine and cosine of alpha = pi x / 2
-    and of N alpha, which :func:`_dirichlet_kernel` pairs by angle addition. C-contiguous,
-    x's last axis innermost whatever x's strides; an index keeping axis 0 whole is a table.
+    """The read-only (7,) + x.shape stack of x, the sine and cosine of alpha = pi x / 2
+    and of N alpha, which :func:`_dirichlet_kernel` pairs by angle addition, and the
+    cosine and sine of (N-1) alpha = N alpha - alpha, a steering kernel's phase
+    exp(j pi (N-1) x / 2) by angle addition from the rows before. C-contiguous, x's last
+    axis innermost whatever x's strides; an index keeping axis 0 whole is a table.
     """
-    table = np.empty((5,) + np.shape(x))
+    table = np.empty((7,) + np.shape(x))
     table[0] = x
     alpha = (0.5 * np.pi) * table[0]
     np.sin(alpha, out=table[1])
@@ -90,6 +92,10 @@ def _sines(N: int, x: np.ndarray) -> np.ndarray:
     alpha *= N
     np.sin(alpha, out=table[3])
     np.cos(alpha, out=table[4])
+    np.multiply(table[4], table[2], out=table[5])
+    table[5] += table[3] * table[1]
+    np.multiply(table[3], table[2], out=table[6])
+    table[6] -= table[4] * table[1]
     table.setflags(write=False)
     return table
 
@@ -103,7 +109,7 @@ def _dirichlet_kernel(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     |sin(pi d/2)| < ``_EXACT`` the difference cancels (d near an even integer: a beam on
     a path, grating lobes at |d| = 2, N = 1); those entries come from d by :func:`dirichlet_sinc`.
     """
-    (a_x, a_sin, a_cos, a_sin_n, a_cos_n), (b_x, b_sin, b_cos, b_sin_n, b_cos_n) = a, b
+    (a_x, a_sin, a_cos, a_sin_n, a_cos_n), (b_x, b_sin, b_cos, b_sin_n, b_cos_n) = a[:5], b[:5]
     den = a_sin * b_cos
     den -= a_cos * b_sin
     ker = a_sin_n * b_cos_n
@@ -206,7 +212,7 @@ class ChannelSet:
     """K x M stack of rank-L channels H_k[m] = A_R diag(gain) A_T^H, held as path factors.
 
     ``theta`` / ``vartheta`` are the dilated DOAs eta_m phi / DODs eta_m varphi
-    (the columns of A_R / A_T), ``gain`` the path gains, all (K, M, L). Their (5, K, L, M)
+    (the columns of A_R / A_T), ``gain`` the path gains, all (K, M, L). Their (7, K, L, M)
     :func:`_sines` tables ``theta_sines`` (N_R) and ``vartheta_sines`` (N_T), subcarriers
     innermost, are cached read-only on first access, like ``dominant_mode``; atom
     selection and effective channels read them.

@@ -27,7 +27,8 @@ import numpy as np
 from . import channel
 from .config import (ConfigError, PROFILE_TRIALS, PROFILES, build_config,
                      parse_config_file)
-from .harness import AXES, METHODS, RedrawExhausted, SweepSpec, emit, run_sweep
+from .harness import AXES, METHODS, SweepSpec, emit, run_sweep
+from .omp import DegenerateChannelError
 
 SWEEPS = {sweep: axis for axis, (sweep, _, _) in AXES.items()}
 
@@ -184,7 +185,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (RedrawExhausted, FloatingPointError) as err:
+    except (DegenerateChannelError, FloatingPointError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3
     except OSError as err:

@@ -23,7 +23,7 @@ import numpy as np
 from .bsa import apply_bsa, sd_oracle_beamformers
 from .channel import draw_paths, generate_channel
 from .config import ConfigError, SystemConfig, checked_int, checked_real, config_hash
-from .metrics import RateReport, fully_digital_yardstick, sum_rate, sum_rate_sd_analog
+from .metrics import RateReport, fully_digital_yardstick, sum_rate
 from .omp import DegenerateChannelError, build_dictionaries, omp_hybrid_beamformer
 
 METHODS = ("omp", "bsa_omp", "sd_oracle", "fully_digital")
@@ -40,10 +40,6 @@ MAX_REDRAWS = 10        # degenerate draws retried per trial before giving up
 
 CSV_COLUMNS = ("axis", "axis_value", "method", "mean_sum_rate", "std_sum_rate",
                "per_subcarrier_avg", "trials", "seed", "config_hash")
-
-
-class RedrawExhausted(RuntimeError):
-    """Every redraw attempt produced a degenerate channel."""
 
 
 def _check_methods(methods: tuple[str, ...]) -> None:
@@ -135,12 +131,17 @@ class TrialResult:
     redraws: int = 0
 
 
+# the SD oracle is scored like any precoder; the benchmark traces it under this name
+sum_rate_sd_analog = sum_rate
+
+
 def run_trial(cfg: SystemConfig, trial_seed: int,
               methods: tuple[str, ...] = METHODS) -> TrialResult:
     """Evaluate all requested methods on one seeded channel realization.
 
-    Raises ConfigError on a bad method list, and FloatingPointError naming the
-    trial seed as soon as the channel draw overflows or a sum rate is non-finite.
+    Raises ConfigError on a bad method list, DegenerateChannelError naming the trial
+    seed once every one of its MAX_REDRAWS + 1 draws was degenerate, and FloatingPointError
+    naming it as soon as the channel draw overflows or a sum rate is non-finite.
     """
     _check_methods(methods)
     hybrid_needed = any(m in HYBRID_METHODS for m in methods)
@@ -173,7 +174,7 @@ def run_trial(cfg: SystemConfig, trial_seed: int,
             last_error = err.with_traceback(None)   # frees the failed draw's frames
         except FloatingPointError as err:
             raise FloatingPointError(f"{err} in trial seed {trial_seed}") from None
-    raise RedrawExhausted(
+    raise DegenerateChannelError(
         f"no usable channel after {MAX_REDRAWS + 1} attempts (seed {trial_seed}): {last_error}"
     )
 

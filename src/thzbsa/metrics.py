@@ -68,10 +68,6 @@ def sum_rate(bf: BeamformerSet, sigma_n2: float, convention: str = "physical") -
     )
 
 
-# the SD oracle is scored like any precoder; the benchmark traces it under this name
-sum_rate_sd_analog = sum_rate
-
-
 def fully_digital_yardstick(channels: ChannelSet, sigma_n2: float) -> RateReport:
     """Interference-free dominant-singular-mode bound with equal power split.
 

@@ -25,8 +25,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import (ChannelSet, _dirichlet_bound, _dirichlet_kernel, _sines, steering_kernel,
-                      steering_vector)
+from .channel import ChannelSet, _dirichlet_bound, _dirichlet_kernel, _sines, steering_vector
 from .config import SystemConfig
 from .phase_ops import scale_analog_matrix
 
@@ -40,8 +39,9 @@ class DegenerateChannelError(RuntimeError):
     """A matrix lost rank under the ``_RCOND`` rule; the draw should be retried.
 
     Raised by :func:`baseband_zf` when an effective channel's Frobenius
-    condition number exceeds 1/``_RCOND`` or is not finite, and by
-    :func:`pseudo_inverse` when s_min < ``_RCOND`` s_max.
+    condition number exceeds 1/``_RCOND`` or is not finite, by
+    :func:`pseudo_inverse` when s_min < ``_RCOND`` s_max, and by the harness's
+    ``run_trial`` once its redraws are used up.
     """
 
 
@@ -122,7 +122,7 @@ def unconstrained_combiners(channels: ChannelSet, sigma_n2: float) -> np.ndarray
 
 @lru_cache(maxsize=8)      # atom tables kept per process; a config uses two
 def _atom_sines(N: int, psi: bytes, eta: bytes) -> np.ndarray:
-    """The read-only (5, P, M) :func:`_sines` table of the dilated atom directions
+    """The read-only (7, P, M) :func:`_sines` table of the dilated atom directions
     eta_m psi_p, keyed on the grids' bytes: one per (N, grid, eta), shared by every user
     and trial of a config. A gather of atoms, ``table[:, rows]``, is again a table."""
     return _sines(N, np.multiply.outer(np.frombuffer(psi), np.frombuffer(eta)))
@@ -130,14 +130,9 @@ def _atom_sines(N: int, psi: bytes, eta: bytes) -> np.ndarray:
 
 def _path_weights(N: int, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The weights coords_l exp(-j pi (N-1) paths_l / 2) / N of the path kernels, as a
-    (2, ..., L, M) pair of real and imaginary parts, from a (5, ..., L, M) path table and
-    (..., M, L) path coordinates; the phase's sine and cosine come by angle addition
-    from the table's, as (N-1) alpha = N alpha - alpha."""
-    _, p_sin, p_cos, p_sin_n, p_cos_n = paths
-    cos = p_cos_n * p_cos
-    cos += p_sin_n * p_sin
-    sin = p_sin_n * p_cos
-    sin -= p_cos_n * p_sin
+    (2, ..., L, M) pair of real and imaginary parts, from a (7, ..., L, M) path table,
+    whose phase rows it reads, and (..., M, L) path coordinates."""
+    cos, sin = paths[5:]
     c = np.swapaxes(coords, -1, -2) / N
     weights = np.empty((2,) + cos.shape)
     re = np.multiply(c.real, cos, out=weights[0])
@@ -152,8 +147,8 @@ def _path_sum(N: int, beams: np.ndarray, paths: np.ndarray, weights: np.ndarray)
     and imaginary parts: a_N(beam)^H sum_l coords_l a_N(paths_l) up to the beam's unit
     phase exp(j pi (N-1) beam / 2), every coupling of a trial.
 
-    ``paths`` is a (5, ..., L, M) :func:`_sines` table, ``weights`` its :func:`_path_weights`
-    and ``beams`` any (5, ..., P, M) table that broadcasts against them; the kernel is laid
+    ``paths`` is a (7, ..., L, M) :func:`_sines` table, ``weights`` its :func:`_path_weights`
+    and ``beams`` any (7, ..., P, M) table that broadcasts against them; the kernel is laid
     out (..., P, L, M), subcarriers innermost. Each entry is one rounded product per path
     and a sum over paths in an order set by the layout alone, so its value does not depend
     on which other beams are evaluated with it.
@@ -255,9 +250,12 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
 
     w_k = a_R(psi_r[k]) and f_i = a_T(psi_t[..., i]), with ``psi_t`` (N_RF,) for one
     analog matrix or (M, N_RF) for a per-subcarrier stack. Per path, the entry is the gain
-    times a_R(psi_r)^H a_R(theta) and a_T(vartheta)^H a_T(psi_t); summed over paths, the
-    conjugate of the beams' :func:`_path_sum` against ``channels.vartheta_sines`` with path
-    coordinates conj(gain a_R(psi_r)^H a_R(theta)), times each beam's exp(-j pi (N-1) psi_t / 2).
+    times a_R(psi_r)^H a_R(theta) and a_T(vartheta)^H a_T(psi_t). The receive coupling is
+    the :func:`_dirichlet_kernel` of psi_r's :func:`_sines` table against
+    ``channels.theta_sines`` times the phase rows of both; summed over paths, the entry is
+    the conjugate of the beams' :func:`_path_sum` against ``channels.vartheta_sines`` with
+    the conjugate receive couplings as path coordinates, times each beam's
+    exp(-j pi (N-1) psi_t / 2) from its table's phase rows.
     """
     K, M, _ = channels.gain.shape
     psi_r = np.asarray(psi_r, dtype=float)
@@ -266,34 +264,31 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
     psi_t = np.asarray(psi_t, dtype=float)
     if psi_t.ndim == 0 or psi_t.shape[:-1] not in ((), (M,)):
         raise ValueError(f"psi_t must be (N_RF,) or (M, N_RF) with M = {M}, got {psi_t.shape}")
-    N = channels.N_T
-    coords = channels.gain * steering_kernel(channels.N_R, psi_r[:, None, None], channels.theta)
-    paths = channels.vartheta_sines                                     # (5, K, L, M)
-    beams = _sines(N, psi_t.T.reshape(psi_t.shape[-1], -1))            # (5, N_RF, 1 or M)
-    re, im = _path_sum(N, beams, paths, _path_weights(N, paths, coords.conj()))  # (K, N_RF, M)
+    N_R, N = channels.N_R, channels.N_T
+    rx, paths_r = _sines(N_R, psi_r)[..., None, None], channels.theta_sines   # (7, K, 1, 1)
+    # conj(gain a_R(psi_r)^H a_R(theta)), (K, L, M), each phase from its own table's rows
+    coords = (channels.gain.conj().transpose(0, 2, 1) * (paths_r[5] + 1j * paths_r[6])
+              * ((rx[5] - 1j * rx[6]) / N_R) * _dirichlet_kernel(N_R, rx, paths_r))
+    paths = channels.vartheta_sines                                     # (7, K, L, M)
+    beams = _sines(N, psi_t.T.reshape(psi_t.shape[-1], -1))            # (7, N_RF, 1 or M)
+    weights = _path_weights(N, paths, np.swapaxes(coords, -1, -2))
+    re, im = _path_sum(N, beams, paths, weights)                        # (K, N_RF, M)
     h = np.empty((M, K, beams.shape[1]), dtype=complex)
     h.real, h.imag = re.transpose(2, 0, 1), -im.transpose(2, 0, 1)     # the conjugate sum
-    h *= np.exp(-0.5j * np.pi * (N - 1) * psi_t[..., None, :])
+    h *= (beams[5] - 1j * beams[6]).T[:, None, :]
     return h
 
 
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:
-    """Moore-Penrose inverse of one matrix or of each slice of an (M, r, c) stack.
-
-    The least squares of the BSA correction, for an analog matrix of any shape:
-    one batched SVD, rank-deficient when s_min < ``_RCOND`` s_max. Raises
-    DegenerateChannelError naming the first such subcarrier of a stack.
+    """Moore-Penrose inverse of one matrix, the least squares of the BSA correction for
+    an analog matrix of any shape. Raises DegenerateChannelError when s_min < ``_RCOND``
+    s_max.
     """
     u, s, vh = np.linalg.svd(A, full_matrices=False)
-    degenerate = np.flatnonzero((s[..., 0] == 0) | (s[..., -1] < _RCOND * s[..., 0]))
-    if degenerate.size:
-        where = "" if A.ndim == 2 else f" at subcarrier {degenerate[0]}"
-        s_bad = s.reshape(-1, s.shape[-1])[degenerate[0]]
+    if s[0] == 0 or s[-1] < _RCOND * s[0]:
         raise DegenerateChannelError(
-            f"matrix{where} is rank-deficient "
-            f"(singular values {s_bad.min():.3e} .. {s_bad.max():.3e})"
-        )
-    return (np.swapaxes(vh.conj(), -1, -2) / s[..., None, :]) @ np.swapaxes(u.conj(), -1, -2)
+            f"matrix is rank-deficient (singular values {s[-1]:.3e} .. {s[0]:.3e})")
+    return (vh.conj().T / s) @ u.conj().T
 
 
 def _squared_norms(A: np.ndarray) -> np.ndarray:

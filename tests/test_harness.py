@@ -64,7 +64,7 @@ class TestRunTrial:
             raise t.DegenerateChannelError("forced")
 
         monkeypatch.setattr(harness, "omp_hybrid_beamformer", always_degenerate)
-        with pytest.raises(t.RedrawExhausted, match="forced"):
+        with pytest.raises(t.DegenerateChannelError, match="forced"):
             t.run_trial(small_cfg(), 1)
 
     def test_redraw_counted(self, monkeypatch):
@@ -1064,7 +1064,7 @@ class TestCli:
 
     def test_numerical_failure_exit_code(self, monkeypatch, capsys):
         def exhausted(spec):
-            raise t.RedrawExhausted("every draw degenerate")
+            raise t.DegenerateChannelError("every draw degenerate")
 
         monkeypatch.setattr(cli, "run_sweep", exhausted)
         code = cli.main(["simulate", "--sweep", "snr", "--values", "0",

@@ -7,7 +7,7 @@ import pytest
 import thzbsa as t
 from thzbsa import channel, harness, omp
 from thzbsa.harness import HYBRID_METHODS, _trial_seed, run_trial
-from thzbsa.omp import DegenerateChannelError, pseudo_inverse, sd_dictionary
+from thzbsa.omp import DegenerateChannelError, sd_dictionary
 
 
 def _random_channelset(cfg, seed):
@@ -551,6 +551,24 @@ class TestEffectiveChannel:
         got = t.effective_channel(ch, psi_r, psi_t)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
+    @pytest.mark.parametrize("N_R", [1, 2, 3, 16])
+    def test_receive_beam_on_a_path_matches_dense(self, N_R):
+        # per user, paths at d = psi_r - theta of 0, +-2 and just off 0 and 2: the receive
+        # kernel's exact branch and its grating lobes
+        eta = np.array([0.95, 1.0, 1.05])
+        psi_r = np.array([0.2, -0.6])
+        offsets = np.array([[0.0, 2.0, 1e-13, 0.4], [0.0, -2.0, 2.0 - 1e-13, -0.3]])
+        theta = np.broadcast_to((psi_r[:, None] - offsets)[:, None, :], (2, 3, 4))
+        rng = np.random.default_rng(N_R)
+        gain = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        vartheta = rng.uniform(-1.0, 1.0, (2, 3, 4)) * eta[:, None]
+        ch = t.ChannelSet(theta=theta, vartheta=vartheta, gain=gain, eta=eta, N_R=N_R, N_T=8)
+        psi_t = np.array([0.1, -0.7])
+        want = np.einsum("rk,kmrt,ti->mki", t.steering_vector(N_R, psi_r).conj(), ch.H,
+                         t.steering_vector(8, psi_t))
+        got = t.effective_channel(ch, psi_r, psi_t)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
 
 class TestBasebandZF:
     def test_zero_forcing_up_to_scalar(self, rng):
@@ -605,12 +623,6 @@ class TestBasebandZF:
             H_eff[m, 1] = 2 * H_eff[m, 0]
         with pytest.raises(DegenerateChannelError, match="at subcarrier 1 is rank-deficient"):
             t.baseband_zf(H_eff, np.eye(2, dtype=complex))
-
-    def test_pseudo_inverse_names_singular_subcarrier(self, rng):
-        A = rng.standard_normal((4, 3, 3)) + 1j * rng.standard_normal((4, 3, 3))
-        A[2, :, 1] = 0
-        with pytest.raises(DegenerateChannelError, match="at subcarrier 2 is rank-deficient"):
-            pseudo_inverse(A)
 
     def test_rank_deficient_raises(self):
         H_eff = np.zeros((1, 2, 2), complex)
@@ -817,7 +829,7 @@ class TestPathTables:
         for name, v in (("theta_sines", ch.theta), ("vartheta_sines", ch.vartheta)):
             table = getattr(ch, name)
             assert getattr(ch, name) is table
-            assert table.shape == (5, c.K, c.L, c.M) and table.flags.c_contiguous
+            assert table.shape == (7, c.K, c.L, c.M) and table.flags.c_contiguous
             np.testing.assert_array_equal(table[0], v.transpose(0, 2, 1))
             for array in table:
                 assert array.flags.c_contiguous
@@ -832,14 +844,20 @@ class TestPathTables:
         view = v.transpose(0, 2, 1)
         assert not view.flags.c_contiguous
         table = channel._sines(N, view)
-        assert table.shape == (5, 3, 2, 16) and table.flags.c_contiguous
+        assert table.shape == (7, 3, 2, 16) and table.flags.c_contiguous
         assert table.strides[-1] == table.itemsize
         with pytest.raises(ValueError, match="read-only"):
             table[...] = 0.0
         x = np.ascontiguousarray(view)
         alpha = 0.5 * np.pi * x
         want = [x, np.sin(alpha), np.cos(alpha), np.sin(N * alpha), np.cos(N * alpha)]
-        np.testing.assert_array_equal(table, np.stack(want))
+        np.testing.assert_array_equal(table[:5], np.stack(want))
+        # the phase rows against cos and sin of (N-1) pi x / 2 taken directly: 1e-15 per
+        # radian of phase, since rounding the argument alone errs by its ulp
+        phase = (N - 1) * np.pi * x / 2
+        tol = 1e-15 * (1.0 + np.abs(phase))
+        assert np.all(np.abs(table[5] - np.cos(phase)) <= tol)
+        assert np.all(np.abs(table[6] - np.sin(phase)) <= tol)
 
 
 class TestPipeline:

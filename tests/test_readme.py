@@ -82,3 +82,8 @@ def test_resolver_refuses_a_stale_name():
     assert _resolves(omp, "BeamformerSet.F_RF") and _resolves(omp, "BeamformerSet.R_RF")
     assert not _resolves(omp, "BeamformerSet.Q_RF")
     assert _resolves(importlib.import_module("thzbsa.channel"), "ChannelSet.theta")
+    # names that left a module, and where one of them lives now
+    harness = importlib.import_module("thzbsa.harness")
+    assert not _resolves(harness, "RedrawExhausted")
+    assert not _resolves(importlib.import_module("thzbsa.metrics"), "sum_rate_sd_analog")
+    assert _resolves(harness, "sum_rate_sd_analog")
