@@ -160,6 +160,72 @@ def _gram(N: int, v: np.ndarray) -> np.ndarray:
     return G
 
 
+_GAP = 1e-3     # the least top gap lam_1 - lam_2, relative to lam_1, of a closed-form eigenpair
+
+
+def _top_eigenpair(core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The largest eigenvalue lam (...,) and a unit eigenvector z (..., L) of each
+    Hermitian positive semidefinite core C (..., L, L), read from its lower triangle
+    like ``np.linalg.eigh``.
+
+    For L = 3 in closed form, on A = C / trace(C): A has trace 1 and entries within
+    [-1, 1] at any scale of C, so nothing overflows. lam / trace is A's largest root of
+    the characteristic cubic by the trigonometric solution (O. K. Smith, CACM 4(4),
+    1961). z is the largest of the three cross products of rows of A - (lam / trace) I,
+    normalised; they are the rows of its Hermitian cofactor matrix, and take no
+    conjugate because A z = lam z is bilinear row by row.
+
+    Fallback rule: that largest product is at most (lam_1 - lam_2) lam_1 in norm (in
+    units of the trace), so an entry where it is below ``_GAP`` lam_1^2 may have a
+    near-degenerate top pair, where the cubic and the products lose digits as
+    1e-16 lam_1 / gap; it takes ``eigh``, as do a zero trace, a non-finite scaled
+    entry and L != 3. On every other entry the top gap is at least ``_GAP`` lam_1, lam
+    is within about 1e-13 relative of ``eigh`` and |C z - lam z| within about 1e-13 lam.
+    """
+    if core.shape[-1] != 3:
+        lam, Z = np.linalg.eigh(core)
+        return lam[..., -1], Z[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # sent to eigh below
+        a0, a1, a2 = core[..., 0, 0].real, core[..., 1, 1].real, core[..., 2, 2].real
+        trace = a0 + a1
+        trace += a2
+        scale = 1.0 / trace
+        e0, e1, e2 = (a * scale - 1.0 / 3.0 for a in (a0, a1, a2))    # A - I / 3
+        l10, l20, l21 = (core[..., i, j] * scale for i, j in ((1, 0), (2, 0), (2, 1)))
+        n10, n20, n21 = (v.real * v.real + v.imag * v.imag for v in (l10, l20, l21))
+        w = l10 * l21
+        p = np.sqrt((e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (n10 + n20 + n21)) / 6.0)
+        det = e0 * e1 * e2 + 2.0 * (l20.conj() * w).real - e0 * n21 - e1 * n20 - e2 * n10
+        mu = 2.0 * p * np.cos(np.arccos(np.clip(det / (2.0 * p ** 3), -1.0, 1.0)) / 3.0)
+        D0, D1, D2 = e0 - mu, e1 - mu, e2 - mu                      # A - (lam / trace) I
+        C = np.empty(core.shape, dtype=complex)                     # its cofactors
+        np.subtract(D1 * D2, n21, out=C[..., 0, 0])
+        np.subtract(D0 * D2, n20, out=C[..., 1, 1])
+        np.subtract(D0 * D1, n10, out=C[..., 2, 2])
+        np.subtract(l20 * l21.conj(), D2 * l10, out=C[..., 0, 1])
+        np.subtract(w, D1 * l20, out=C[..., 0, 2])
+        np.subtract(l10.conj() * l20, D0 * l21, out=C[..., 1, 2])
+        for i, j in ((1, 0), (2, 0), (2, 1)):
+            np.conjugate(C[..., j, i], out=C[..., i, j])
+        Cf = C.view(float)
+        norms = np.einsum("...ij,...ij->...i", Cf, Cf)
+        best = norms.argmax(axis=-1).ravel()
+        rows = np.arange(best.size)
+        norm = norms.reshape(-1, 3)[rows, best].reshape(trace.shape)
+        flat = C.reshape(-1, 3, 3)
+        flat[:, 0] = flat[rows, best] / np.sqrt(norm).reshape(-1, 1)
+        z = C[..., 0, :]                                            # over the cofactors
+        lam = mu + 1.0 / 3.0
+        closed = (trace > 0) & (norm >= (_GAP * lam * lam) ** 2)
+        lam *= trace
+    fallback = ~closed
+    if fallback.any():
+        w_fb, Z_fb = np.linalg.eigh(core[fallback])
+        lam[fallback] = w_fb[:, -1]
+        z[fallback] = Z_fb[..., -1]
+    return lam, z
+
+
 @dataclass
 class PathParams:
     """Per-user multipath descriptors, arrays of shape (K, L): the complex gain
@@ -247,9 +313,12 @@ class ChannelSet:
         S is the Cholesky factor of G_T = A_T^H A_T, a square-root factor (S S^H = G_T)
         that is never inverted; when a Gram of the batch is singular (coincident DODs,
         L > N_T) the whole batch takes S = U sqrt(w) from the eigenpairs (w, U) of G_T.
-        s^2 and z are the top eigenpair of the core (D S)^H G_R (D S), D = diag(gain);
-        y = D S z / s and x = D^H G_R y / s, which is v = H^H u / s; where s = 0, y = 0
-        and x = e_1. v_1 = sum(x) / sqrt(N_T) is real >= 0.
+        s^2 and z are the top eigenpair of the core (D S)^H G_R (D S), D = diag(gain),
+        from :func:`_top_eigenpair`: for L = 3 in closed form on the core divided by its
+        trace (so a core near 1e300 is read without overflow), and from ``eigh`` for
+        L != 3 and for the entries whose top pair may be near-degenerate (a gap under
+        ``_GAP`` lam) or whose trace is 0. y = D S z / s and x = D^H G_R y / s, which is
+        v = H^H u / s; where s = 0, y = 0 and x = e_1. v_1 = sum(x) / sqrt(N_T) is real >= 0.
         """
         G_T = _gram(self.N_T, self.vartheta)
         try:
@@ -263,10 +332,10 @@ class ChannelSet:
             core = np.swapaxes(DS.conj(), -1, -2) @ G_R @ DS
         if not np.all(np.isfinite(core)):
             raise FloatingPointError("non-finite channel Gram core")
-        lam, Z = np.linalg.eigh(core)
-        s = np.sqrt(np.maximum(lam[..., -1], 0.0))
+        lam, z = _top_eigenpair(core)
+        s = np.sqrt(np.maximum(lam, 0.0))
         inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)[..., None]
-        y = (DS @ Z[..., -1:])[..., 0] * inv_s
+        y = (DS @ z[..., None])[..., 0] * inv_s
         x = self.gain.conj() * (G_R @ y[..., None])[..., 0] * inv_s
         x[s == 0, 0] = 1.0
         lead = x.sum(axis=-1, keepdims=True)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import thzbsa as t
 from thzbsa.config import SPEED_OF_LIGHT
+from thzbsa.harness import _trial_seed
 
 
 class TestSubcarrierGrid:
@@ -225,6 +226,134 @@ class TestDominantMode:
         ch.gain[1, 2, 0] = bad
         with pytest.raises(FloatingPointError, match="non-finite"):
             ch.dominant_mode
+
+
+@pytest.fixture
+def eigh_entries(monkeypatch):
+    """The number of matrices handed to np.linalg.eigh while the test runs."""
+    count = [0]
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return count
+
+
+def _hermitian_cores(rng, eigenvalues):
+    """One core V diag(w) V^H per row w of ``eigenvalues``, V a random unitary."""
+    n, L = eigenvalues.shape
+    V, _ = np.linalg.qr(rng.standard_normal((n, L, L)) + 1j * rng.standard_normal((n, L, L)))
+    return (V * eigenvalues[:, None, :]) @ V.conj().swapaxes(-1, -2)
+
+
+def _assert_top_pair(core, lam, z, tol):
+    """lam within tol of eigh's top eigenvalue, |C z - lam z| <= tol lam, and z eigh's
+    top vector up to phase, to the angle that residual allows: tol lam / gap."""
+    w, Z = np.linalg.eigh(core)
+    top, z_ref = w[..., -1], Z[..., -1]
+    np.testing.assert_allclose(lam, top, rtol=tol, atol=0)
+    np.testing.assert_allclose(np.linalg.norm(z, axis=-1), 1.0, rtol=0, atol=1e-14)
+    residual = np.linalg.norm((core @ z[..., None])[..., 0] - lam[..., None] * z, axis=-1)
+    assert np.all(residual <= tol * top)
+    phase = np.einsum("...i,...i->...", z_ref.conj(), z)
+    error = np.linalg.norm(z - z_ref * (phase / np.abs(phase))[..., None], axis=-1)
+    gap = top - w[..., -2]
+    assert np.all(error * gap <= 2 * tol * top)
+
+
+class TestTopEigenpair:
+    """The closed-form top eigenpair of 3x3 cores against eigh, and when it hands over."""
+
+    top_eigenpair = staticmethod(t.channel._top_eigenpair)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), rank=st.integers(1, 3))
+    def test_random_psd_batches(self, seed, n, rank):
+        rng = np.random.default_rng(seed)
+        w = rng.uniform(0.0, 1.0, (n, 3)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        w[:, : 3 - rank] = 0.0
+        core = _hermitian_cores(rng, w)
+        lam, z = self.top_eigenpair(core)
+        _assert_top_pair(core, lam, z, 1e-12)
+
+    def test_rank_one(self, rng, eigh_entries):
+        a = rng.standard_normal((50, 3)) + 1j * rng.standard_normal((50, 3))
+        lam, z = self.top_eigenpair(a[:, :, None] * a[:, None, :].conj())
+        assert eigh_entries[0] == 0
+        np.testing.assert_allclose(lam, np.linalg.norm(a, axis=-1) ** 2, rtol=1e-14)
+        phase = np.einsum("ni,ni->n", a.conj(), z)
+        np.testing.assert_allclose(z * np.linalg.norm(a, axis=-1, keepdims=True),
+                                   a * (phase / np.abs(phase))[:, None], rtol=0, atol=1e-13)
+
+    def test_zero_matrix(self, eigh_entries):
+        # a zero trace takes eigh: lam = 0 and a unit z, the s = 0 branch downstream
+        lam, z = self.top_eigenpair(np.zeros((2, 4, 3, 3), dtype=complex))
+        assert eigh_entries[0] == 8
+        assert np.all(lam == 0) and lam.shape == (2, 4)
+        np.testing.assert_allclose(np.linalg.norm(z, axis=-1), 1.0)
+
+    def test_diagonal(self, eigh_entries):
+        diagonals = np.array([[3.0, 1.0, 2.0], [0.0, 0.0, 5.0], [1e-3, 2.0, 7.0], [4.0, 0.5, 0.0]])
+        core = np.zeros((4, 3, 3), dtype=complex)
+        core[:, [0, 1, 2], [0, 1, 2]] = diagonals
+        lam, z = self.top_eigenpair(core)
+        assert eigh_entries[0] == 0
+        np.testing.assert_allclose(lam, diagonals.max(axis=-1), rtol=1e-15)
+        np.testing.assert_allclose(np.abs(z), np.eye(3)[diagonals.argmax(axis=-1)], atol=1e-15)
+
+    @pytest.mark.parametrize("w", [[1.0, 1.0, 0.3], [0.0, 2.0, 2.0], [5.0, 5.0, 5.0]])
+    def test_repeated_top_eigenvalue_takes_eigh(self, rng, eigh_entries, w):
+        core = _hermitian_cores(rng, np.tile(w, (6, 1)))
+        lam, z = self.top_eigenpair(core)
+        assert eigh_entries[0] == 6
+        w_ref, Z_ref = np.linalg.eigh(core)
+        assert np.array_equal(lam, w_ref[:, -1]) and np.array_equal(z, Z_ref[..., -1])
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150, 1e-300, 1e300])
+    def test_extreme_scales(self, rng, eigh_entries, scale):
+        # the cubic of the unscaled core would overflow or underflow; its trace-scaled
+        # form does neither (and an overflow would raise under the suite's filter)
+        w = np.array([[1.0, 0.4, 0.1], [1.0, 0.0, 0.0], [0.7, 0.6, 0.0]])
+        core = _hermitian_cores(rng, w)
+        lam, z = self.top_eigenpair(core * scale)
+        assert eigh_entries[0] == 0
+        np.testing.assert_allclose(lam / scale, w[:, 0], rtol=1e-13)
+        _assert_top_pair(core, lam / scale, z, 1e-12)
+
+    @pytest.mark.parametrize("gap", 10.0 ** -np.arange(1, 13))
+    def test_near_degenerate_top_pair(self, rng, eigh_entries, gap):
+        # the rule: a largest cross product below _GAP lam^2 hands the entry to eigh,
+        # and that product is at most (lam_1 - lam_2) lam_1; so every gap under
+        # _GAP lam_1 takes eigh, and every gap is within 1e-12 of eigh
+        assert t.channel._GAP == 1e-3
+        n = 200
+        w = np.column_stack([rng.uniform(0.0, 1.0 - gap, n), np.full(n, 1.0 - gap), np.ones(n)])
+        core = _hermitian_cores(rng, w * 10.0 ** rng.uniform(-3, 3, (n, 1)))
+        lam, z = self.top_eigenpair(core)
+        handed_over = eigh_entries[0]
+        _assert_top_pair(core, lam, z, 1e-12)
+        if gap < t.channel._GAP:
+            assert handed_over == n
+        if gap >= 1e-1:
+            assert handed_over < n // 20
+
+    @pytest.mark.parametrize("L", [1, 2, 4])
+    def test_other_orders_take_eigh(self, rng, L):
+        core = _hermitian_cores(rng, rng.uniform(0.0, 1.0, (5, L)))
+        lam, z = self.top_eigenpair(core)
+        w_ref, Z_ref = np.linalg.eigh(core)
+        assert np.array_equal(lam, w_ref[:, -1]) and np.array_equal(z, Z_ref[..., -1])
+
+    @pytest.mark.parametrize("profile,draws", [("desk", 20), ("paper", 4)])
+    def test_seeded_draws_take_the_closed_form(self, eigh_entries, profile, draws):
+        # no core of a seeded trial draw hands over to eigh, so the fast path is the path
+        cfg = t.build_config(profile)
+        for i in range(draws):
+            rng = np.random.default_rng(np.random.SeedSequence([_trial_seed(40, 0, i), 0]))
+            t.generate_channel(cfg, t.draw_paths(cfg, rng)).dominant_mode
+        assert eigh_entries[0] == 0
 
 
 class TestGram:

@@ -3,6 +3,7 @@ import dataclasses
 import importlib.util
 import io
 import json
+import math
 import os
 import re
 import tracemalloc
@@ -1042,6 +1043,21 @@ class TestCli:
         assert re.search(r"in trial seed \d+$", lines[0])
         assert "RuntimeWarning" not in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("penalty", ["-2000", "-2900"])
+    def test_huge_finite_channel_runs(self, tmp_path, capsys, penalty):
+        # NLoS gains near 1e145: the Gram core reaches about 1e290, whose cube
+        # overflows, yet its top eigenpair is read from the core scaled by its trace
+        cfg_file = tmp_path / "huge.cfg"
+        cfg_file.write_text(f"nlos_penalty_db = {penalty}\n")
+        code = cli.main(["simulate", "--sweep", "bandwidth", "--values", "1e9",
+                         "--trials", "2", "--config", str(cfg_file)])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        rows = list(csv.DictReader(io.StringIO(captured.out)))
+        assert [row["method"] for row in rows] == list(METHODS)
+        for row in rows:
+            assert math.isfinite(float(row["mean_sum_rate"])) and float(row["mean_sum_rate"]) > 0
 
     def test_non_finite_result_stops_at_first_trial(self, monkeypatch, tmp_path, capsys):
         from thzbsa import harness
