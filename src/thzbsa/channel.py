@@ -214,7 +214,7 @@ def _top_eigenpair(core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         norm = norms.reshape(-1, 3)[rows, best].reshape(trace.shape)
         flat = C.reshape(-1, 3, 3)
         flat[:, 0] = flat[rows, best] / np.sqrt(norm).reshape(-1, 1)
-        z = C[..., 0, :]                                            # over the cofactors
+        z = C[..., 0, :]        # over the cofactors: a separate array slowed later stages
         lam = mu + 1.0 / 3.0
         closed = (trace > 0) & (norm >= (_GAP * lam * lam) ** 2)
         lam *= trace
