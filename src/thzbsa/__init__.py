@@ -3,7 +3,7 @@
 from .bsa import apply_bsa, bsa_baseband, sd_analog, sd_oracle_beamformers
 from .channel import (ChannelSet, PathParams, array_gain, dirichlet_sinc,
                       draw_paths, frequency_ratios, generate_channel,
-                      steering_kernel, steering_vector, subcarrier_frequencies)
+                      steering_vector, subcarrier_frequencies)
 from .config import (ConfigError, PROFILES, SystemConfig, build_config,
                      config_hash, parse_config_file)
 from .harness import (METHODS, SweepResult, SweepSpec, TrialResult, emit,

@@ -1,10 +1,10 @@
 """Frequency-selective THz multipath channels, held as their L path factors.
 
-Every H_k[m] has rank L, so a ``ChannelSet`` keeps the dilated path
-directions and gains. Every coupling of a trial is a steering kernel
-a_N(x)^H a_N(y), a phase times a Dirichlet kernel, held here with the sine tables
-that carry its phase and its angle-addition form; the dense H is built only on
-request. Also the subcarrier grid, steering vectors, path draws and array gain.
+Every H_k[m] has rank L, so a ``ChannelSet`` keeps the dilated path directions and
+gains. Every coupling of a trial is a steering kernel a_N(x)^H a_N(y), a phase times a
+Dirichlet kernel, read from sine tables that carry its phase and its angle-addition
+form, each direction's sines taken once; the dense H is built only on request. Also
+the subcarrier grid, steering vectors, path draws and array gain.
 Directions are sine-space, dilated by eta_m = f_m / f_c and kept as-is beyond
 [-1, 1]; gains follow the spreading law 1/eta_m normalised at the carrier;
 delays run from the LoS arrival.
@@ -65,12 +65,6 @@ def dirichlet_sinc(a, N: int):
     if N % 2 == 0:
         out[np.fmod(k, 2.0) != 0] *= -1.0
     return float(out) if out.ndim == 0 else out
-
-
-def steering_kernel(N: int, x, y):
-    """a_N(x)^H a_N(y) = exp(j pi (N-1) d / 2) D_N(d / 2), d = x - y, broadcast."""
-    d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return np.exp(0.5j * np.pi * (N - 1) * d) * dirichlet_sinc(d / 2.0, N)
 
 
 _EXACT = 1e-3      # |sin(pi d/2)| below which a Dirichlet kernel is evaluated from d itself
@@ -143,20 +137,24 @@ def _dirichlet_bound(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return ((1.0 + _BOUND_SLACK) * N) / np.maximum(1.0, N * s)
 
 
-def _gram(N: int, v: np.ndarray) -> np.ndarray:
-    """The Hermitian Grams a_N(v_i)^H a_N(v_j) over the last axis of ``v``, (..., L, L).
+def _kernel(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a_N(x)^H a_N(y) = exp(j pi (N-1) d / 2) D_N(d / 2), d = x - y, from :func:`_sines`
+    tables a of x and b of y, broadcast past axis 0: the phase rows of both times
+    :func:`_dirichlet_kernel` / N, which is exactly 1 where x = y."""
+    return (a[5] + 1j * a[6]) * (b[5] - 1j * b[6]) * (_dirichlet_kernel(N, a, b) / N)
 
-    Steering kernels fill the strict upper triangle only: the diagonal is exactly 1
-    and the lower triangle is the upper's conjugate, bit for bit.
-    """
-    L = v.shape[-1]
+
+def _gram(N: int, paths: np.ndarray) -> np.ndarray:
+    """The Hermitian Grams a_N(v_i)^H a_N(v_j) over the paths of a (7, ..., L, M)
+    :func:`_sines` table of v, laid out (..., M, L, L): :func:`_kernel` fills the strict
+    upper triangle, the lower one is its conjugate bit for bit, the diagonal exactly 1."""
+    L = paths.shape[-2]
     i, j = np.nonzero(np.less.outer(np.arange(L), np.arange(L)))     # cheaper than triu_indices
-    upper = steering_kernel(N, v[..., i], v[..., j])
-    G = np.empty(v.shape + (L,), dtype=complex)
+    upper = np.swapaxes(_kernel(N, paths[..., i, :], paths[..., j, :]), -1, -2)
+    G = np.empty(upper.shape[:-1] + (L, L), dtype=complex)
     G[..., i, j] = upper
     G[..., j, i] = upper.conj()
-    diagonal = np.arange(L)
-    G[..., diagonal, diagonal] = 1.0
+    G[..., range(L), range(L)] = 1.0
     return G
 
 
@@ -280,8 +278,8 @@ class ChannelSet:
     ``theta`` / ``vartheta`` are the dilated DOAs eta_m phi / DODs eta_m varphi
     (the columns of A_R / A_T), ``gain`` the path gains, all (K, M, L). Their (7, K, L, M)
     :func:`_sines` tables ``theta_sines`` (N_R) and ``vartheta_sines`` (N_T), subcarriers
-    innermost, are cached read-only on first access, like ``dominant_mode``; atom
-    selection and effective channels read them.
+    innermost, are cached read-only on first access, like ``dominant_mode``; its Grams,
+    atom selection and effective channels read them.
     """
 
     theta: np.ndarray       # (K, M, L)
@@ -310,23 +308,21 @@ class ChannelSet:
         """Read-only (s, x, y): each H_k[m]'s largest singular value, shape (K, M),
         and its unit vectors v = A_T x and u = A_R y in path coordinates (K, M, L).
 
-        S is the Cholesky factor of G_T = A_T^H A_T, a square-root factor (S S^H = G_T)
-        that is never inverted; when a Gram of the batch is singular (coincident DODs,
-        L > N_T) the whole batch takes S = U sqrt(w) from the eigenpairs (w, U) of G_T.
-        s^2 and z are the top eigenpair of the core (D S)^H G_R (D S), D = diag(gain),
-        from :func:`_top_eigenpair`: for L = 3 in closed form on the core divided by its
-        trace (so a core near 1e300 is read without overflow), and from ``eigh`` for
-        L != 3 and for the entries whose top pair may be near-degenerate (a gap under
-        ``_GAP`` lam) or whose trace is 0. y = D S z / s and x = D^H G_R y / s, which is
+        The Grams G_T = A_T^H A_T and G_R = A_R^H A_R come by :func:`_gram` from the path
+        tables. S is the Cholesky factor of G_T, a square-root factor (S S^H = G_T) that is
+        never inverted; when ``cholesky`` refuses a singular Gram of the batch (coincident
+        DODs, L > N_T) the whole batch takes S = U sqrt(w) from the eigenpairs (w, U) of
+        G_T. s^2 and z are the top eigenpair (:func:`_top_eigenpair`) of the core
+        (D S)^H G_R (D S), D = diag(gain). y = D S z / s and x = D^H G_R y / s, which is
         v = H^H u / s; where s = 0, y = 0 and x = e_1. v_1 = sum(x) / sqrt(N_T) is real >= 0.
         """
-        G_T = _gram(self.N_T, self.vartheta)
+        G_T = _gram(self.N_T, self.vartheta_sines)
         try:
             S = np.linalg.cholesky(G_T)
         except np.linalg.LinAlgError:       # a singular Gram: any square-root factor serves
             w, U = np.linalg.eigh(G_T)
             S = U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
-        G_R = _gram(self.N_R, self.theta)
+        G_R = _gram(self.N_R, self.theta_sines)
         with np.errstate(over="ignore", invalid="ignore"):     # refused just below
             DS = self.gain[..., None] * S
             core = np.swapaxes(DS.conj(), -1, -2) @ G_R @ DS

@@ -111,7 +111,7 @@ def cmd_array_gain(args: argparse.Namespace) -> int:
     grid = np.linspace(-1.0, 1.0, args.grid_points or 16 * cfg.N_T + 1)
     # |a(eta_m phi)^H a(phi_bar)|^2 from phi itself: a(-1) = a(+1), so a vector loses the sign
     eta_m = channel.frequency_ratios(cfg)[args.subcarrier - 1]
-    gains = np.abs(channel.steering_kernel(cfg.N_T, eta_m * args.phi, grid)) ** 2
+    gains = channel.dirichlet_sinc((eta_m * args.phi - grid) / 2.0, cfg.N_T) ** 2
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["phi_bar", "gain"])

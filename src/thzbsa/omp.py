@@ -25,7 +25,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .channel import ChannelSet, _dirichlet_bound, _dirichlet_kernel, _sines, steering_vector
+from .channel import (ChannelSet, _dirichlet_bound, _dirichlet_kernel, _kernel, _sines,
+                      steering_vector)
 from .config import SystemConfig
 from .phase_ops import scale_analog_matrix
 
@@ -122,10 +123,12 @@ def unconstrained_combiners(channels: ChannelSet, sigma_n2: float) -> np.ndarray
 
 @lru_cache(maxsize=8)      # atom tables kept per process; a config uses two
 def _atom_sines(N: int, psi: bytes, eta: bytes) -> np.ndarray:
-    """The read-only (7, P, M) :func:`_sines` table of the dilated atom directions
-    eta_m psi_p, keyed on the grids' bytes: one per (N, grid, eta), shared by every user
-    and trial of a config. A gather of atoms, ``table[:, rows]``, is again a table."""
-    return _sines(N, np.multiply.outer(np.frombuffer(psi), np.frombuffer(eta)))
+    """A read-only copy of rows 0-4 of the :func:`_sines` table of the dilated atoms eta_m
+    psi_p, (5, P, M), keyed on the grids' bytes and shared by every trial of a config: the
+    correlations are magnitudes and read no atom phase. ``table[:, rows]`` is a table."""
+    table = _sines(N, np.multiply.outer(np.frombuffer(psi), np.frombuffer(eta)))[:5].copy()
+    table.setflags(write=False)
+    return table
 
 
 def _path_weights(N: int, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -145,10 +148,10 @@ def _path_weights(N: int, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
 def _path_sum(N: int, beams: np.ndarray, paths: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_l weights_l N D_N(d/2), d = beam - paths_l, as a (2, ..., P, M) pair of real
     and imaginary parts: a_N(beam)^H sum_l coords_l a_N(paths_l) up to the beam's unit
-    phase exp(j pi (N-1) beam / 2), every coupling of a trial.
+    phase exp(j pi (N-1) beam / 2), every beam's coupling to a trial's paths.
 
     ``paths`` is a (7, ..., L, M) :func:`_sines` table, ``weights`` its :func:`_path_weights`
-    and ``beams`` any (7, ..., P, M) table that broadcasts against them; the kernel is laid
+    and ``beams`` rows 0-4 (or more) of any table that broadcasts against them; the kernel is laid
     out (..., P, L, M), subcarriers innermost. Each entry is one rounded product per path
     and a sum over paths in an order set by the layout alone, so its value does not depend
     on which other beams are evaluated with it.
@@ -250,9 +253,9 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
 
     w_k = a_R(psi_r[k]) and f_i = a_T(psi_t[..., i]), with ``psi_t`` (N_RF,) for one
     analog matrix or (M, N_RF) for a per-subcarrier stack. Per path, the entry is the gain
-    times a_R(psi_r)^H a_R(theta) and a_T(vartheta)^H a_T(psi_t). The receive coupling is
-    the :func:`_dirichlet_kernel` of psi_r's :func:`_sines` table against
-    ``channels.theta_sines`` times the phase rows of both; summed over paths, the entry is
+    times a_R(psi_r)^H a_R(theta) and a_T(vartheta)^H a_T(psi_t). The receive coupling's
+    conjugate is the :func:`_kernel` of ``channels.theta_sines`` against psi_r's
+    :func:`_sines` table, as the Grams of ``dominant_mode`` are; summed over paths, the entry is
     the conjugate of the beams' :func:`_path_sum` against ``channels.vartheta_sines`` with
     the conjugate receive couplings as path coordinates, times each beam's
     exp(-j pi (N-1) psi_t / 2) from its table's phase rows.
@@ -265,10 +268,9 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
     if psi_t.ndim == 0 or psi_t.shape[:-1] not in ((), (M,)):
         raise ValueError(f"psi_t must be (N_RF,) or (M, N_RF) with M = {M}, got {psi_t.shape}")
     N_R, N = channels.N_R, channels.N_T
-    rx, paths_r = _sines(N_R, psi_r)[..., None, None], channels.theta_sines   # (7, K, 1, 1)
-    # conj(gain a_R(psi_r)^H a_R(theta)), (K, L, M), each phase from its own table's rows
-    coords = (channels.gain.conj().transpose(0, 2, 1) * (paths_r[5] + 1j * paths_r[6])
-              * ((rx[5] - 1j * rx[6]) / N_R) * _dirichlet_kernel(N_R, rx, paths_r))
+    rx = _sines(N_R, psi_r)[..., None, None]                           # (7, K, 1, 1)
+    # conj(gain a_R(psi_r)^H a_R(theta)) = conj(gain) a_R(theta)^H a_R(psi_r), (K, L, M)
+    coords = channels.gain.conj().transpose(0, 2, 1) * _kernel(N_R, channels.theta_sines, rx)
     paths = channels.vartheta_sines                                     # (7, K, L, M)
     beams = _sines(N, psi_t.T.reshape(psi_t.shape[-1], -1))            # (7, N_RF, 1 or M)
     weights = _path_weights(N, paths, np.swapaxes(coords, -1, -2))

@@ -357,20 +357,31 @@ class TestTopEigenpair:
 
 
 class TestGram:
-    """The one-triangle Gram is the full kernel matrix, bit for bit."""
+    """The one-triangle Gram from a path table is the full table-kernel matrix, bit for bit."""
 
     @staticmethod
-    def _assert_full_kernel(N, v):
-        full = t.steering_kernel(N, v[..., None], v[..., None, :])
-        assert np.array_equal(t.channel._gram(N, v), full)
+    def _assert_full_kernel(N, table):
+        # every pair (i, j) of paths through the one helper, laid out as the Gram; the
+        # Gram takes the upper triangle from it and is Hermitian with a unit diagonal
+        full = np.moveaxis(t.channel._kernel(N, table[..., :, None, :], table[..., None, :, :]),
+                           -1, -3)
+        G = t.channel._gram(N, table)
+        upper = np.triu(np.ones(G.shape[-2:], dtype=bool), 1)
+        assert G.shape == full.shape and np.array_equal(G[..., upper], full[..., upper])
+        assert np.array_equal(G, np.swapaxes(G, -1, -2).conj())
+        assert np.all(np.diagonal(G, axis1=-2, axis2=-1) == 1.0)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 5])
     def test_seeded_draws(self, desk_cfg, L):
         cfg = desk_cfg.replace(L=L)
         for seed in range(5):
             ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(seed)))
-            self._assert_full_kernel(ch.N_T, ch.vartheta)
-            self._assert_full_kernel(ch.N_R, ch.theta)
+            for N, v, table in ((ch.N_T, ch.vartheta, ch.vartheta_sines),
+                                (ch.N_R, ch.theta, ch.theta_sines)):
+                self._assert_full_kernel(N, table)
+                A = t.steering_vector(N, v)
+                dense = np.einsum("nkml,nkmj->kmlj", A.conj(), A)
+                np.testing.assert_allclose(t.channel._gram(N, table), dense, rtol=0, atol=1e-12)
 
     def test_coincident_directions(self, tiny_cfg, rng):
         # user 0's paths all leave on one direction: a rank-one Gram, so dominant_mode
@@ -378,9 +389,16 @@ class TestGram:
         paths = t.draw_paths(tiny_cfg, rng)
         paths.varphi[0] = 0.3
         ch = t.generate_channel(tiny_cfg, paths)
-        self._assert_full_kernel(ch.N_T, ch.vartheta)
+        self._assert_full_kernel(ch.N_T, ch.vartheta_sines)
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(t.channel._gram(ch.N_T, ch.vartheta))
+            np.linalg.cholesky(t.channel._gram(ch.N_T, ch.vartheta_sines))
+
+    def test_dominant_mode_caches_both_path_tables(self, desk_cfg, rng):
+        # the Grams read the tables that selection and the effective channels read later
+        ch = t.generate_channel(desk_cfg, t.draw_paths(desk_cfg, rng))
+        assert not {"theta_sines", "vartheta_sines"} & ch.__dict__.keys()
+        ch.dominant_mode
+        assert {"theta_sines", "vartheta_sines"} <= ch.__dict__.keys()
 
 
 class TestFactorPathOracles:
@@ -454,6 +472,13 @@ class TestFactorPathOracles:
 
 
 class TestSteeringKernel:
+    """The table kernel a_N(x)^H a_N(y) against the dense dot product."""
+
+    @staticmethod
+    def kernel(N, x, y):
+        return t.channel._kernel(N, t.channel._sines(N, np.asarray(x, dtype=float)),
+                                 t.channel._sines(N, np.asarray(y, dtype=float)))
+
     @pytest.mark.parametrize("N", [1, 2, 7, 8, 63, 64])
     @pytest.mark.parametrize("d", [0.0, 2.0, -2.0, 2 + 1e-13, 2 - 1e-13, -2 + 1e-13,
                                    -2 - 1e-13, 0.37, 2 + 1e-9])
@@ -463,13 +488,13 @@ class TestSteeringKernel:
         x = 1.049 if d > 1 else -1.049 if d < -1 else 0.21
         y = x - d
         dense = np.vdot(t.steering_vector(N, x), t.steering_vector(N, y))
-        assert t.steering_kernel(N, x, y) == pytest.approx(dense, abs=1e-12)
+        assert self.kernel(N, [x], [y])[0] == pytest.approx(dense, abs=1e-12)
 
     def test_broadcasts(self):
         x = np.linspace(-1.05, 1.05, 7)[:, None]
         y = np.linspace(-1, 1, 5)
         dense = t.steering_vector(16, x[:, 0]).conj().T @ t.steering_vector(16, y)
-        np.testing.assert_allclose(t.steering_kernel(16, x, y), dense, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(self.kernel(16, x, y), dense, rtol=0, atol=1e-13)
 
 
 class TestPathParams:

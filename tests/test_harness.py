@@ -975,7 +975,7 @@ class TestCli:
         def out_of_memory(*args, **kwargs):
             raise MemoryError(message)
         monkeypatch.setattr(cli, "run_sweep", out_of_memory)
-        monkeypatch.setattr(cli.channel, "steering_kernel", out_of_memory)
+        monkeypatch.setattr(cli.channel, "dirichlet_sinc", out_of_memory)
         code = cli.main(argv)
         assert code == 2
         captured = capsys.readouterr()

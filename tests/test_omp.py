@@ -753,11 +753,17 @@ class TestAnalogPower:
 
 class TestAtomTableCache:
     def test_cached_tables_are_read_only(self, desk_cfg):
+        # rows 0-4 of the full table in a buffer of their own: the phase rows are not held
         ch = _random_channelset(desk_cfg, 3)
         psi = t.build_dictionaries(desk_cfg).psi_f
-        for table in omp._atom_sines(desk_cfg.N_T, psi.tobytes(), ch.eta.tobytes()):
+        table = omp._atom_sines(desk_cfg.N_T, psi.tobytes(), ch.eta.tobytes())
+        assert table.shape == (5, psi.size, desk_cfg.M)
+        assert table.flags.c_contiguous and table.flags.owndata
+        full = channel._sines(desk_cfg.N_T, np.multiply.outer(psi, ch.eta))
+        np.testing.assert_array_equal(table, full[:5])
+        for rows in table:
             with pytest.raises(ValueError, match="read-only"):
-                table[...] = 0.0
+                rows[...] = 0.0
 
     def test_configs_sharing_a_process_keep_their_rates(self, desk_cfg):
         # two configs differing only in B have different dilations, so different tables
