@@ -77,7 +77,9 @@ def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> Beamformer
     (M, N_T, N_RF) stack a_N(eta_m psi_t) of :func:`_dilated_stack`; ``psi_t`` stays the
     fixed stage's (N_RF,) directions, which the stack dilates per subcarrier. Used by the
     harness both as the performance ceiling and as the target :func:`apply_bsa` matches.
+    Its effective channel comes first, so the (K, N_RF, L, M) couplings are freed before the
+    stack exists, then the stack, then its ZF baseband.
     """
-    F_bar = _dilated_stack(bf.F_RF, channels.eta)
     H_eff = effective_channel(channels, bf.psi_r, np.multiply.outer(channels.eta, bf.psi_t))
+    F_bar = _dilated_stack(bf.F_RF, channels.eta)
     return replace(bf, F_RF=F_bar, H_eff=H_eff, F_BB=baseband_zf(H_eff, F_bar), R_RF=F_bar)

@@ -1,9 +1,10 @@
 """Frequency-selective THz multipath channels, held as their L path factors.
 
 Every H_k[m] has rank L, so a ``ChannelSet`` keeps the dilated path directions and
-gains. Every coupling of a trial is a steering kernel a_N(x)^H a_N(y), a phase times a
-Dirichlet kernel, read from sine tables that carry its phase and its angle-addition
-form, each direction's sines taken once; the dense H is built only on request. Also
+gains. Every complex coupling of a trial is a steering kernel a_N(x)^H a_N(y) from
+:func:`_kernel`, a phase times a Dirichlet kernel, read from sine tables that carry its
+phase and its angle-addition form, each direction's sines taken once; the atom
+correlations are its magnitudes. The dense H is built only on request. Also
 the subcarrier grid, steering vectors, path draws and array gain.
 Directions are sine-space, dilated by eta_m = f_m / f_c and kept as-is beyond
 [-1, 1]; gains follow the spreading law 1/eta_m normalised at the carrier;
@@ -140,8 +141,11 @@ def _dirichlet_bound(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _kernel(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_N(x)^H a_N(y) = exp(j pi (N-1) d / 2) D_N(d / 2), d = x - y, from :func:`_sines`
     tables a of x and b of y, broadcast past axis 0: the phase rows of both times
-    :func:`_dirichlet_kernel` / N, which is exactly 1 where x = y."""
-    return (a[5] + 1j * a[6]) * (b[5] - 1j * b[6]) * (_dirichlet_kernel(N, a, b) / N)
+    :func:`_dirichlet_kernel` / N, which is exactly 1 where x = y: every complex coupling of
+    a trial. The real factor comes first; its temporaries next to a held paper-sized phase
+    product faulted in fresh pages on every call."""
+    ker = _dirichlet_kernel(N, a, b) / N
+    return (a[5] + 1j * a[6]) * (b[5] - 1j * b[6]) * ker
 
 
 def _gram(N: int, paths: np.ndarray) -> np.ndarray:

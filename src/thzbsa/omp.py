@@ -33,6 +33,7 @@ from .phase_ops import scale_analog_matrix
 
 _RCOND = 1e-12
 _SEEDS = 4                  # transmit atoms per user evaluated before any is pruned
+_DILATION_ATOL = 1e-12      # how far a transmit path may sit from eta_m times a fixed direction
 _BLOCK_ENTRIES = 8192       # complex entries of one block of a stack's power product (128 KiB)
 
 
@@ -134,7 +135,8 @@ def _atom_sines(N: int, psi: bytes, eta: bytes) -> np.ndarray:
 def _path_weights(N: int, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The weights coords_l exp(-j pi (N-1) paths_l / 2) / N of the path kernels, as a
     (2, ..., L, M) pair of real and imaginary parts, from a (7, ..., L, M) path table,
-    whose phase rows it reads, and (..., M, L) path coordinates."""
+    whose phase rows it reads, and (..., M, L) path coordinates: what :func:`omp_select`
+    hands :func:`_correlations` for the precoders' and the combiners' coordinates."""
     cos, sin = paths[5:]
     c = np.swapaxes(coords, -1, -2) / N
     weights = np.empty((2,) + cos.shape)
@@ -145,25 +147,16 @@ def _path_weights(N: int, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return weights
 
 
-def _path_sum(N: int, beams: np.ndarray, paths: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """sum_l weights_l N D_N(d/2), d = beam - paths_l, as a (2, ..., P, M) pair of real
-    and imaginary parts: a_N(beam)^H sum_l coords_l a_N(paths_l) up to the beam's unit
-    phase exp(j pi (N-1) beam / 2), every beam's coupling to a trial's paths.
-
-    ``paths`` is a (7, ..., L, M) :func:`_sines` table, ``weights`` its :func:`_path_weights`
-    and ``beams`` rows 0-4 (or more) of any table that broadcasts against them; the kernel is laid
-    out (..., P, L, M), subcarriers innermost. Each entry is one rounded product per path
-    and a sum over paths in an order set by the layout alone, so its value does not depend
-    on which other beams are evaluated with it.
-    """
-    kernel = _dirichlet_kernel(N, beams[..., None, :], paths[..., None, :, :])
-    return np.multiply(weights[..., None, :, :], kernel, order="C").sum(axis=-2)
-
-
 def _correlations(N: int, atoms: np.ndarray, paths: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """|a_N(atom)^H sum_l coords_l a_N(paths_l)| as (..., P, M): the magnitude of the
-    :func:`_path_sum` over the atoms of :func:`_atom_sines`, all or a gather of rows."""
-    parts = _path_sum(N, atoms, paths, weights)
+    """|a_N(atom)^H sum_l coords_l a_N(paths_l)| as (..., P, M), over the atoms of
+    :func:`_atom_sines`, all or a gather of rows: |sum_l weights_l N D_N(d/2)|, d = atom -
+    paths_l, so no atom phase is read. ``paths`` is a (7, ..., L, M) :func:`_sines` table and
+    ``weights`` its :func:`_path_weights`; the kernel is laid out (..., P, L, M), subcarriers
+    innermost. Each entry is one rounded product per path and a sum over paths in an order
+    set by the layout alone, so its value does not depend on which other atoms share the call.
+    """
+    kernel = _dirichlet_kernel(N, atoms[..., None, :], paths[..., None, :, :])
+    parts = np.multiply(weights[..., None, :, :], kernel, order="C").sum(axis=-2)
     parts *= parts
     return np.sqrt(np.add(*parts, out=parts[0]))
 
@@ -191,8 +184,9 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
 
     The receive side is evaluated for every atom of every user. The transmit side is
     evaluated only where a bound cannot rule an atom out: |N D_N(d/2)| <= B[k, l, p],
-    the :func:`_dirichlet_bound` over the subcarriers from the two extreme ones (the
-    paths are eta_m times fixed directions, as :func:`generate_channel` builds them).
+    the :func:`_dirichlet_bound` over the subcarriers from the two extreme ones. That needs
+    transmit paths eta_m times fixed directions, as :func:`generate_channel` builds them: a
+    ValueError if one is over ``_DILATION_ATOL`` from its largest-eta direction times eta_m.
     By the triangle inequality the objective is at most sum_l B[k, l, p] c[k, l, q],
     c[k, l, q] = sum_m |x_kml| corr_w[k, q, m] / N_T, so UB[k, p] = max_q of that bounds
     atom p. The ``_SEEDS`` atoms of largest UB per user are evaluated for all users in
@@ -219,6 +213,10 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     weights = _path_weights(N_T, paths_t, x)                              # (2, K, L, M)
 
     ends = [int(np.argmin(eta)), int(np.argmax(eta))]
+    dilated = paths_t[0, ..., ends[1], None] * (eta / eta[ends[1]])
+    if not np.abs(paths_t[0] - dilated).max() <= _DILATION_ATOL:
+        raise ValueError("transmit path directions must be eta_m times fixed directions "
+                         "for the band-edge bound of omp_select")
     bound = _dirichlet_bound(N_T, np.swapaxes(tx[:, :, ends], 1, 2),
                              paths_t[..., ends, None])                    # (K, L, P)
     c = np.abs(np.swapaxes(x, -1, -2)) @ np.swapaxes(corr_w, -1, -2) / N_T  # (K, L, N_W)
@@ -252,13 +250,10 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
     """Per-subcarrier K x N_RF effective channel w_k^H H_k[m] f_i between steering beams.
 
     w_k = a_R(psi_r[k]) and f_i = a_T(psi_t[..., i]), with ``psi_t`` (N_RF,) for one
-    analog matrix or (M, N_RF) for a per-subcarrier stack. Per path, the entry is the gain
-    times a_R(psi_r)^H a_R(theta) and a_T(vartheta)^H a_T(psi_t). The receive coupling's
-    conjugate is the :func:`_kernel` of ``channels.theta_sines`` against psi_r's
-    :func:`_sines` table, as the Grams of ``dominant_mode`` are; summed over paths, the entry is
-    the conjugate of the beams' :func:`_path_sum` against ``channels.vartheta_sines`` with
-    the conjugate receive couplings as path coordinates, times each beam's
-    exp(-j pi (N-1) psi_t / 2) from its table's phase rows.
+    analog matrix or (M, N_RF) for a per-subcarrier stack. The entry is
+    sum_l gain_l a_R(psi_r)^H a_R(theta_l) a_T(vartheta_l)^H a_T(psi_t): both couplings
+    are :func:`_kernel` of the beams' :func:`_sines` tables against the channel's path
+    tables, as the Grams of ``dominant_mode`` are, then one contraction over the paths.
     """
     K, M, _ = channels.gain.shape
     psi_r = np.asarray(psi_r, dtype=float)
@@ -267,18 +262,13 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
     psi_t = np.asarray(psi_t, dtype=float)
     if psi_t.ndim == 0 or psi_t.shape[:-1] not in ((), (M,)):
         raise ValueError(f"psi_t must be (N_RF,) or (M, N_RF) with M = {M}, got {psi_t.shape}")
-    N_R, N = channels.N_R, channels.N_T
+    N_R, N_T = channels.N_R, channels.N_T
     rx = _sines(N_R, psi_r)[..., None, None]                           # (7, K, 1, 1)
-    # conj(gain a_R(psi_r)^H a_R(theta)) = conj(gain) a_R(theta)^H a_R(psi_r), (K, L, M)
-    coords = channels.gain.conj().transpose(0, 2, 1) * _kernel(N_R, channels.theta_sines, rx)
-    paths = channels.vartheta_sines                                     # (7, K, L, M)
-    beams = _sines(N, psi_t.T.reshape(psi_t.shape[-1], -1))            # (7, N_RF, 1 or M)
-    weights = _path_weights(N, paths, np.swapaxes(coords, -1, -2))
-    re, im = _path_sum(N, beams, paths, weights)                        # (K, N_RF, M)
-    h = np.empty((M, K, beams.shape[1]), dtype=complex)
-    h.real, h.imag = re.transpose(2, 0, 1), -im.transpose(2, 0, 1)     # the conjugate sum
-    h *= (beams[5] - 1j * beams[6]).T[:, None, :]
-    return h
+    receive = channels.gain.transpose(0, 2, 1) * _kernel(N_R, rx, channels.theta_sines)
+    beams = _sines(N_T, psi_t.T.reshape(psi_t.shape[-1], -1))          # (7, N_RF, 1 or M)
+    transmit = _kernel(N_T, channels.vartheta_sines[:, :, None],
+                       beams[:, None, :, None])                         # (K, N_RF, L, M)
+    return (receive.transpose(2, 0, 1)[:, :, None, :] @ transmit.transpose(3, 0, 2, 1))[:, :, 0]
 
 
 def pseudo_inverse(A: np.ndarray) -> np.ndarray:

@@ -225,12 +225,9 @@ class TestDilatedStack:
 
 
 class TestStoredEffectiveChannel:
-    def test_each_set_carries_its_own_effective_channel(self):
-        # H_eff is what every hybrid rate is scored by; it must be the dense
-        # W_RF^H H F_RF of the set's own matrices, so the SD stack's directions
-        # eta psi_t and its rescaled matrix describe one analog stage
-        cfg = t.build_config("desk")
-        ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(21)))
+    @staticmethod
+    def _assert_each_set_carries_its_own(cfg, seed):
+        ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(seed)))
         bf = t.omp_hybrid_beamformer(cfg, ch)
         sd = t.sd_oracle_beamformers(ch, bf)
         for name, one in (("omp", bf), ("bsa_omp", t.apply_bsa(bf, sd)), ("sd", sd)):
@@ -238,3 +235,16 @@ class TestStoredEffectiveChannel:
             dense = np.einsum("rk,kmrt,mtj->mkj", one.W_RF.conj(), ch.H, F_RF)
             np.testing.assert_allclose(one.H_eff, dense, rtol=0,
                                        atol=1e-10 * np.abs(dense).max(), err_msg=name)
+
+    def test_each_set_carries_its_own_effective_channel(self):
+        # H_eff is what every hybrid rate is scored by; it must be the dense
+        # W_RF^H H F_RF of the set's own matrices, so the SD stack's directions
+        # eta psi_t and its rescaled matrix describe one analog stage
+        self._assert_each_set_carries_its_own(t.build_config("desk"), 21)
+
+    # paper and desk K = 16 give the worst-conditioned effective channels (these K = 16
+    # draws: SD-oracle condition numbers up to 2.3e6 and 5.3e6)
+    @pytest.mark.parametrize("profile,overrides,seed", [("paper", {}, 21), ("desk", {"K": 16}, 0),
+                                                        ("desk", {"K": 16}, 11)])
+    def test_worst_conditioned_sets_carry_their_own(self, profile, overrides, seed):
+        self._assert_each_set_carries_its_own(t.build_config(profile, overrides), seed)

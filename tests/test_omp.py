@@ -226,6 +226,31 @@ class TestOmpSelect:
         with pytest.raises(ValueError, match="K <= N_F"):
             t.omp_select(ch, x, x, d)
 
+    def test_paths_off_their_dilation_rejected(self):
+        # the band-edge bound holds only for transmit paths eta_m times fixed directions;
+        # perturbed ones made about a third of such draws select other atoms than an
+        # exhaustive search does, so they are refused
+        cfg = t.build_config("desk", {"B": 70e9})
+        d = t.build_dictionaries(cfg)
+        for seed in range(10):
+            ch = _random_channelset(cfg, seed)
+            noise = np.random.default_rng(100 + seed).uniform(-0.05, 0.05, ch.vartheta.shape)
+            ch = dataclasses.replace(ch, vartheta=ch.vartheta + noise)
+            x = t.unconstrained_precoders(ch)
+            y = t.unconstrained_combiners(ch, cfg.sigma_n2)
+            with pytest.raises(ValueError, match="eta_m times fixed directions"):
+                t.omp_select(ch, x, y, d)
+
+    @pytest.mark.parametrize("overrides", [{"B": 0.0}, {"B": 70e9}, {"B": 599e9}, {"M": 1},
+                                           {"K": 16}, {"N_T": 127}])
+    def test_generated_paths_pass_the_dilation_check(self, overrides):
+        cfg = t.build_config("desk", overrides)
+        d = t.build_dictionaries(cfg)
+        for seed in range(20):
+            ch = _random_channelset(cfg, seed)
+            x = t.unconstrained_precoders(ch)
+            t.omp_select(ch, x, t.unconstrained_combiners(ch, cfg.sigma_n2), d)
+
 
 def _side_correlations(N, psi, paths, coords, eta):
     """One side's correlations for every atom of the grid ``psi``, (..., P, M)."""
