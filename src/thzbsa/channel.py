@@ -142,8 +142,8 @@ def _kernel(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a_N(x)^H a_N(y) = exp(j pi (N-1) d / 2) D_N(d / 2), d = x - y, from :func:`_sines`
     tables a of x and b of y, broadcast past axis 0: the phase rows of both times
     :func:`_dirichlet_kernel` / N, which is exactly 1 where x = y: every complex coupling of
-    a trial. The real factor comes first; its temporaries next to a held paper-sized phase
-    product faulted in fresh pages on every call."""
+    a trial. The real factor is formed first: formed next to a held paper-sized phase
+    product, its temporaries fault in fresh pages on every call."""
     ker = _dirichlet_kernel(N, a, b) / N
     return (a[5] + 1j * a[6]) * (b[5] - 1j * b[6]) * ker
 

@@ -186,7 +186,7 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     evaluated only where a bound cannot rule an atom out: |N D_N(d/2)| <= B[k, l, p],
     the :func:`_dirichlet_bound` over the subcarriers from the two extreme ones. That needs
     transmit paths eta_m times fixed directions, as :func:`generate_channel` builds them: a
-    ValueError if one is over ``_DILATION_ATOL`` from its largest-eta direction times eta_m.
+    ValueError if one is over ``_DILATION_ATOL`` from its largest-eta direction rescaled by eta.
     By the triangle inequality the objective is at most sum_l B[k, l, p] c[k, l, q],
     c[k, l, q] = sum_m |x_kml| corr_w[k, q, m] / N_T, so UB[k, p] = max_q of that bounds
     atom p. The ``_SEEDS`` atoms of largest UB per user are evaluated for all users in
@@ -268,6 +268,7 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
     beams = _sines(N_T, psi_t.T.reshape(psi_t.shape[-1], -1))          # (7, N_RF, 1 or M)
     transmit = _kernel(N_T, channels.vartheta_sines[:, :, None],
                        beams[:, None, :, None])                         # (K, N_RF, L, M)
+    # (M, K, 1, L) @ (M, K, L, N_RF): the sum over paths, C-contiguous (M, K, N_RF)
     return (receive.transpose(2, 0, 1)[:, :, None, :] @ transmit.transpose(3, 0, 2, 1))[:, :, 0]
 
 
