@@ -6,9 +6,9 @@ product to the ideal (phase-rescaled) per-subcarrier hybrid precoder, so the
 split compensation lives in the digital stage: exact iff the analog matrix
 has a left inverse (N_RF = N_T), else the projection onto its column space.
 That ideal's per-subcarrier analog stack (the SD oracle's) is the fixed
-analog matrix dilated once: one rescaling of its leading sub-array by two
-ratios per subcarrier, since a long steering vector is the Kronecker product
-of two short ones.
+analog matrix dilated once: one rescaling of its first two rows per
+subcarrier gives z = exp(-j pi eta_m psi), and entry n of a dilated steering
+vector is z^n / sqrt(N), so the rest of the stack is powers of z.
 """
 
 from __future__ import annotations
@@ -57,17 +57,28 @@ def apply_bsa(bf: BeamformerSet, target: BeamformerSet) -> BeamformerSet:
 def _dilated_stack(F_RF: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """The (M, N, N_RF) stack a_N(eta_m psi) of a steering matrix F_RF = a_N(psi).
 
-    With Q = ceil(sqrt(N)) and P = ceil(N / Q) <= Q, entry n = q + Q p of a_N(x) is
-    (Q / sqrt(N)) a_Q(x)[q] a_Q(Q x)[p]: one dilation of the first Q rows by the
-    (2, M) ratios (eta, Q eta) gives both factors (exact for psi in (-1, 1], whose
-    slope the unwrap reads), so the stack takes 2 M Q N_RF exponentials, not M N N_RF.
+    Entry n of a_N(x) is z^n / sqrt(N) with z = exp(-j pi x). One dilation of the first
+    two rows by the (M,) ratios gives z (exact for psi in (-1, 1], whose slope the unwrap
+    reads); the rows then fill in doubling slabs, rows s..2s-1 being rows 0..s-1 times
+    z^s, with z^s by repeated squaring. Each power is rescaled to unit modulus, so every
+    modulus stays within a few ulp of 1 / sqrt(N) (the stack is its own power factor),
+    while the phase error grows as about N eps, as the exponentials' did. So the stack
+    takes M N_RF exponentials, not M N N_RF.
     """
     N = F_RF.shape[0]
-    Q = math.isqrt(N - 1) + 1                    # ceil(sqrt(N)) in exact integers
-    P = -(-N // Q)
-    inner, outer = scale_analog_matrix(F_RF[:Q], np.stack([eta, Q * eta]))  # (M, Q, N_RF) each
-    stack = outer[:, :P, None, :] * (inner[:, None, :, :] * (Q / math.sqrt(N)))  # (M, P, Q, N_RF)
-    return stack.reshape(len(eta), P * Q, -1)[:, :N]
+    z = scale_analog_matrix(F_RF[:2], eta)[:, -1]                          # (M, N_RF)
+    z /= np.abs(z)
+    stack = np.empty((len(eta), N, F_RF.shape[1]), dtype=complex)
+    stack[:, 0] = 1.0 / math.sqrt(N)
+    s = 1
+    while s < N:
+        width = min(s, N - s)
+        np.multiply(stack[:, :width], z[:, None], out=stack[:, s:s + width])
+        s += width
+        if s < N:
+            z = z * z
+            z /= np.abs(z)
+    return stack
 
 
 def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> BeamformerSet:

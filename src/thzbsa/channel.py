@@ -102,7 +102,8 @@ def _dirichlet_kernel(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Angle addition gives sin(pi d/2) = sin(alpha - beta) and sin(N pi d/2) =
     sin(N alpha - N beta) from the two tables, so no entry takes a new sine. Where
     |sin(pi d/2)| < ``_EXACT`` the difference cancels (d near an even integer: a beam on
-    a path, grating lobes at |d| = 2, N = 1); those entries come from d by :func:`dirichlet_sinc`.
+    a path, grating lobes at |d| = 2, N = 1); those entries come from d by :func:`dirichlet_sinc`,
+    d formed at them alone, in the denominator's buffer.
     """
     (a_x, a_sin, a_cos, a_sin_n, a_cos_n), (b_x, b_sin, b_cos, b_sin_n, b_cos_n) = a[:5], b[:5]
     den = a_sin * b_cos
@@ -112,8 +113,9 @@ def _dirichlet_kernel(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     near = np.abs(den) < _EXACT
     den[near] = 1.0                     # those entries are replaced below
     ker /= den
-    if near.any():
-        ker[near] = N * dirichlet_sinc(np.subtract(a_x, b_x)[near] / 2.0, N)
+    if near.any():      # d at the near entries only, into the spent denominator
+        d = np.subtract(a_x, b_x, out=den, where=near)[near]
+        ker[near] = N * dirichlet_sinc(d / 2.0, N)
     return ker
 
 
@@ -150,32 +152,61 @@ def _kernel(N: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _gram(N: int, paths: np.ndarray) -> np.ndarray:
     """The Hermitian Grams a_N(v_i)^H a_N(v_j) over the paths of a (7, ..., L, M)
-    :func:`_sines` table of v, laid out (..., M, L, L): :func:`_kernel` fills the strict
-    upper triangle, the lower one is its conjugate bit for bit, the diagonal exactly 1."""
+    :func:`_sines` table of v, as (L, L, ..., M) planes, subcarriers innermost: one
+    :func:`_kernel` call fills the strict upper triangle, the lower one is its conjugate
+    bit for bit, the diagonal exactly 1."""
     L = paths.shape[-2]
     i, j = np.nonzero(np.less.outer(np.arange(L), np.arange(L)))     # cheaper than triu_indices
-    upper = np.swapaxes(_kernel(N, paths[..., i, :], paths[..., j, :]), -1, -2)
-    G = np.empty(upper.shape[:-1] + (L, L), dtype=complex)
-    G[..., i, j] = upper
-    G[..., j, i] = upper.conj()
-    G[..., range(L), range(L)] = 1.0
+    rows = np.moveaxis(paths, -2, 1)                                  # (7, L, ..., M)
+    upper = _kernel(N, rows[:, i], rows[:, j])
+    G = np.empty((L, L) + upper.shape[1:], dtype=complex)
+    G[i, j] = upper
+    G[j, i] = upper.conj()
+    G[range(L), range(L)] = 1.0
     return G
+
+
+def _cholesky(G: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor S (S S^H = G, zero above the diagonal) of (L, L, ...)
+    unit-diagonal Hermitian planes, read from their lower triangle, or None when the batch
+    is refused. Pivot j is d_j = 1 - sum_{k<j} |S_jk|^2, S_jj = sqrt(d_j) and S_ij =
+    (G_ij - sum_{k<j} S_ik conj(S_jk)) / S_jj. A pivot that is not > 0 anywhere, NaN
+    included, refuses the whole batch: the rule of LAPACK's potrf."""
+    L = G.shape[0]
+    S = np.zeros_like(G)
+    S[:, 0] = G[:, 0]
+    for j in range(1, L):
+        norm = S[j, 0].real ** 2 + S[j, 0].imag ** 2
+        for k in range(1, j):
+            norm += S[j, k].real ** 2 + S[j, k].imag ** 2
+        pivot = 1.0 - norm
+        if not np.all(pivot > 0):
+            return None
+        root = np.sqrt(pivot)
+        S[j, j] = root
+        for i in range(j + 1, L):
+            acc = G[i, j] - S[i, 0] * S[j, 0].conj()
+            for k in range(1, j):
+                acc -= S[i, k] * S[j, k].conj()
+            np.divide(acc, root, out=S[i, j])
+    return S
 
 
 _GAP = 1e-3     # the least top gap lam_1 - lam_2, relative to lam_1, of a closed-form eigenpair
 
 
 def _top_eigenpair(core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The largest eigenvalue lam (...,) and a unit eigenvector z (..., L) of each
-    Hermitian positive semidefinite core C (..., L, L), read from its lower triangle
-    like ``np.linalg.eigh``.
+    """The largest eigenvalue lam (...,) and a unit eigenvector z, as (L, ...) planes, of
+    each Hermitian positive semidefinite core C given as (L, L, ...) planes ``core[i, j]``,
+    read from its lower triangle like ``np.linalg.eigh``.
 
     For L = 3 in closed form, on A = C / trace(C): A has trace 1 and entries within
     [-1, 1] at any scale of C, so nothing overflows. lam / trace is A's largest root of
     the characteristic cubic by the trigonometric solution (O. K. Smith, CACM 4(4),
     1961). z is the largest of the three cross products of rows of A - (lam / trace) I,
     normalised; they are the rows of its Hermitian cofactor matrix, and take no
-    conjugate because A z = lam z is bilinear row by row.
+    conjugate because A z = lam z is bilinear row by row. The largest row is picked
+    plane by plane with ``np.where``, the first of equal norms.
 
     Fallback rule: that largest product is at most (lam_1 - lam_2) lam_1 in norm (in
     units of the trace), so an entry where it is below ``_GAP`` lam_1^2 may have a
@@ -184,47 +215,46 @@ def _top_eigenpair(core: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     entry and L != 3. On every other entry the top gap is at least ``_GAP`` lam_1, lam
     is within about 1e-13 relative of ``eigh`` and |C z - lam z| within about 1e-13 lam.
     """
-    if core.shape[-1] != 3:
-        lam, Z = np.linalg.eigh(core)
-        return lam[..., -1], Z[..., -1]
+    if core.shape[0] != 3:
+        lam, Z = np.linalg.eigh(np.moveaxis(core, (0, 1), (-2, -1)))
+        return lam[..., -1], np.moveaxis(Z[..., -1], -1, 0)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):   # sent to eigh below
-        a0, a1, a2 = core[..., 0, 0].real, core[..., 1, 1].real, core[..., 2, 2].real
+        a0, a1, a2 = core[0, 0].real, core[1, 1].real, core[2, 2].real
         trace = a0 + a1
         trace += a2
         scale = 1.0 / trace
         e0, e1, e2 = (a * scale - 1.0 / 3.0 for a in (a0, a1, a2))    # A - I / 3
-        l10, l20, l21 = (core[..., i, j] * scale for i, j in ((1, 0), (2, 0), (2, 1)))
+        l10, l20, l21 = (core[i, j] * scale for i, j in ((1, 0), (2, 0), (2, 1)))
         n10, n20, n21 = (v.real * v.real + v.imag * v.imag for v in (l10, l20, l21))
         w = l10 * l21
         p = np.sqrt((e0 * e0 + e1 * e1 + e2 * e2 + 2.0 * (n10 + n20 + n21)) / 6.0)
         det = e0 * e1 * e2 + 2.0 * (l20.conj() * w).real - e0 * n21 - e1 * n20 - e2 * n10
         mu = 2.0 * p * np.cos(np.arccos(np.clip(det / (2.0 * p ** 3), -1.0, 1.0)) / 3.0)
         D0, D1, D2 = e0 - mu, e1 - mu, e2 - mu                      # A - (lam / trace) I
-        C = np.empty(core.shape, dtype=complex)                     # its cofactors
-        np.subtract(D1 * D2, n21, out=C[..., 0, 0])
-        np.subtract(D0 * D2, n20, out=C[..., 1, 1])
-        np.subtract(D0 * D1, n10, out=C[..., 2, 2])
-        np.subtract(l20 * l21.conj(), D2 * l10, out=C[..., 0, 1])
-        np.subtract(w, D1 * l20, out=C[..., 0, 2])
-        np.subtract(l10.conj() * l20, D0 * l21, out=C[..., 1, 2])
-        for i, j in ((1, 0), (2, 0), (2, 1)):
-            np.conjugate(C[..., j, i], out=C[..., i, j])
-        Cf = C.view(float)
-        norms = np.einsum("...ij,...ij->...i", Cf, Cf)
-        best = norms.argmax(axis=-1).ravel()
-        rows = np.arange(best.size)
-        norm = norms.reshape(-1, 3)[rows, best].reshape(trace.shape)
-        flat = C.reshape(-1, 3, 3)
-        flat[:, 0] = flat[rows, best] / np.sqrt(norm).reshape(-1, 1)
-        z = C[..., 0, :]        # over the cofactors: a separate array slowed later stages
+        c00, c11, c22 = D1 * D2 - n21, D0 * D2 - n20, D0 * D1 - n10  # its cofactors
+        c01 = l20 * l21.conj() - D2 * l10
+        c02 = w - D1 * l20
+        c12 = l10.conj() * l20 - D0 * l21
+        m01, m02, m12 = (v.real * v.real + v.imag * v.imag for v in (c01, c02, c12))
+        norm = c00 * c00 + m01 + m02                                # the rows' squared norms
+        norm1 = m01 + c11 * c11 + m12
+        norm2 = m02 + m12 + c22 * c22
+        row1 = norm1 > norm
+        norm = np.where(row1, norm1, norm)
+        row2 = norm2 > norm
+        norm = np.where(row2, norm2, norm)
+        z = np.empty((3,) + trace.shape, dtype=complex)
+        for out, row0, r1, r2 in ((z[0], c00, c01.conj(), c02.conj()), (z[1], c01, c11, c12.conj()),
+                                  (z[2], c02, c12, c22)):
+            np.divide(np.where(row2, r2, np.where(row1, r1, row0)), np.sqrt(norm), out=out)
         lam = mu + 1.0 / 3.0
         closed = (trace > 0) & (norm >= (_GAP * lam * lam) ** 2)
         lam *= trace
     fallback = ~closed
     if fallback.any():
-        w_fb, Z_fb = np.linalg.eigh(core[fallback])
+        w_fb, Z_fb = np.linalg.eigh(np.moveaxis(core[:, :, fallback], (0, 1), (-2, -1)))
         lam[fallback] = w_fb[:, -1]
-        z[fallback] = Z_fb[..., -1]
+        z[:, fallback] = Z_fb[..., -1].T
     return lam, z
 
 
@@ -312,38 +342,63 @@ class ChannelSet:
         """Read-only (s, x, y): each H_k[m]'s largest singular value, shape (K, M),
         and its unit vectors v = A_T x and u = A_R y in path coordinates (K, M, L).
 
-        The Grams G_T = A_T^H A_T and G_R = A_R^H A_R come by :func:`_gram` from the path
-        tables. S is the Cholesky factor of G_T, a square-root factor (S S^H = G_T) that is
-        never inverted; when ``cholesky`` refuses a singular Gram of the batch (coincident
-        DODs, L > N_T) the whole batch takes S = U sqrt(w) from the eigenpairs (w, U) of
-        G_T. s^2 and z are the top eigenpair (:func:`_top_eigenpair`) of the core
-        (D S)^H G_R (D S), D = diag(gain). y = D S z / s and x = D^H G_R y / s, which is
-        v = H^H u / s; where s = 0, y = 0 and x = e_1. v_1 = sum(x) / sqrt(N_T) is real >= 0.
+        Every step is elementwise arithmetic on contiguous (K, M) planes, subcarriers
+        innermost. The Grams G_T = A_T^H A_T and G_R = A_R^H A_R come by :func:`_gram`
+        from the path tables as (L, L, K, M) planes. S is the Cholesky factor of G_T by
+        :func:`_cholesky`, a square-root factor (S S^H = G_T) that is never inverted;
+        when it refuses a singular Gram of the batch (coincident DODs, L > N_T) the whole
+        batch takes S = U sqrt(w) from the eigenpairs (w, U) of G_T. With F = G_R D S,
+        D = diag(gain), the core (D S)^H F is formed on its lower triangle, core_ij =
+        sum_a conj((D S)_ai) F_aj, over a >= i when S is triangular, and s^2 and z are its
+        top eigenpair (:func:`_top_eigenpair`). y = D S z / s and x = D^H G_R y / s, which
+        is v = H^H u / s; where s = 0, y = 0 and x = e_1. v_1 = sum(x) / sqrt(N_T) is
+        real >= 0. x and y are stored (K, L, M), the layout the path weights of atom
+        selection read, and returned as (K, M, L) views.
         """
         G_T = _gram(self.N_T, self.vartheta_sines)
-        try:
-            S = np.linalg.cholesky(G_T)
-        except np.linalg.LinAlgError:       # a singular Gram: any square-root factor serves
-            w, U = np.linalg.eigh(G_T)
-            S = U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+        S = _cholesky(G_T)
+        triangular = S is not None
+        if not triangular:                # a singular Gram: any square-root factor serves
+            w, U = np.linalg.eigh(np.moveaxis(G_T, (0, 1), (-2, -1)))
+            S = np.moveaxis(U * np.sqrt(np.maximum(w, 0.0))[..., None, :], (-2, -1), (0, 1))
         G_R = _gram(self.N_R, self.theta_sines)
+        K, M, L = self.gain.shape
+        gain = np.moveaxis(self.gain, -1, 0)                          # (L, K, M)
         with np.errstate(over="ignore", invalid="ignore"):     # refused just below
-            DS = self.gain[..., None] * S
-            core = np.swapaxes(DS.conj(), -1, -2) @ G_R @ DS
+            DS = gain[:, None] * S
+            F = np.empty_like(DS)
+            for j in range(L):
+                first = j if triangular else 0          # (D S)_bj = 0 for b < first
+                np.multiply(G_R[:, first], DS[first, j], out=F[:, j])
+                for b in range(first + 1, L):
+                    F[:, j] += G_R[:, b] * DS[b, j]
+            DS_conj = DS.conj()
+            core = np.zeros_like(DS)
+            for i in range(L):
+                first = i if triangular else 0          # (D S)_ai = 0 for a < first
+                np.multiply(DS_conj[first, i], F[first, : i + 1], out=core[i, : i + 1])
+                for a in range(first + 1, L):
+                    core[i, : i + 1] += DS_conj[a, i] * F[a, : i + 1]
         if not np.all(np.isfinite(core)):
             raise FloatingPointError("non-finite channel Gram core")
         lam, z = _top_eigenpair(core)
         s = np.sqrt(np.maximum(lam, 0.0))
-        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)[..., None]
-        y = (DS @ z[..., None])[..., 0] * inv_s
-        x = self.gain.conj() * (G_R @ y[..., None])[..., 0] * inv_s
-        x[s == 0, 0] = 1.0
-        lead = x.sum(axis=-1, keepdims=True)
+        inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
+        y = (DS * z).sum(axis=1)          # the zeros above a triangular S add exactly 0
+        y *= inv_s
+        x = (G_R * y).sum(axis=1)
+        x *= gain.conj()
+        x *= inv_s
+        x[0][s == 0] = 1.0
+        lead = x.sum(axis=0)
         rotation = np.divide(lead.conj(), np.abs(lead), out=np.ones_like(lead), where=lead != 0)
-        mode = (s, x * rotation, y * rotation)
-        for part in mode:
+        mode = np.empty((2, K, L, M), dtype=complex)
+        np.multiply(x, rotation, out=mode[0].transpose(1, 0, 2))
+        np.multiply(y, rotation, out=mode[1].transpose(1, 0, 2))
+        x, y = mode
+        for part in (s, x, y):
             part.setflags(write=False)
-        return mode
+        return s, x.transpose(0, 2, 1), y.transpose(0, 2, 1)
 
 
 def generate_channel(cfg: SystemConfig, paths: PathParams) -> ChannelSet:

@@ -207,21 +207,57 @@ class TestSdOracleBeamformers:
 
 
 class TestDilatedStack:
-    @pytest.mark.parametrize("B", [0.0, 70e9])
-    @pytest.mark.parametrize("N", [1, 2, 3, 7, 61, 64, 127, 128])
-    def test_steering_stack_from_two_sub_arrays(self, N, B):
-        # entry q + Q p of a_N(x) is sqrt(PQ/N) a_Q(x)[q] a_P(Q x)[p]; the directions
-        # take in +1 (the grid's -1 alias), broadside and the paper grid's end atoms
+    @staticmethod
+    def _case(N, B):
+        # the directions take in +1 (the grid's -1 alias), broadside and the paper grid's
+        # end atoms; long arrays keep six subcarriers, both band edges among them
         cfg = t.build_config("paper").replace(B=B)
         eta = t.frequency_ratios(cfg)
+        if N > cfg.M:
+            eta = eta[[0, 1, 63, 64, -2, -1]]
         grid = t.build_dictionaries(cfg).psi_f
         psi = np.concatenate([[1.0, 0.0], grid[[0, 1, 2, -2, -1]], [-0.63, 0.41]])
+        return eta, psi
+
+    @pytest.mark.parametrize("B", [0.0, 70e9])
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 61, 64, 127, 128, 1024, 4096])
+    def test_steering_stack_from_two_sub_arrays(self, N, B):
+        # entry n of a_N(x) is z^n / sqrt(N), z = exp(-j pi x), from the one dilation of
+        # the first two rows
+        eta, psi = self._case(N, B)
         F_RF = t.steering_vector(N, psi)
         stack = bsa._dilated_stack(F_RF, eta)
-        assert stack.shape == (cfg.M, N, psi.size)
+        assert stack.shape == (eta.size, N, psi.size) and stack.flags.c_contiguous
         expected = np.moveaxis(t.steering_vector(N, np.multiply.outer(eta, psi)), 0, 1)
         np.testing.assert_allclose(stack, expected, rtol=0, atol=1e-12)
         np.testing.assert_allclose(stack, t.scale_analog_matrix(F_RF, eta), rtol=0, atol=2e-12)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 61, 64, 127, 128, 1024, 4096])
+    def test_error_grows_as_n_eps(self, N):
+        # against a_N(eta psi) in extended precision, every entry within 8 N eps relative,
+        # the budget of N-long exponential phases, and every modulus within 8 eps * log2(2N)
+        # of 1 / sqrt(N): the powers are renormalised
+        eta, psi = self._case(N, 70e9)
+        stack = bsa._dilated_stack(t.steering_vector(N, psi), eta)
+        ld = np.longdouble
+        phase = (-ld("3.14159265358979323846264338327950288") * np.arange(N, dtype=ld)[:, None]
+                 * np.multiply.outer(eta.astype(ld), psi.astype(ld))[:, None, :])
+        error = np.abs(stack - (np.cos(phase) + 1j * np.sin(phase)) / np.sqrt(ld(N))) * np.sqrt(N)
+        eps = np.finfo(float).eps
+        assert error.max() <= 8 * N * eps
+        modulus = np.abs(np.abs(stack) * np.sqrt(N) - 1.0)
+        assert modulus.max() <= 8 * eps * np.log2(2 * N)
+
+    @pytest.mark.parametrize("N", [2, 7, 64, 4096])
+    def test_minus_one_reads_as_plus_one(self, N):
+        # a_N(-1) = a_N(1): the unwrap reads its slope as +1, so both columns dilate to
+        # a_N(eta), the grid's alias
+        eta = t.frequency_ratios(t.build_config("paper").replace(B=70e9))[[0, 64, -1]]
+        stack = bsa._dilated_stack(t.steering_vector(N, np.array([-1.0, 1.0])), eta)
+        np.testing.assert_array_equal(stack[..., 0], stack[..., 1])
+        expected = np.moveaxis(t.steering_vector(N, eta), 0, 1)
+        np.testing.assert_allclose(stack[..., 1], expected, rtol=0, atol=1e-12)
 
 
 class TestStoredEffectiveChannel:

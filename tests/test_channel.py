@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 import thzbsa as t
@@ -213,6 +213,14 @@ class TestDominantMode:
                 first = v[k, m][np.argmax(mags > 1e-9 * mags.max())]
                 assert abs(first.imag) < 1e-15 and first.real > 0
 
+    def test_stored_with_subcarriers_innermost(self, desk_cfg, rng):
+        # x and y are (K, M, L) views of C-contiguous (K, L, M) arrays, the layout the
+        # path weights of atom selection read
+        ch = t.generate_channel(desk_cfg, t.draw_paths(desk_cfg, rng))
+        K, M, L = desk_cfg.K, desk_cfg.M, desk_cfg.L
+        for part in ch.dominant_mode[1:]:
+            assert part.shape == (K, M, L) and np.swapaxes(part, 1, 2).flags.c_contiguous
+
     def test_computed_once_and_read_only(self, tiny_cfg, rng):
         ch = t.generate_channel(tiny_cfg, t.draw_paths(tiny_cfg, rng))
         assert ch.dominant_mode is ch.dominant_mode
@@ -249,6 +257,17 @@ def _hermitian_cores(rng, eigenvalues):
     return (V * eigenvalues[:, None, :]) @ V.conj().swapaxes(-1, -2)
 
 
+def _planes(A):
+    """(..., L, L) matrices as the C-contiguous (L, L, ...) planes of the dominant-mode
+    kernels."""
+    return np.ascontiguousarray(np.moveaxis(A, (-2, -1), (0, 1)))
+
+
+def _matrices(P):
+    """(L, L, ...) planes as (..., L, L) matrices."""
+    return np.moveaxis(P, (0, 1), (-2, -1))
+
+
 def _assert_top_pair(core, lam, z, tol):
     """lam within tol of eigh's top eigenvalue, |C z - lam z| <= tol lam, and z eigh's
     top vector up to phase, to the angle that residual allows: tol lam / gap."""
@@ -265,9 +284,15 @@ def _assert_top_pair(core, lam, z, tol):
 
 
 class TestTopEigenpair:
-    """The closed-form top eigenpair of 3x3 cores against eigh, and when it hands over."""
+    """The closed-form top eigenpair of 3x3 cores, taken and returned as planes, against
+    eigh, and when it hands over."""
 
-    top_eigenpair = staticmethod(t.channel._top_eigenpair)
+    @staticmethod
+    def top_eigenpair(core):
+        # (..., L, L) cores in as (L, L, ...) planes; z comes back as (L, ...) planes
+        lam, z = t.channel._top_eigenpair(_planes(core))
+        assert lam.shape == core.shape[:-2] and z.shape == core.shape[-1:] + core.shape[:-2]
+        return lam, np.moveaxis(z, 0, -1)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), rank=st.integers(1, 3))
     def test_random_psd_batches(self, seed, n, rank):
@@ -346,30 +371,124 @@ class TestTopEigenpair:
         w_ref, Z_ref = np.linalg.eigh(core)
         assert np.array_equal(lam, w_ref[:, -1]) and np.array_equal(z, Z_ref[..., -1])
 
+    @pytest.mark.parametrize("handed_over", [0, 1])
+    def test_reads_the_lower_triangle(self, rng, eigh_entries, handed_over):
+        # like eigh, only the lower triangle is read: NaN above the diagonal changes no bit,
+        # on the closed form and on the eigh hand-over of a repeated top pair
+        w = np.tile([[1.0, 0.5, 0.1]] if not handed_over else [[1.0, 1.0, 0.3]], (8, 1))
+        core = _planes(_hermitian_cores(rng, w))
+        lam, z = t.channel._top_eigenpair(core)
+        core[np.triu_indices(3, 1)] = np.nan
+        lam_lower, z_lower = t.channel._top_eigenpair(core)
+        assert eigh_entries[0] == 16 * handed_over
+        assert np.array_equal(lam, lam_lower) and np.array_equal(z, z_lower)
+
     @pytest.mark.parametrize("profile,draws", [("desk", 20), ("paper", 4)])
-    def test_seeded_draws_take_the_closed_form(self, eigh_entries, profile, draws):
-        # no core of a seeded trial draw hands over to eigh, so the fast path is the path
+    def test_seeded_draws_take_the_closed_form(self, monkeypatch, eigh_entries, profile, draws):
+        # no Gram of a seeded trial draw goes to LAPACK's cholesky and no core to eigh,
+        # so the plane kernels are the path
+        cholesky_entries = []
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky_entries.append)
         cfg = t.build_config(profile)
         for i in range(draws):
             rng = np.random.default_rng(np.random.SeedSequence([_trial_seed(40, 0, i), 0]))
             t.generate_channel(cfg, t.draw_paths(cfg, rng)).dominant_mode
-        assert eigh_entries[0] == 0
+        assert eigh_entries[0] == 0 and cholesky_entries == []
+
+
+def _unit_diagonal(A):
+    """Hermitian positive definite matrices scaled to a unit diagonal, set exactly 1."""
+    d = 1.0 / np.sqrt(np.diagonal(A, axis1=-2, axis2=-1).real)
+    G = A * d[..., :, None] * d[..., None, :]
+    G[..., range(A.shape[-1]), range(A.shape[-1])] = 1.0
+    return G
+
+
+def _lapack_refuses(G):
+    try:
+        np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+class TestCholesky:
+    """The plane Cholesky factor of unit-diagonal Gram planes against LAPACK's."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), L=st.integers(1, 5),
+           floor=st.sampled_from([1e-1, 1e-4, 1e-8, 1e-12]))
+    def test_random_positive_definite_planes(self, seed, n, L, floor):
+        # well conditioned and near-singular planes: S S^H = G to rounding, S lower
+        # triangular with a positive diagonal, and S LAPACK's factor to eps / lam_min
+        rng = np.random.default_rng(seed)
+        G = _unit_diagonal(_hermitian_cores(rng, rng.uniform(floor, 1.0, (n, L))))
+        S = t.channel._cholesky(_planes(G))
+        assert S is not None and S.shape == (L, L, n)
+        S = _matrices(S)
+        assert np.all(S[..., np.triu(np.ones((L, L), dtype=bool), 1)] == 0)
+        diagonal = np.diagonal(S, axis1=-2, axis2=-1)
+        assert np.all(diagonal.imag == 0) and np.all(diagonal.real > 0)
+        np.testing.assert_allclose(S @ S.conj().swapaxes(-1, -2), G, rtol=0, atol=1e-15)
+        lam_min = np.linalg.eigvalsh(G)[:, 0]
+        error = np.abs(S - np.linalg.cholesky(G)).max(axis=(-2, -1))
+        assert np.all(error <= 1e-14 / lam_min)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), L=st.integers(2, 4))
+    def test_refuses_where_lapack_does(self, seed, n, L):
+        # unit-diagonal Hermitian planes, definite or not; pivot j is the ratio of leading
+        # minors j + 1 and j, so draws with a minor at rounding level are skipped
+        rng = np.random.default_rng(seed)
+        A = np.tril(rng.uniform(-0.7, 0.7, (n, L, L)) + 1j * rng.uniform(-0.7, 0.7, (n, L, L)), -1)
+        G = A + A.conj().swapaxes(-1, -2) + np.eye(L)
+        assume(all(np.all(np.abs(np.linalg.det(G[:, :j, :j])) > 1e-9) for j in range(2, L + 1)))
+        refused = [_lapack_refuses(g) for g in G]
+        for g, lapack in zip(G, refused):
+            assert (t.channel._cholesky(_planes(g[None])) is None) == lapack
+        assert (t.channel._cholesky(_planes(G)) is None) == any(refused)
+
+    @pytest.mark.parametrize("lower,refused", [
+        ((0.5, 0.25j, 0.5), False),
+        ((1.0, 0.0, 0.0), True),                      # pivot 1 exactly 0
+        ((1j, 0.0, 0.0), True),
+        ((1.5, 0.0, 0.0), True),                      # pivot 1 negative
+        ((0.0, 0.5 + 0.5j, 0.5 - 0.5j), True),        # pivot 2 exactly 1 - 0.5 - 0.5 = 0
+        ((0.0, 0.75, 0.75), True),                    # pivot 2 negative
+    ])
+    def test_exact_pivots(self, lower, refused):
+        # a pivot that is not > 0 refuses the matrix, and one such matrix the whole batch
+        G = np.eye(3, dtype=complex)
+        G[[1, 2, 2], [0, 0, 1]] = lower
+        G = np.tril(G) + np.tril(G, -1).conj().T
+        assert _lapack_refuses(G) == refused
+        assert (t.channel._cholesky(_planes(G[None])) is None) == refused
+        batch = np.stack([np.eye(3), G, np.eye(3)])
+        assert (t.channel._cholesky(_planes(batch)) is None) == refused
+
+    def test_nan_pivot_refused(self):
+        # NaN is not > 0: refused, the rule of LAPACK's potrf (this build's cholesky
+        # returns NaN instead)
+        G = np.eye(3, dtype=complex)
+        G[1, 0] = G[0, 1] = np.nan
+        assert t.channel._cholesky(_planes(G[None])) is None
 
 
 class TestGram:
-    """The one-triangle Gram from a path table is the full table-kernel matrix, bit for bit."""
+    """The one-triangle Gram planes from a path table are the full table-kernel matrix, bit
+    for bit."""
 
     @staticmethod
     def _assert_full_kernel(N, table):
-        # every pair (i, j) of paths through the one helper, laid out as the Gram; the
+        # every pair (i, j) of paths through the one helper, as (L, L, ..., M) planes; the
         # Gram takes the upper triangle from it and is Hermitian with a unit diagonal
-        full = np.moveaxis(t.channel._kernel(N, table[..., :, None, :], table[..., None, :, :]),
-                           -1, -3)
+        rows = np.moveaxis(table, -2, 1)
+        full = t.channel._kernel(N, rows[:, :, None], rows[:, None, :])
         G = t.channel._gram(N, table)
-        upper = np.triu(np.ones(G.shape[-2:], dtype=bool), 1)
-        assert G.shape == full.shape and np.array_equal(G[..., upper], full[..., upper])
-        assert np.array_equal(G, np.swapaxes(G, -1, -2).conj())
-        assert np.all(np.diagonal(G, axis1=-2, axis2=-1) == 1.0)
+        L = G.shape[0]
+        upper = np.triu(np.ones((L, L), dtype=bool), 1)
+        assert G.shape == full.shape and G.flags.c_contiguous
+        assert np.array_equal(G[upper], full[upper])
+        assert np.array_equal(G, np.swapaxes(G, 0, 1).conj())
+        assert np.all(G[range(L), range(L)] == 1.0)
 
     @pytest.mark.parametrize("L", [1, 2, 3, 5])
     def test_seeded_draws(self, desk_cfg, L):
@@ -380,18 +499,20 @@ class TestGram:
                                 (ch.N_R, ch.theta, ch.theta_sines)):
                 self._assert_full_kernel(N, table)
                 A = t.steering_vector(N, v)
-                dense = np.einsum("nkml,nkmj->kmlj", A.conj(), A)
+                dense = np.einsum("nkml,nkmj->ljkm", A.conj(), A)
                 np.testing.assert_allclose(t.channel._gram(N, table), dense, rtol=0, atol=1e-12)
 
     def test_coincident_directions(self, tiny_cfg, rng):
-        # user 0's paths all leave on one direction: a rank-one Gram, so dominant_mode
-        # takes its eigh factor
+        # user 0's paths all leave on one direction: a rank-one Gram, which the plane
+        # Cholesky refuses where LAPACK's does, so dominant_mode takes its eigh factor
         paths = t.draw_paths(tiny_cfg, rng)
         paths.varphi[0] = 0.3
         ch = t.generate_channel(tiny_cfg, paths)
         self._assert_full_kernel(ch.N_T, ch.vartheta_sines)
+        G = t.channel._gram(ch.N_T, ch.vartheta_sines)
+        assert t.channel._cholesky(G) is None
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(t.channel._gram(ch.N_T, ch.vartheta_sines))
+            np.linalg.cholesky(_matrices(G))
 
     def test_dominant_mode_caches_both_path_tables(self, desk_cfg, rng):
         # the Grams read the tables that selection and the effective channels read later

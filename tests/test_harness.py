@@ -125,12 +125,12 @@ class TestRunTrial:
         assert calls == {"baseband_zf": 2, "sd_oracle_beamformers": 1}
 
     def test_sd_stack_dilates_once(self, monkeypatch):
-        # the SD stack is one dilation of F_RF's first Q = ceil(sqrt(N_T)) rows by the
-        # (2, M) ratios (eta, Q eta), never a full N_T-row one; that needs F_RF to be
-        # the steering matrix of psi_t, bit for bit
+        # the SD stack is one dilation of F_RF's first two rows by the (M,) ratios, which
+        # gives z = exp(-j pi eta psi) for the powers, never a full N_T-row one; that needs
+        # F_RF to be the steering matrix of psi_t, bit for bit
         from thzbsa import bsa, omp, phase_ops
 
-        cfg = small_cfg(N_T=40)                                   # Q = 7
+        cfg = small_cfg(N_T=40)
         calls = []
         original = phase_ops.scale_analog_matrix
 
@@ -145,8 +145,8 @@ class TestRunTrial:
         assert len(calls) == 1
         rows, ratios = calls[0]
         eta = t.frequency_ratios(cfg)
-        assert rows == 7 and ratios.shape == (2, cfg.M)
-        np.testing.assert_array_equal(ratios, np.stack([eta, 7 * eta]))
+        assert rows == 2 and ratios.shape == (cfg.M,)
+        np.testing.assert_array_equal(ratios, eta)
 
         ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(7)))
         bf = t.omp_hybrid_beamformer(cfg, ch)

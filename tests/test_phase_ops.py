@@ -184,7 +184,7 @@ class TestScaleAnalogMatrix:
         assert stack.shape == (16, 32, 4)
         per_ratio = np.stack([t.scale_analog_matrix(F, e) for e in eta])
         np.testing.assert_array_equal(stack, per_ratio)
-        # a (2, M) ratio array, as the SD stack's one call passes, gives (2, M, N, cols)
+        # a ratio array of any shape, here (2, M), gives that shape + (N, cols)
         pair = t.scale_analog_matrix(F, np.stack([eta, 7 * eta]))
         assert pair.shape == (2, 16, 32, 4)
         per_ratio = np.stack([[t.scale_analog_matrix(F, e) for e in row] for row in (eta, 7 * eta)])
