@@ -63,7 +63,7 @@ def _dilated_stack(F_RF: np.ndarray, eta: np.ndarray) -> np.ndarray:
     z^s, with z^s by repeated squaring. Each power is rescaled to unit modulus, so every
     modulus stays within a few ulp of 1 / sqrt(N) (the stack is its own power factor),
     while the phase error grows as about N eps, as the exponentials' did. So the stack
-    takes M N_RF exponentials, not M N N_RF.
+    takes the exponentials of two rows, 2 M N_RF, not M N N_RF.
     """
     N = F_RF.shape[0]
     z = scale_analog_matrix(F_RF[:2], eta)[:, -1]                          # (M, N_RF)
