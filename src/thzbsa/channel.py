@@ -166,29 +166,37 @@ def _gram(N: int, paths: np.ndarray) -> np.ndarray:
     return G
 
 
-def _cholesky(G: np.ndarray) -> np.ndarray | None:
-    """The lower Cholesky factor S (S S^H = G, zero above the diagonal) of (L, L, ...)
-    unit-diagonal Hermitian planes, read from their lower triangle, or None when the batch
-    is refused. Pivot j is d_j = 1 - sum_{k<j} |S_jk|^2, S_jj = sqrt(d_j) and S_ij =
-    (G_ij - sum_{k<j} S_ik conj(S_jk)) / S_jj. A pivot that is not > 0 anywhere, NaN
-    included, refuses the whole batch: the rule of LAPACK's potrf."""
+def _cholesky(G: np.ndarray) -> np.ndarray:
+    """A lower-triangular factor S (S S^H = G, zero above the diagonal) of (L, L, ...)
+    unit-diagonal Hermitian planes, read from their lower triangle, plane by plane. In
+    closed form, pivot j is d_j = 1 - sum_{k<j} |S_jk|^2, S_jj = sqrt(d_j) and S_ij =
+    (G_ij - sum_{k<j} S_ik conj(S_jk)) / S_jj. A plane with a pivot <= 0, which LAPACK's
+    potrf refuses (coincident directions, L > N), takes S = R^H instead, R from the QR of
+    (U sqrt(w))^H for its own eigenpairs (w, U); no other plane changes. NaN is no
+    pivot <= 0: it stays in the closed form, for the caller's finiteness check."""
     L = G.shape[0]
     S = np.zeros_like(G)
     S[:, 0] = G[:, 0]
-    for j in range(1, L):
-        norm = S[j, 0].real ** 2 + S[j, 0].imag ** 2
-        for k in range(1, j):
-            norm += S[j, k].real ** 2 + S[j, k].imag ** 2
-        pivot = 1.0 - norm
-        if not np.all(pivot > 0):
-            return None
-        root = np.sqrt(pivot)
-        S[j, j] = root
-        for i in range(j + 1, L):
-            acc = G[i, j] - S[i, 0] * S[j, 0].conj()
+    refused = np.zeros(G.shape[2:], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):     # refused planes replaced below
+        for j in range(1, L):
+            norm = S[j, 0].real ** 2 + S[j, 0].imag ** 2
             for k in range(1, j):
-                acc -= S[i, k] * S[j, k].conj()
-            np.divide(acc, root, out=S[i, j])
+                norm += S[j, k].real ** 2 + S[j, k].imag ** 2
+            pivot = 1.0 - norm
+            refused |= pivot <= 0
+            root = np.sqrt(pivot)
+            S[j, j] = root
+            for i in range(j + 1, L):
+                acc = G[i, j] - S[i, 0] * S[j, 0].conj()
+                for k in range(1, j):
+                    acc -= S[i, k] * S[j, k].conj()
+                np.divide(acc, root, out=S[i, j])
+    if refused.any():      # G = B B^H for B = U sqrt(w), and B^H = Q R gives G = R^H R
+        w, U = np.linalg.eigh(np.moveaxis(G[:, :, refused], (0, 1), (-2, -1)))
+        B = U * np.sqrt(np.maximum(w, 0.0))[..., None, :]
+        R = np.linalg.qr(B.conj().swapaxes(-1, -2), mode="r")
+        S[:, :, refused] = np.moveaxis(R, (-2, -1), (1, 0)).conj()
     return S
 
 
@@ -344,47 +352,38 @@ class ChannelSet:
 
         Every step is elementwise arithmetic on contiguous (K, M) planes, subcarriers
         innermost. The Grams G_T = A_T^H A_T and G_R = A_R^H A_R come by :func:`_gram`
-        from the path tables as (L, L, K, M) planes. S is the Cholesky factor of G_T by
-        :func:`_cholesky`, a square-root factor (S S^H = G_T) that is never inverted;
-        when it refuses a singular Gram of the batch (coincident DODs, L > N_T) the whole
-        batch takes S = U sqrt(w) from the eigenpairs (w, U) of G_T. With F = G_R D S,
-        D = diag(gain), the core (D S)^H F is formed on its lower triangle, core_ij =
-        sum_a conj((D S)_ai) F_aj, over a >= i when S is triangular, and s^2 and z are its
-        top eigenpair (:func:`_top_eigenpair`). y = D S z / s and x = D^H G_R y / s, which
-        is v = H^H u / s; where s = 0, y = 0 and x = e_1. v_1 = sum(x) / sqrt(N_T) is
-        real >= 0. x and y are stored (K, L, M), the layout the path weights of atom
-        selection read, and returned as (K, M, L) views.
+        from the path tables as (L, L, K, M) planes. S is the lower-triangular factor of G_T
+        by :func:`_cholesky`, a square-root factor (S S^H = G_T) that is never inverted,
+        chosen plane by plane. With F = G_R D S, D = diag(gain), the core (D S)^H F is
+        formed on its lower triangle, core_ij = sum_{a >= i} conj((D S)_ai) F_aj, and s^2
+        and z are its top eigenpair (:func:`_top_eigenpair`). y = D S z / s and x =
+        D^H G_R y / s, which is v = H^H u / s; where s = 0, y = 0 and x = e_1. v_1 =
+        sum(x) / sqrt(N_T) is real >= 0. x and y are stored (K, L, M), the layout the path
+        weights of atom selection read, and returned as (K, M, L) views.
         """
-        G_T = _gram(self.N_T, self.vartheta_sines)
-        S = _cholesky(G_T)
-        triangular = S is not None
-        if not triangular:                # a singular Gram: any square-root factor serves
-            w, U = np.linalg.eigh(np.moveaxis(G_T, (0, 1), (-2, -1)))
-            S = np.moveaxis(U * np.sqrt(np.maximum(w, 0.0))[..., None, :], (-2, -1), (0, 1))
+        S = _cholesky(_gram(self.N_T, self.vartheta_sines))
         G_R = _gram(self.N_R, self.theta_sines)
         K, M, L = self.gain.shape
         gain = np.moveaxis(self.gain, -1, 0)                          # (L, K, M)
         with np.errstate(over="ignore", invalid="ignore"):     # refused just below
             DS = gain[:, None] * S
             F = np.empty_like(DS)
-            for j in range(L):
-                first = j if triangular else 0          # (D S)_bj = 0 for b < first
-                np.multiply(G_R[:, first], DS[first, j], out=F[:, j])
-                for b in range(first + 1, L):
+            for j in range(L):                  # (D S)_bj = 0 for b < j
+                np.multiply(G_R[:, j], DS[j, j], out=F[:, j])
+                for b in range(j + 1, L):
                     F[:, j] += G_R[:, b] * DS[b, j]
             DS_conj = DS.conj()
             core = np.zeros_like(DS)
-            for i in range(L):
-                first = i if triangular else 0          # (D S)_ai = 0 for a < first
-                np.multiply(DS_conj[first, i], F[first, : i + 1], out=core[i, : i + 1])
-                for a in range(first + 1, L):
+            for i in range(L):                  # (D S)_ai = 0 for a < i
+                np.multiply(DS_conj[i, i], F[i, : i + 1], out=core[i, : i + 1])
+                for a in range(i + 1, L):
                     core[i, : i + 1] += DS_conj[a, i] * F[a, : i + 1]
         if not np.all(np.isfinite(core)):
             raise FloatingPointError("non-finite channel Gram core")
         lam, z = _top_eigenpair(core)
         s = np.sqrt(np.maximum(lam, 0.0))
         inv_s = np.divide(1.0, s, out=np.zeros_like(s), where=s > 0)
-        y = (DS * z).sum(axis=1)          # the zeros above a triangular S add exactly 0
+        y = (DS * z).sum(axis=1)          # the zeros above S add exactly 0
         y *= inv_s
         x = (G_R * y).sum(axis=1)
         x *= gain.conj()

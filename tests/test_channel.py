@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -235,6 +236,25 @@ class TestDominantMode:
         with pytest.raises(FloatingPointError, match="non-finite"):
             ch.dominant_mode
 
+    def test_nan_direction_rejected(self, tiny_cfg, rng, eigh_entries):
+        # a NaN pivot is not refused, so no Gram goes to eigh: the NaN reaches the core
+        ch = t.generate_channel(tiny_cfg, t.draw_paths(tiny_cfg, rng))
+        ch.vartheta[1, 2, 0] = np.nan
+        with pytest.raises(FloatingPointError, match="non-finite channel Gram core"):
+            ch.dominant_mode
+        assert eigh_entries[0] == 0
+
+    def test_planes_independent_of_other_users(self, desk_cfg, rng):
+        # user 0's DODs coincide, so its Grams are refused; every other user's mode is
+        # the one it has in a channel without user 0, bit for bit
+        paths = t.draw_paths(desk_cfg, rng)
+        paths.varphi[0] = 0.3
+        ch = t.generate_channel(desk_cfg, paths)
+        rest = dataclasses.replace(ch, theta=ch.theta[1:], vartheta=ch.vartheta[1:],
+                                   gain=ch.gain[1:])
+        for part, alone in zip(ch.dominant_mode, rest.dominant_mode):
+            assert np.array_equal(part[1:], alone)
+
 
 @pytest.fixture
 def eigh_entries(monkeypatch):
@@ -404,6 +424,24 @@ def _unit_diagonal(A):
     return G
 
 
+def _factor(G):
+    """_cholesky of (..., L, L) matrices as (..., L, L) factors, each finite and zero above
+    the diagonal, and the number of matrices it handed to np.linalg.eigh."""
+    count = [0]
+    original = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        count[0] += int(np.prod(np.shape(a)[:-2]))
+        return original(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.linalg, "eigh", counted)
+        S = _matrices(t.channel._cholesky(_planes(G)))
+    L = S.shape[-1]
+    assert np.all(np.isfinite(S)) and np.all(S[..., np.triu(np.ones((L, L), dtype=bool), 1)] == 0)
+    return S, count[0]
+
+
 def _lapack_refuses(G):
     try:
         np.linalg.cholesky(G)
@@ -436,15 +474,20 @@ class TestCholesky:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), L=st.integers(2, 4))
     def test_refuses_where_lapack_does(self, seed, n, L):
         # unit-diagonal Hermitian planes, definite or not; pivot j is the ratio of leading
-        # minors j + 1 and j, so draws with a minor at rounding level are skipped
+        # minors j + 1 and j, so draws with a minor at rounding level are skipped. Exactly
+        # the planes LAPACK refuses go to eigh; the others keep their factor computed alone
         rng = np.random.default_rng(seed)
         A = np.tril(rng.uniform(-0.7, 0.7, (n, L, L)) + 1j * rng.uniform(-0.7, 0.7, (n, L, L)), -1)
         G = A + A.conj().swapaxes(-1, -2) + np.eye(L)
         assume(all(np.all(np.abs(np.linalg.det(G[:, :j, :j])) > 1e-9) for j in range(2, L + 1)))
         refused = [_lapack_refuses(g) for g in G]
-        for g, lapack in zip(G, refused):
-            assert (t.channel._cholesky(_planes(g[None])) is None) == lapack
-        assert (t.channel._cholesky(_planes(G)) is None) == any(refused)
+        S, handed_over = _factor(G)
+        assert handed_over == sum(refused)
+        for g, plane, lapack in zip(G, S, refused):
+            alone, alone_handed_over = _factor(g[None])
+            assert alone_handed_over == lapack
+            if not lapack:
+                assert np.array_equal(plane, alone[0])
 
     @pytest.mark.parametrize("lower,refused", [
         ((0.5, 0.25j, 0.5), False),
@@ -455,21 +498,21 @@ class TestCholesky:
         ((0.0, 0.75, 0.75), True),                    # pivot 2 negative
     ])
     def test_exact_pivots(self, lower, refused):
-        # a pivot that is not > 0 refuses the matrix, and one such matrix the whole batch
+        # a pivot that is not > 0 refuses that plane alone: a semidefinite one takes a
+        # lower factor of its eigenpairs, an indefinite one (no Gram, beyond rounding) a
+        # finite lower-triangular S, and the identity planes beside it keep their factor
         G = np.eye(3, dtype=complex)
         G[[1, 2, 2], [0, 0, 1]] = lower
         G = np.tril(G) + np.tril(G, -1).conj().T
         assert _lapack_refuses(G) == refused
-        assert (t.channel._cholesky(_planes(G[None])) is None) == refused
-        batch = np.stack([np.eye(3), G, np.eye(3)])
-        assert (t.channel._cholesky(_planes(batch)) is None) == refused
-
-    def test_nan_pivot_refused(self):
-        # NaN is not > 0: refused, the rule of LAPACK's potrf (this build's cholesky
-        # returns NaN instead)
-        G = np.eye(3, dtype=complex)
-        G[1, 0] = G[0, 1] = np.nan
-        assert t.channel._cholesky(_planes(G[None])) is None
+        S, handed_over = _factor(np.stack([np.eye(3), G, np.eye(3)]))
+        assert handed_over == refused
+        identity, _ = _factor(np.eye(3)[None])
+        assert np.array_equal(S[0], identity[0]) and np.array_equal(S[2], identity[0])
+        if not refused:
+            assert np.array_equal(S[1], _factor(G[None])[0][0])
+        elif np.linalg.eigvalsh(G)[0] > -1e-15:
+            np.testing.assert_allclose(S[1] @ S[1].conj().T, G, rtol=0, atol=1e-14)
 
 
 class TestGram:
@@ -503,16 +546,24 @@ class TestGram:
                 np.testing.assert_allclose(t.channel._gram(N, table), dense, rtol=0, atol=1e-12)
 
     def test_coincident_directions(self, tiny_cfg, rng):
-        # user 0's paths all leave on one direction: a rank-one Gram, which the plane
-        # Cholesky refuses where LAPACK's does, so dominant_mode takes its eigh factor
+        # user 0's paths all leave on one direction: rank-one Grams, which LAPACK's
+        # Cholesky refuses unless rounding leaves its pivots > 0; the plane factor hands
+        # the planes it refuses to their eigenpairs, and user 1's keep the factor they
+        # have without user 0
         paths = t.draw_paths(tiny_cfg, rng)
         paths.varphi[0] = 0.3
         ch = t.generate_channel(tiny_cfg, paths)
         self._assert_full_kernel(ch.N_T, ch.vartheta_sines)
-        G = t.channel._gram(ch.N_T, ch.vartheta_sines)
-        assert t.channel._cholesky(G) is None
+        G = _matrices(t.channel._gram(ch.N_T, ch.vartheta_sines))
         with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(_matrices(G))
+            np.linalg.cholesky(G)
+        refused = np.array([[_lapack_refuses(g) for g in user] for user in G])
+        assert refused[0].any() and not refused[1].any()
+        S, handed_over = _factor(G)
+        assert handed_over == refused.sum()
+        np.testing.assert_allclose((S @ S.conj().swapaxes(-1, -2))[refused], G[refused],
+                                   rtol=0, atol=1e-14)
+        assert np.array_equal(S[1:], _factor(G[1:])[0])
 
     def test_dominant_mode_caches_both_path_tables(self, desk_cfg, rng):
         # the Grams read the tables that selection and the effective channels read later
