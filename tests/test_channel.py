@@ -256,9 +256,9 @@ class TestDominantMode:
             assert np.array_equal(part[1:], alone)
 
 
-@pytest.fixture
-def eigh_entries(monkeypatch):
-    """The number of matrices handed to np.linalg.eigh while the test runs."""
+def _count_eigh(patch):
+    """A one-item list that counts the matrices handed to np.linalg.eigh while patch is
+    active."""
     count = [0]
     original = np.linalg.eigh
 
@@ -266,8 +266,14 @@ def eigh_entries(monkeypatch):
         count[0] += int(np.prod(np.shape(a)[:-2]))
         return original(a, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+    patch.setattr(np.linalg, "eigh", counted)
     return count
+
+
+@pytest.fixture
+def eigh_entries(monkeypatch):
+    """The number of matrices handed to np.linalg.eigh while the test runs."""
+    return _count_eigh(monkeypatch)
 
 
 def _hermitian_cores(rng, eigenvalues):
@@ -427,15 +433,8 @@ def _unit_diagonal(A):
 def _factor(G):
     """_cholesky of (..., L, L) matrices as (..., L, L) factors, each finite and zero above
     the diagonal, and the number of matrices it handed to np.linalg.eigh."""
-    count = [0]
-    original = np.linalg.eigh
-
-    def counted(a, *args, **kwargs):
-        count[0] += int(np.prod(np.shape(a)[:-2]))
-        return original(a, *args, **kwargs)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np.linalg, "eigh", counted)
+        count = _count_eigh(patch)
         S = _matrices(t.channel._cholesky(_planes(G)))
     L = S.shape[-1]
     assert np.all(np.isfinite(S)) and np.all(S[..., np.triu(np.ones((L, L), dtype=bool), 1)] == 0)
