@@ -37,6 +37,7 @@ AXES = {
 }
 
 MAX_REDRAWS = 10        # degenerate draws retried per trial before giving up
+_CHUNKS_PER_WORKER = 8  # pool chunks of sweep tasks per worker
 
 CSV_COLUMNS = ("axis", "axis_value", "method", "mean_sum_rate", "std_sum_rate",
                "per_subcarrier_avg", "trials", "seed", "config_hash")
@@ -207,14 +208,17 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Run the campaign on the spec's configs and aggregate per (axis value, method).
 
     Channel draws are shared by all methods within a trial and independent
-    across axis values. Trial outcomes stay in task order, axis value then
-    trial index, so worker-pool execution cannot change the result.
+    across axis values. A pool takes the tasks, one per trial, in chunks; trial
+    outcomes stay in task order, axis value then trial index, so worker-pool
+    execution cannot change the result.
     """
     tasks = [(ai, ti, cfg, _trial_seed(spec.seed, ai, ti), spec.methods)
              for ai, cfg in enumerate(spec.configs) for ti in range(spec.trials)]
     if spec.workers > 1:
+        # about eight chunks per worker: fewer round trips, and no long straggler at the end
+        chunksize = max(1, len(tasks) // (_CHUNKS_PER_WORKER * spec.workers))
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            outcomes = list(pool.map(_sweep_task, tasks))
+            outcomes = list(pool.map(_sweep_task, tasks, chunksize=chunksize))
     else:
         outcomes = list(map(_sweep_task, tasks))
 

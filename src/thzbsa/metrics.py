@@ -45,26 +45,33 @@ def _sinr_from_coupling(T: np.ndarray, sigma_n2: float, convention: str) -> np.n
         return (1 / K) * desired / ((1 / K) * interference + sigma_n2)
 
 
+def _residual(power: np.ndarray, K: int) -> float:
+    """Relative deviation of the summed per-subcarrier powers from MK."""
+    MK = power.size * K
+    return abs(float(power.sum()) - MK) / MK
+
+
 def power_constraint_residual(R_RF: np.ndarray, F_BB: np.ndarray) -> float:
     """Relative deviation of Sum_m ||F_RF F_BB[m]||_F^2 from MK (``R_RF``, the power
     factor of ``F_RF``, as in :func:`~thzbsa.omp.analog_power`)."""
-    M, _, K = F_BB.shape
-    total = float(analog_power(R_RF, F_BB).sum())
-    return abs(total - M * K) / (M * K)
+    return _residual(analog_power(R_RF, F_BB), F_BB.shape[-1])
 
 
 def sum_rate(bf: BeamformerSet, sigma_n2: float, convention: str = "physical") -> RateReport:
     """Multi-user sum rate of one hybrid precoder.
 
     T[m, k, i] = w_k^H H_k[m] F_RF F_BB[m] e_i = (H_eff[m] F_BB[m])[k, i] is
-    the coupling all hybrid methods are scored by.
+    the coupling all hybrid methods are scored by. The power residual reads the set's
+    measured power where it carries one (the SD oracle's, from its per-subcarrier stack),
+    else the power through its stored factor ``R_RF``.
     """
     T = bf.H_eff @ bf.F_BB
     per_user = np.log2(1.0 + _sinr_from_coupling(T, sigma_n2, convention)).T   # (K, M)
+    power = analog_power(bf.R_RF, bf.F_BB) if bf.power is None else bf.power
     return RateReport(
         per_user_rate=per_user,
         sum_rate=float(per_user.sum()),
-        power_residual=power_constraint_residual(bf.R_RF, bf.F_BB),
+        power_residual=_residual(power, bf.F_BB.shape[-1]),
     )
 
 

@@ -5,10 +5,10 @@ MMSE-style combiners as coordinates on the L path steering vectors, joint
 transmit/receive atom selection by summed closed-form correlation with the
 frequency-dilated atoms, then the per-subcarrier zero-forcing baseband: the
 inverse of each square K x K effective channel, normalized to the MK total
-power constraint through :func:`analog_power`, which reads the power factor
-every :class:`BeamformerSet` stores: the fixed stage's triangular QR factor,
-taken once per design, or the SD oracle's per-subcarrier stack itself, summed
-block by block over subcarriers, never multiplied out whole.
+power constraint through :func:`analog_power`, which reads the triangular QR
+factor of the fixed analog stage that every :class:`BeamformerSet` stores,
+taken once per design. The SD oracle (:mod:`thzbsa.bsa`) scales the same
+inverse by the power of its own per-subcarrier stack.
 
 The selection is exact by bound-and-prune. |N D_N(d/2)| <= min(N, 1/|sin(pi d/2)|),
 taken over the band from its two end subcarriers, bounds each transmit atom's
@@ -34,7 +34,6 @@ from .phase_ops import scale_analog_matrix
 _RCOND = 1e-12
 _SEEDS = 4                  # transmit atoms per user evaluated before any is pruned
 _DILATION_ATOL = 1e-12      # how far a transmit path may sit from eta_m times a fixed direction
-_BLOCK_ENTRIES = 8192       # complex entries of one block of a stack's power product (128 KiB)
 
 
 class DegenerateChannelError(RuntimeError):
@@ -70,22 +69,31 @@ class Dictionary:
 class BeamformerSet:
     """One hybrid precoder (omp, bsa_omp or the SD oracle) for one realization.
 
-    ``F_RF`` is a single (N_T, N_RF) matrix or the SD oracle's
-    (M, N_T, N_RF) stack, its per-subcarrier dilation; ``psi_t`` is always the
-    (N_RF,) directions of the fixed analog stage. ``H_eff`` is the effective
-    channel ``F_BB`` was solved on, so every method is scored by the coupling
-    H_eff[m] F_BB[m]. ``R_RF`` is the power factor of ``F_RF`` that every power
-    sum reads (:func:`analog_power`): the triangular QR factor of a single
-    matrix, or the SD oracle's stack itself.
+    ``F_RF`` is the fixed (N_T, N_RF) analog matrix, steered to the directions
+    ``psi_t``, and ``R_RF`` its triangular QR factor, which every power sum reads
+    (:func:`analog_power`). ``H_eff`` is the effective channel ``F_BB`` was solved on,
+    so every method is scored by the coupling H_eff[m] F_BB[m]; ``receive``, when set, is
+    the (K, L, M) receive coupling of ``W_RF`` that it was contracted from
+    (:func:`effective_channel`), which the SD oracle's effective channel reuses.
+
+    The SD oracle's analog stage is ``F_RF`` dilated per subcarrier,
+    a_N(eta_m psi_t), which it never holds (:func:`thzbsa.bsa.sd_oracle_beamformers`
+    builds and reads it a block at a time): its ``F_BB`` and ``H_eff`` belong to that
+    stage, ``power`` is its measured ||F_bar[m] F_BB[m]||_F^2 and ``projection`` the
+    (M, N_RF, N_RF) pinv(F_RF) F_bar[m] that :func:`thzbsa.bsa.apply_bsa` reads. Both
+    are None on a fixed-stage set.
     """
 
-    F_RF: np.ndarray        # (N_T, N_RF) or (M, N_T, N_RF), constant modulus
+    F_RF: np.ndarray        # (N_T, N_RF), constant modulus: the fixed analog stage
     W_RF: np.ndarray        # (N_R, K), constant-modulus columns
     H_eff: np.ndarray       # (M, K, N_RF)
     F_BB: np.ndarray        # (M, N_RF, K)
     psi_t: np.ndarray       # (N_RF,), the fixed analog stage's steering directions
     psi_r: np.ndarray       # (K,), the steering directions of W_RF
-    R_RF: np.ndarray        # (min(N_T, N_RF), N_RF) with F_RF = Q R_RF, or the stack F_RF
+    R_RF: np.ndarray        # (min(N_T, N_RF), N_RF) with F_RF = Q R_RF
+    receive: np.ndarray | None = None       # (K, L, M), the receive coupling of W_RF
+    power: np.ndarray | None = None         # (M,), the SD oracle's measured power
+    projection: np.ndarray | None = None    # (M, N_RF, N_RF), the SD oracle's pinv(F_RF) F_bar
 
 
 def build_dictionaries(cfg: SystemConfig) -> Dictionary:
@@ -245,8 +253,20 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     return p_star, q_star
 
 
-def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
-                      psi_t: np.ndarray) -> np.ndarray:
+def _receive_coupling(channels: ChannelSet, psi_r: np.ndarray) -> np.ndarray:
+    """The (K, L, M) receive coupling gain_l a_R(psi_r[k])^H a_R(theta_l) of the combiners
+    w_k = a_R(psi_r[k]): :func:`_kernel` of their :func:`_sines` table against the
+    channel's, the receive half of every :func:`effective_channel` of a trial."""
+    K = channels.gain.shape[0]
+    psi_r = np.asarray(psi_r, dtype=float)
+    if psi_r.shape != (K,):
+        raise ValueError(f"psi_r must be (K,) = {(K,)}, got {psi_r.shape}")
+    rx = _sines(channels.N_R, psi_r)[..., None, None]                  # (7, K, 1, 1)
+    return channels.gain.transpose(0, 2, 1) * _kernel(channels.N_R, rx, channels.theta_sines)
+
+
+def effective_channel(channels: ChannelSet, psi_r: np.ndarray, psi_t: np.ndarray,
+                      receive: np.ndarray | None = None) -> np.ndarray:
     """Per-subcarrier K x N_RF effective channel w_k^H H_k[m] f_i between steering beams.
 
     w_k = a_R(psi_r[k]) and f_i = a_T(psi_t[..., i]), with ``psi_t`` (N_RF,) for one
@@ -254,17 +274,16 @@ def effective_channel(channels: ChannelSet, psi_r: np.ndarray,
     sum_l gain_l a_R(psi_r)^H a_R(theta_l) a_T(vartheta_l)^H a_T(psi_t): both couplings
     are :func:`_kernel` of the beams' :func:`_sines` tables against the channel's path
     tables, as the Grams of ``dominant_mode`` are, then one contraction over the paths.
+    ``receive``, the :func:`_receive_coupling` of ``psi_r`` when the caller holds it, is
+    reused instead of built again.
     """
-    K, M, _ = channels.gain.shape
-    psi_r = np.asarray(psi_r, dtype=float)
-    if psi_r.shape != (K,):
-        raise ValueError(f"psi_r must be (K,) = {(K,)}, got {psi_r.shape}")
+    M = channels.gain.shape[1]
+    if receive is None:
+        receive = _receive_coupling(channels, psi_r)
     psi_t = np.asarray(psi_t, dtype=float)
     if psi_t.ndim == 0 or psi_t.shape[:-1] not in ((), (M,)):
         raise ValueError(f"psi_t must be (N_RF,) or (M, N_RF) with M = {M}, got {psi_t.shape}")
-    N_R, N_T = channels.N_R, channels.N_T
-    rx = _sines(N_R, psi_r)[..., None, None]                           # (7, K, 1, 1)
-    receive = channels.gain.transpose(0, 2, 1) * _kernel(N_R, rx, channels.theta_sines)
+    N_T = channels.N_T
     beams = _sines(N_T, psi_t.T.reshape(psi_t.shape[-1], -1))          # (7, N_RF, 1 or M)
     transmit = _kernel(N_T, channels.vartheta_sines[:, :, None],
                        beams[:, None, :, None])                         # (K, N_RF, L, M)
@@ -297,19 +316,9 @@ def analog_power(R_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
     ``R_RF`` is any factor with ||R_RF X||_F = ||F_RF X||_F for every baseband X, as
     :class:`BeamformerSet` stores it; a matrix is a factor of itself. One (N_T, N_RF)
     matrix stores the triangular R of F_RF = Q R, Q unitary: no N_T-long product and
-    no squared condition number. The SD oracle's (M, N_T, N_RF) stack is its own
-    factor, summed with an (M, N_RF, K) ``F_BB`` a block of subcarriers at a time:
-    each block's product holds at most ``_BLOCK_ENTRIES`` entries (one subcarrier if
-    a single one holds more), so no (M, N_T, K) temporary is formed.
+    no squared condition number.
     """
-    if R_RF.ndim == 2:
-        return _squared_norms(R_RF @ F_BB)
-    M, N_T, _ = R_RF.shape
-    block = max(1, _BLOCK_ENTRIES // (N_T * F_BB.shape[-1]))
-    power = np.empty(M)
-    for m in range(0, M, block):
-        power[m:m + block] = _squared_norms(R_RF[m:m + block] @ F_BB[m:m + block])
-    return power
+    return _squared_norms(R_RF @ F_BB)
 
 
 def unit_power(R_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
@@ -319,10 +328,10 @@ def unit_power(R_RF: np.ndarray, F_BB: np.ndarray) -> np.ndarray:
     return F_BB * np.sqrt(K / analog_power(R_RF, F_BB))[..., None, None]
 
 
-def baseband_zf(H_eff: np.ndarray, R_RF: np.ndarray) -> np.ndarray:
-    """Zero-forcing baseband: the inverse of each square H_eff[m] (N_RF = K), scaled
-    so that ||F_RF F_BB[m]||_F^2 = K (MK in total; ``R_RF``, the power factor of
-    ``F_RF``, as in :func:`analog_power`).
+def baseband_zf(H_eff: np.ndarray) -> np.ndarray:
+    """Zero-forcing direction: the inverse of each square H_eff[m] (N_RF = K), which each
+    caller scales to ||F F_BB[m]||_F^2 = K through its own analog stage (:func:`unit_power`
+    for a fixed one; the SD oracle measures its stack's).
 
     The rank rule is on the Frobenius condition number kappa_F = ||H||_F ||H^-1||_F,
     which bounds kappa_2 <= kappa_F <= K kappa_2: DegenerateChannelError names the
@@ -339,7 +348,7 @@ def baseband_zf(H_eff: np.ndarray, R_RF: np.ndarray) -> np.ndarray:
         m = degenerate[0]
         raise DegenerateChannelError(
             f"matrix at subcarrier {m} is rank-deficient (condition number {kappa[m]:.3e})")
-    return unit_power(R_RF, H_inv)
+    return H_inv
 
 
 def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
@@ -353,7 +362,8 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
     psi_t, psi_r = dictionary.psi_f[p_star], dictionary.psi_w[q_star]
     F_RF = steering_vector(cfg.N_T, psi_t)
     R_RF = np.linalg.qr(F_RF, mode="r")         # the trial's one QR of the fixed stage
-    H_eff = effective_channel(channels, psi_r, psi_t)
+    receive = _receive_coupling(channels, psi_r)
+    H_eff = effective_channel(channels, psi_r, psi_t, receive)
     return BeamformerSet(F_RF=F_RF, W_RF=steering_vector(cfg.N_R, psi_r), H_eff=H_eff,
-                         F_BB=baseband_zf(H_eff, R_RF), psi_t=psi_t, psi_r=psi_r,
-                         R_RF=R_RF)
+                         F_BB=unit_power(R_RF, baseband_zf(H_eff)), psi_t=psi_t, psi_r=psi_r,
+                         R_RF=R_RF, receive=receive)

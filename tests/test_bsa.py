@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import thzbsa as t
 from thzbsa import bsa
-from thzbsa.omp import DegenerateChannelError
+from thzbsa.omp import DegenerateChannelError, unit_power
 
 
 def _steering_matrix(n, directions):
@@ -39,7 +41,7 @@ class TestBsaBaseband:
     def test_unit_ratio_is_identity_on_normalized_input(self, rng):
         F_RF, _ = _random_atoms(rng, 16, 4)
         H_eff = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
-        F_BB = t.baseband_zf(H_eff, F_RF)[0]
+        F_BB = unit_power(F_RF, t.baseband_zf(H_eff))[0]
         out = t.bsa_baseband(F_RF, F_BB, 1.0)
         np.testing.assert_allclose(out, F_BB, atol=1e-10)
 
@@ -86,7 +88,7 @@ class TestBsaBaseband:
     def test_eta_continuity(self, rng):
         F_RF, _ = _random_atoms(rng, 16, 4)
         H_eff = rng.standard_normal((1, 4, 4)) + 1j * rng.standard_normal((1, 4, 4))
-        F_BB = t.baseband_zf(H_eff, F_RF)[0]
+        F_BB = unit_power(F_RF, t.baseband_zf(H_eff))[0]
         gaps = []
         for eta in (1.0, 1.001, 1.01, 1.05):
             corrected = t.bsa_baseband(F_RF, F_BB, eta)
@@ -149,8 +151,9 @@ class TestApplyBsa:
         ch, bf = self._pipeline(cfg, 6)
         sd = t.sd_oracle_beamformers(ch, bf)
         out = t.apply_bsa(bf, sd)
+        stack = bsa._dilated_stack(bf.F_RF, ch.eta)
         for m in range(cfg.M):
-            expected = np.linalg.lstsq(bf.F_RF, sd.F_RF[m] @ sd.F_BB[m], rcond=None)[0]
+            expected = np.linalg.lstsq(bf.F_RF, stack[m] @ sd.F_BB[m], rcond=None)[0]
             expected *= np.sqrt(cfg.K) / np.linalg.norm(bf.F_RF @ expected)
             np.testing.assert_allclose(out.F_BB[m], expected, atol=1e-10)
             # the per-subcarrier correction the acceptance criteria call
@@ -170,17 +173,23 @@ class TestApplyBsa:
 
 class TestSdOracleBeamformers:
     def test_shapes_and_power(self):
+        # the SD oracle keeps the fixed stage and carries what its stack gave instead of
+        # the stack: the measured power of its baseband and the projections apply_bsa reads
         cfg = t.SystemConfig(N_T=16, N_R=4, K=2, N_RF=2, L=2, M=4).validate()
         rng = np.random.default_rng(8)
         ch = t.generate_channel(cfg, t.draw_paths(cfg, rng))
         bf = t.omp_hybrid_beamformer(cfg, ch)
         sd = t.sd_oracle_beamformers(ch, bf)
-        assert sd.F_RF.shape == (4, 16, 2)
+        assert sd.F_RF is bf.F_RF and sd.W_RF is bf.W_RF
         assert sd.H_eff.shape == (4, 2, 2)
         assert sd.F_BB.shape == (4, 2, 2)
-        assert sd.W_RF is bf.W_RF
-        assert t.power_constraint_residual(sd.F_RF, sd.F_BB) <= 1e-10
-        np.testing.assert_allclose(np.abs(sd.F_RF), 1 / np.sqrt(16), atol=1e-9)
+        assert sd.power.shape == (4,) and sd.projection.shape == (4, 2, 2)
+        assert bf.power is None and bf.projection is None
+        assert abs(sd.power.sum() - 8) / 8 <= 1e-10
+        assert t.sum_rate(sd, cfg.sigma_n2).power_residual <= 1e-10
+        stack = bsa._dilated_stack(sd.F_RF, ch.eta)
+        assert stack.shape == (4, 16, 2)
+        np.testing.assert_allclose(np.abs(stack), 1 / np.sqrt(16), atol=1e-9)
 
     def test_every_set_keeps_the_fixed_directions(self):
         # psi_t is the fixed analog stage's (N_RF,) directions for every hybrid set;
@@ -195,15 +204,42 @@ class TestSdOracleBeamformers:
 
 
     def test_only_the_single_analog_matrix_stores_its_factor(self):
-        # the fixed stage stores its QR factor, which apply_bsa keeps; the SD stack is
-        # its own power factor, the same array and no copy
+        # the fixed stage stores its QR factor, which apply_bsa and the SD oracle keep; no
+        # set holds an (M, N_T, N_RF) stack
         cfg = t.build_config("desk")
         ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(8)))
         bf = t.omp_hybrid_beamformer(cfg, ch)
         sd = t.sd_oracle_beamformers(ch, bf)
         np.testing.assert_array_equal(bf.R_RF, np.linalg.qr(bf.F_RF, mode="r"))
-        assert t.apply_bsa(bf, sd).R_RF is bf.R_RF
-        assert sd.R_RF is sd.F_RF
+        corrected = t.apply_bsa(bf, sd)
+        assert corrected.R_RF is bf.R_RF and sd.R_RF is bf.R_RF and sd.F_RF is bf.F_RF
+        for one in (bf, corrected, sd):
+            for field in dataclasses.fields(one):
+                assert np.shape(getattr(one, field.name)) != (cfg.M, cfg.N_T, cfg.N_RF)
+
+    @pytest.mark.parametrize("profile,seed", [("desk", 8), ("paper", 3)])
+    def test_pass_independent_of_block_size(self, monkeypatch, profile, seed):
+        # each subcarrier's fill and products are its own, so one subcarrier per block and
+        # the whole stack in one block give the same bits
+        cfg = t.build_config(profile)
+        ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(seed)))
+        bf = t.omp_hybrid_beamformer(cfg, ch)
+        sd = t.sd_oracle_beamformers(ch, bf)
+        for entries in (1, cfg.M * cfg.N_T * cfg.N_RF):
+            monkeypatch.setattr(bsa, "_BLOCK_ENTRIES", entries)
+            other = t.sd_oracle_beamformers(ch, bf)
+            for name in ("F_BB", "power", "projection"):
+                np.testing.assert_array_equal(getattr(other, name), getattr(sd, name), name)
+
+    def test_real_form_is_the_complex_product(self, rng):
+        # A.view(float) @ _real_form(X) is the float view of A @ X, for stacks of any shape
+        A = rng.standard_normal((3, 7, 4)) + 1j * rng.standard_normal((3, 7, 4))
+        X = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+        B = bsa._real_form(X)
+        assert B.shape == (3, 8, 10) and B.dtype == float
+        got = (A.view(float) @ B).view(complex)
+        np.testing.assert_allclose(got, A @ X, rtol=0,
+                                   atol=1e-14 * (np.abs(A) @ np.abs(X)).max())
 
 
 class TestDilatedStack:
@@ -266,8 +302,10 @@ class TestStoredEffectiveChannel:
         ch = t.generate_channel(cfg, t.draw_paths(cfg, np.random.default_rng(seed)))
         bf = t.omp_hybrid_beamformer(cfg, ch)
         sd = t.sd_oracle_beamformers(ch, bf)
-        for name, one in (("omp", bf), ("bsa_omp", t.apply_bsa(bf, sd)), ("sd", sd)):
-            F_RF = np.broadcast_to(one.F_RF, (cfg.M,) + one.F_RF.shape[-2:])
+        stack = bsa._dilated_stack(sd.F_RF, ch.eta)      # the SD oracle's, built on request
+        for name, one, F_RF in (("omp", bf, bf.F_RF), ("bsa_omp", t.apply_bsa(bf, sd), bf.F_RF),
+                                ("sd", sd, stack)):
+            F_RF = np.broadcast_to(F_RF, (cfg.M,) + F_RF.shape[-2:])
             dense = np.einsum("rk,kmrt,mtj->mkj", one.W_RF.conj(), ch.H, F_RF)
             np.testing.assert_allclose(one.H_eff, dense, rtol=0,
                                        atol=1e-10 * np.abs(dense).max(), err_msg=name)

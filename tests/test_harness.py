@@ -169,8 +169,8 @@ class TestRunTrial:
         assert count["n"] == 1
 
     def test_paper_trial_memory_peak(self):
-        # no temporary of a paper trial is as large as the SD stack: the traced peak,
-        # the stack itself included, stays within twice its bytes
+        # no temporary of a paper trial is as large as the (M, N_T, K) SD stack, which no
+        # trial holds whole: the traced peak stays within twice its bytes
         cfg = t.build_config("paper")
         t.run_trial(cfg, _trial_seed(7, 0, 998))       # the config's atom tables, cached
         tracemalloc.start()
@@ -1091,8 +1091,8 @@ class TestCli:
 
 class TestBenchmarkContract:
     def test_pool_tasks_lead_with_axis_and_trial_index(self, monkeypatch):
-        # the benchmark swaps harness.ProcessPoolExecutor for a recording pool,
-        # reads task[0], task[1] as the trial id, and relies on _sweep_task
+        # the benchmark swaps harness.ProcessPoolExecutor for a recording pool whose
+        # map passes chunksize on, reads task[0], task[1] as the trial id, and relies on _sweep_task
         # looking run_trial up by name so forked workers run its traced wrapper
         from thzbsa import harness
 
@@ -1109,8 +1109,9 @@ class TestBenchmarkContract:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, iterable):
-                assert fn is harness._sweep_task
+            def map(self, fn, iterable, chunksize=1):
+                # chunks batch the round trips only: each task is still one trial
+                assert fn is harness._sweep_task and chunksize >= 1
                 tasks.extend(iterable)
                 return map(fn, tasks)
 

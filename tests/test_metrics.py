@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import thzbsa as t
+from thzbsa.omp import unit_power
 
 
 def _matched_single_user(alpha=0.7, tau=2e-9, M=4):
@@ -15,7 +16,7 @@ def _matched_single_user(alpha=0.7, tau=2e-9, M=4):
     W_RF = t.steering_vector(4, 0.3)[:, None]
     psi_t, psi_r = np.array([-0.2]), np.array([0.3])
     H_eff = t.effective_channel(ch, psi_r, psi_t)
-    F_BB = t.baseband_zf(H_eff, F_RF)
+    F_BB = unit_power(F_RF, t.baseband_zf(H_eff))
     bf = t.BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB, psi_t=psi_t, psi_r=psi_r,
                          R_RF=F_RF)
     return cfg, ch, bf, paths

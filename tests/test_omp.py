@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 import thzbsa as t
-from thzbsa import channel, harness, omp
+from thzbsa import bsa, channel, harness, omp
 from thzbsa.harness import HYBRID_METHODS, _trial_seed, run_trial
-from thzbsa.omp import DegenerateChannelError, sd_dictionary
+from thzbsa.omp import DegenerateChannelError, sd_dictionary, unit_power
 
 
 def _random_channelset(cfg, seed):
@@ -599,24 +599,29 @@ class TestBasebandZF:
     def test_zero_forcing_up_to_scalar(self, rng):
         H_eff = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
         F_RF = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
-        F_BB = t.baseband_zf(H_eff, F_RF)
+        F_BB = unit_power(F_RF, t.baseband_zf(H_eff))
         for m in range(3):
             product = H_eff[m] @ F_BB[m]
             c = product[0, 0]
             assert c.real > 0 and abs(c.imag) < 1e-10 * abs(c)
             np.testing.assert_allclose(product, c * np.eye(4), atol=1e-8 * abs(c))
 
+    def test_is_the_plain_inverse(self, rng):
+        # the rank-checked inverse: each caller scales it through its own analog stage
+        H_eff = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        np.testing.assert_array_equal(t.baseband_zf(H_eff), np.linalg.inv(H_eff))
+
     def test_per_subcarrier_power(self, rng):
         H_eff = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
         F_RF = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        F_BB = t.baseband_zf(H_eff, F_RF)
+        F_BB = unit_power(F_RF, t.baseband_zf(H_eff))
         for m in range(5):
             assert np.linalg.norm(F_RF @ F_BB[m]) ** 2 == pytest.approx(3.0, abs=1e-10)
 
     def test_scalar_single_user(self):
         h = np.array([[[0.3 - 0.4j]]])
         F_RF = np.array([[1.0]], dtype=complex)
-        F_BB = t.baseband_zf(h, F_RF)
+        F_BB = unit_power(F_RF, t.baseband_zf(h))
         # pseudo-inverse direction h*/|h|^2, rescaled to unit transmit norm
         assert abs(F_BB[0, 0, 0]) == pytest.approx(1.0, rel=1e-12)
         assert np.angle(F_BB[0, 0, 0]) == pytest.approx(np.angle(np.conj(0.3 - 0.4j)),
@@ -638,7 +643,7 @@ class TestBasebandZF:
         H_eff = rng.standard_normal((6, 3, 3)) + 1j * rng.standard_normal((6, 3, 3))
         shape = (6, 10, 3) if stacked else (10, 3)
         F_RF = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        F_BB = t.baseband_zf(H_eff, F_RF)
+        F_BB = unit_power(F_RF, t.baseband_zf(H_eff))
         expected = self._per_subcarrier_reference(H_eff, F_RF)
         np.testing.assert_allclose(F_BB, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
@@ -647,14 +652,13 @@ class TestBasebandZF:
         for m in (1, 3):
             H_eff[m, 1] = 2 * H_eff[m, 0]
         with pytest.raises(DegenerateChannelError, match="at subcarrier 1 is rank-deficient"):
-            t.baseband_zf(H_eff, np.eye(2, dtype=complex))
+            t.baseband_zf(H_eff)
 
     def test_rank_deficient_raises(self):
         H_eff = np.zeros((1, 2, 2), complex)
         H_eff[0, 0, 0] = 1.0
-        F_RF = np.eye(2, dtype=complex)
         with pytest.raises(DegenerateChannelError, match="rank"):
-            t.baseband_zf(H_eff, F_RF)
+            t.baseband_zf(H_eff)
 
     def test_exactly_singular_subcarrier_named(self, rng):
         # the square inverse refuses a zero column itself; it must not escape as LinAlgError
@@ -662,21 +666,21 @@ class TestBasebandZF:
         H_eff[2, :, 1] = 0
         with pytest.raises(DegenerateChannelError,
                            match="at subcarrier 2 is rank-deficient .condition number inf"):
-            t.baseband_zf(H_eff, np.eye(3, dtype=complex))
+            t.baseband_zf(H_eff)
 
     def test_frobenius_condition_rule(self):
         # kappa_F of diag(1, e) is about 1/e, against the 1/_RCOND = 1e12 bound
         eye = np.eye(2, dtype=complex)
         with pytest.raises(DegenerateChannelError, match="condition number 1.000e.13"):
-            t.baseband_zf(np.diag([1.0, 1e-13]).astype(complex)[None], eye)
+            t.baseband_zf(np.diag([1.0, 1e-13]).astype(complex)[None])
         H_eff = np.diag([1.0, 1e-11]).astype(complex)[None]
-        F_BB = t.baseband_zf(H_eff, eye)
+        F_BB = unit_power(eye, t.baseband_zf(H_eff))
         np.testing.assert_allclose(H_eff[0] @ F_BB[0], F_BB[0, 0, 0] * eye, rtol=1e-12)
 
     @pytest.mark.parametrize("i", [12, 27, 77, 139])
     def test_unit_power_exact_on_sixteen_users(self, i):
-        # the MK power is summed over R F_BB[m], R the K x K QR factor of F_RF (over the dense
-        # product for the SD stack); a K x K Gram form tr(X^H F_RF^H F_RF X) squares the
+        # the MK power is summed over R F_BB[m], R the K x K QR factor of F_RF (the SD
+        # oracle's over the dense product of each block of its stack); a K x K Gram form tr(X^H F_RF^H F_RF X) squares the
         # condition number and leaves the SD oracle's residual at 4.0e-10 .. 4.7e-9 here
         cfg = t.build_config("desk", {"K": 16})
         result = run_trial(cfg, _trial_seed(3, 0, i), HYBRID_METHODS)
@@ -690,15 +694,43 @@ def _dense_power(F_RF, F_BB):
 
 
 def _pipeline_precoders(cfg, rng):
-    """(F_RF, F_BB, R_RF) of omp, bsa_omp and the SD oracle on one channel draw."""
+    """The channel draw and the omp, bsa_omp and SD-oracle sets on it."""
     ch = t.generate_channel(cfg, t.draw_paths(cfg, rng))
     bf = t.omp_hybrid_beamformer(cfg, ch)
     sd = t.sd_oracle_beamformers(ch, bf)
-    return [(b.F_RF, b.F_BB, b.R_RF) for b in (bf, t.apply_bsa(bf, sd), sd)]
+    return ch, (bf, t.apply_bsa(bf, sd), sd)
+
+
+def _spread_beams(M, N_T, K, rng):
+    """A channel whose user k has its first path on beam k of an evenly spread fixed stage,
+    and that stage's set: no atom selection, so any K up to N_T (K = N_T gives a DFT analog
+    matrix). B = 1 GHz keeps the dilated stack well conditioned at K = N_T."""
+    cfg = t.SystemConfig(M=M, N_T=N_T, K=K, N_R=2, L=2, B=1e9)
+    eta = t.frequency_ratios(cfg)
+    psi_t = np.linspace(-1.0, 1.0, K, endpoint=False) + 1.0 / K
+    psi_r = rng.uniform(-1.0, 1.0, K)
+    phi, varphi = (np.stack([psi, rng.uniform(-1.0, 1.0, K)], axis=-1) for psi in (psi_r, psi_t))
+    gain = np.array([1.0, 0.3]) * np.exp(2j * np.pi * rng.uniform(size=(K, M, 2)))
+    ch = t.ChannelSet(theta=np.multiply.outer(phi, eta).transpose(0, 2, 1),
+                      vartheta=np.multiply.outer(varphi, eta).transpose(0, 2, 1),
+                      gain=gain, eta=eta, N_R=2, N_T=N_T)
+    F_RF = t.steering_vector(N_T, psi_t)
+    R_RF = np.linalg.qr(F_RF, mode="r")
+    H_eff = t.effective_channel(ch, psi_r, psi_t)
+    return ch, t.BeamformerSet(F_RF=F_RF, W_RF=t.steering_vector(2, psi_r), H_eff=H_eff,
+                               F_BB=unit_power(R_RF, t.baseband_zf(H_eff)), psi_t=psi_t,
+                               psi_r=psi_r, R_RF=R_RF)
+
+
+def _real_view_power(stack, X):
+    """||stack[m] X[m]||_F^2 over the whole stack, in the arithmetic of the SD pass: the
+    stack's real view times the real form of X."""
+    return np.sum((stack.view(float) @ bsa._real_form(X)) ** 2, axis=(-2, -1))
 
 
 class TestAnalogPower:
-    """analog_power, unit_power and the power residual against the dense sum."""
+    """analog_power, unit_power and the power residual against the dense sum; the SD
+    oracle's scale and measured power against the dense sums of its stack."""
 
     @staticmethod
     def _assert_matches_dense(F_RF, F_BB, R_RF):
@@ -718,45 +750,95 @@ class TestAnalogPower:
             assert t.power_constraint_residual(F_RF, F_BB) == pytest.approx(
                 residual, rel=0, abs=1e-13 * dense.sum() / MK)
 
+    @staticmethod
+    def _assert_sd_matches_dense(ch, sd):
+        # the blocked pass against the whole stack built on request: the ZF scale from
+        # the dense power of F_bar[m] H_eff[m]^-1, the measured power of the final
+        # baseband, the residual sum_rate reports, and the projection apply_bsa reads.
+        # The dense sums take the pass's real-view products, as the held stack's took the
+        # complex ones its blocked sum did (test_sd_power_within_rounding_bound bounds both
+        # against extended precision)
+        stack = bsa._dilated_stack(sd.F_RF, ch.eta)
+        H_inv = np.linalg.inv(sd.H_eff)
+        K = H_inv.shape[-1]
+        scale = np.sqrt(K / _real_view_power(stack, H_inv))[:, None, None]
+        np.testing.assert_allclose(sd.F_BB, H_inv * scale, rtol=1e-13, atol=0)
+        dense = _real_view_power(stack, sd.F_BB)
+        np.testing.assert_allclose(sd.power, dense, rtol=1e-13, atol=0)
+        MK = dense.size * K
+        assert t.sum_rate(sd, 1.0).power_residual == pytest.approx(
+            abs(dense.sum() - MK) / MK, rel=0, abs=1e-13 * dense.sum() / MK)
+        projection = omp.pseudo_inverse(sd.F_RF) @ stack
+        np.testing.assert_allclose(sd.projection, projection, rtol=0,
+                                   atol=1e-13 * np.abs(projection).max())
+
+    def _assert_pipeline(self, ch, sets, doubled=False):
+        *fixed, sd = sets
+        for bf in fixed:
+            self._assert_matches_dense(bf.F_RF, bf.F_BB, bf.R_RF)
+            if doubled:
+                self._assert_matches_dense(bf.F_RF, 2 * bf.F_BB, bf.R_RF)
+        self._assert_sd_matches_dense(ch, sd)
+
     @pytest.mark.parametrize("profile,seed", [("desk", 17), ("paper", 3)])
     def test_seeded_pipelines(self, profile, seed):
         cfg = t.build_config(profile)
-        for F_RF, F_BB, R_RF in _pipeline_precoders(cfg, np.random.default_rng(seed)):
-            self._assert_matches_dense(F_RF, F_BB, R_RF)
-            self._assert_matches_dense(F_RF, 2 * F_BB, R_RF)
+        self._assert_pipeline(*_pipeline_precoders(cfg, np.random.default_rng(seed)),
+                              doubled=True)
 
     @pytest.mark.parametrize("i", [12, 27, 77, 139])
     def test_sixteen_user_draws(self, i):
         # the draws of test_unit_power_exact_on_sixteen_users, first attempt of each
         cfg = t.build_config("desk", {"K": 16})
         rng = np.random.default_rng(np.random.SeedSequence([_trial_seed(3, 0, i), 0]))
-        for F_RF, F_BB, R_RF in _pipeline_precoders(cfg, rng):
-            self._assert_matches_dense(F_RF, F_BB, R_RF)
+        self._assert_pipeline(*_pipeline_precoders(cfg, rng))
 
     @pytest.mark.parametrize("M,N_T,K", [
         (1, 128, 8),      # one subcarrier
-        (13, 128, 8),     # blocks of 8 subcarriers, the last one short
-        (40, 16, 16),     # K = N_T, blocks of 32
-        (3, 32, 32),      # K = N_T, one product per block
-        (5, 128, 128),    # K = N_T, a single product above the block bound
+        (13, 128, 8),     # one block, short of its 32 subcarriers
+        (40, 128, 8),     # blocks of 32 subcarriers, the last one short
+        (40, 16, 16),     # K = N_T, one block
+        (3, 32, 32),      # K = N_T, one block
+        (5, 128, 128),    # K = N_T, blocks of 2 subcarriers, the last one short
+        (2, 256, 256),    # K = N_T, a single subcarrier above the block bound
     ])
     def test_stack_block_edges(self, rng, M, N_T, K):
-        F_RF = t.steering_vector(N_T, rng.uniform(-1, 1, (M, K))).transpose(1, 0, 2)
-        F_BB = rng.standard_normal((M, K, K)) + 1j * rng.standard_normal((M, K, K))
-        self._assert_matches_dense(F_RF, F_BB, F_RF)
+        # the SD pass at the edges of its blocks of bsa._BLOCK_ENTRIES stack entries
+        ch, bf = _spread_beams(M, N_T, K, rng)
+        self._assert_sd_matches_dense(ch, t.sd_oracle_beamformers(ch, bf))
 
-    def test_stack_power_never_forms_the_whole_product(self, rng):
-        # a paper-sized SD stack is summed a block of subcarriers at a time
-        M, N_T, K = 128, 128, 8
-        F_RF = t.steering_vector(N_T, rng.uniform(-1, 1, (M, K))).transpose(1, 0, 2)
-        F_BB = rng.standard_normal((M, K, K)) + 1j * rng.standard_normal((M, K, K))
+    def test_stack_power_never_forms_the_whole_product(self):
+        # a paper SD oracle reads its stack a block of subcarriers at a time: neither the
+        # (M, N_T, N_RF) stack nor an (M, N_T, K) product is ever held whole
+        cfg = t.build_config("paper")
+        ch, (bf, _, _) = _pipeline_precoders(cfg, np.random.default_rng(3))
         tracemalloc.start()
         try:
-            omp.analog_power(F_RF, F_BB)
+            t.sd_oracle_beamformers(ch, bf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < (M * N_T * K * 16) / 4
+        assert peak < cfg.M * cfg.N_T * cfg.N_RF * 16
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs extended precision")
+    @pytest.mark.parametrize("profile,overrides,seed", [
+        ("desk", {}, 17), ("paper", {}, 3),
+        *[("desk", {"K": 16}, np.random.SeedSequence([_trial_seed(3, 0, i), 0]))
+          for i in (12, 27, 77, 139)]])
+    def test_sd_power_within_rounding_bound(self, profile, overrides, seed):
+        # the measured power against the stack's product in extended precision: within
+        # 2 n eps r relative, the rounding bound of n = 2 N_RF term real dot products, with
+        # r = || |F_bar| |F_BB| ||_F / ||F_bar F_BB||_F the cancellation of the product
+        cfg = t.build_config(profile, overrides)
+        ch, (_, _, sd) = _pipeline_precoders(cfg, np.random.default_rng(seed))
+        stack = bsa._dilated_stack(sd.F_RF, ch.eta)
+        ld = np.longdouble
+        Fr, Fi, Xr, Xi = (np.asarray(a, dtype=ld) for a in (stack.real, stack.imag,
+                                                             sd.F_BB.real, sd.F_BB.imag))
+        exact = np.sum((Fr @ Xr - Fi @ Xi) ** 2 + (Fr @ Xi + Fi @ Xr) ** 2, axis=(-2, -1))
+        r = np.sqrt(_dense_power(np.abs(stack), np.abs(sd.F_BB)) / exact.astype(float))
+        bound = 2 * (2 * cfg.N_RF) * np.finfo(float).eps * r
+        assert np.all(np.abs(sd.power - exact) / exact <= bound)
 
     def test_wide_analog_matrix_through_bsa(self, rng):
         # N_T < N_RF: the QR factor R is N_T x N_RF, and ||F_RF X|| is still ||R X||
