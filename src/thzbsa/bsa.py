@@ -146,7 +146,7 @@ def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> Beamformer
         B = _real_form(H_inv[blk])
         scale = np.sqrt(K / _block_norms(F_bar @ B))[:, None, None]
         F_BB[blk] = H_inv[blk] * scale
-        power[blk] = _block_norms(F_bar @ (B * scale))    # B * scale: the real form of F_BB
+        power[blk] = _block_norms(F_bar @ (B * scale))   # B * scale is F_BB's real form, exactly
         parts = pinv @ F_bar                                            # (m, 2 N_RF, 2 N_RF)
         proj = projection[blk].view(float)
         np.subtract(parts[:, :N_RF, 0::2], parts[:, N_RF:, 1::2], out=proj[..., 0::2])

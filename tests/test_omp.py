@@ -680,8 +680,9 @@ class TestBasebandZF:
     @pytest.mark.parametrize("i", [12, 27, 77, 139])
     def test_unit_power_exact_on_sixteen_users(self, i):
         # the MK power is summed over R F_BB[m], R the K x K QR factor of F_RF (the SD
-        # oracle's over the dense product of each block of its stack); a K x K Gram form tr(X^H F_RF^H F_RF X) squares the
-        # condition number and leaves the SD oracle's residual at 4.0e-10 .. 4.7e-9 here
+        # oracle's over the dense product of each block of its stack); a K x K Gram form
+        # tr(X^H F_RF^H F_RF X) squares the condition number and leaves the SD oracle's
+        # residual at 4.0e-10 .. 4.7e-9 here
         cfg = t.build_config("desk", {"K": 16})
         result = run_trial(cfg, _trial_seed(3, 0, i), HYBRID_METHODS)
         for method, report in result.reports.items():
