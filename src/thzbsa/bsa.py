@@ -128,7 +128,7 @@ def sd_oracle_beamformers(channels: ChannelSet, bf: BeamformerSet) -> Beamformer
     performance ceiling and as the target :func:`apply_bsa` matches.
     """
     eta = channels.eta
-    H_eff = effective_channel(channels, bf.psi_r, np.multiply.outer(eta, bf.psi_t), bf.receive)
+    H_eff = effective_channel(channels, bf.receive, np.multiply.outer(eta, bf.psi_t))
     H_inv = baseband_zf(H_eff)                                         # (M, N_RF, K)
     z = _phase_steps(bf.F_RF, eta)
     pinv = pseudo_inverse(bf.F_RF)

@@ -318,15 +318,16 @@ class ChannelSet:
     """K x M stack of rank-L channels H_k[m] = A_R diag(gain) A_T^H, held as path factors.
 
     ``theta`` / ``vartheta`` are the dilated DOAs eta_m phi / DODs eta_m varphi
-    (the columns of A_R / A_T), ``gain`` the path gains, all (K, M, L). Their (7, K, L, M)
-    :func:`_sines` tables ``theta_sines`` (N_R) and ``vartheta_sines`` (N_T), subcarriers
-    innermost, are cached read-only on first access, like ``dominant_mode``; its Grams,
-    atom selection and effective channels read them.
+    (the columns of A_R / A_T), ``gain`` the path gains, all (K, L, M), subcarriers
+    innermost: the one layout of every path array of a trial. Their (7, K, L, M)
+    :func:`_sines` tables ``theta_sines`` (N_R) and ``vartheta_sines`` (N_T) are cached
+    read-only on first access, like ``dominant_mode``; its Grams, atom selection and
+    effective channels read them.
     """
 
-    theta: np.ndarray       # (K, M, L)
-    vartheta: np.ndarray    # (K, M, L)
-    gain: np.ndarray        # (K, M, L)
+    theta: np.ndarray       # (K, L, M)
+    vartheta: np.ndarray    # (K, L, M)
+    gain: np.ndarray        # (K, L, M)
     eta: np.ndarray         # (M,)
     N_R: int
     N_T: int
@@ -334,21 +335,21 @@ class ChannelSet:
     @cached_property
     def H(self) -> np.ndarray:
         """The dense (K, M, N_R, N_T) stack, built on first access; no trial reads it."""
-        return np.einsum("kml,rkml,tkml->kmrt", self.gain, steering_vector(self.N_R, self.theta),
+        return np.einsum("klm,rklm,tklm->kmrt", self.gain, steering_vector(self.N_R, self.theta),
                          steering_vector(self.N_T, self.vartheta).conj())
 
     @cached_property
     def theta_sines(self) -> np.ndarray:
-        return _sines(self.N_R, self.theta.transpose(0, 2, 1))
+        return _sines(self.N_R, self.theta)
 
     @cached_property
     def vartheta_sines(self) -> np.ndarray:
-        return _sines(self.N_T, self.vartheta.transpose(0, 2, 1))
+        return _sines(self.N_T, self.vartheta)
 
     @cached_property
     def dominant_mode(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (s, x, y): each H_k[m]'s largest singular value, shape (K, M),
-        and its unit vectors v = A_T x and u = A_R y in path coordinates (K, M, L).
+        and its unit vectors v = A_T x and u = A_R y in path coordinates (K, L, M).
 
         Every step is elementwise arithmetic on contiguous (K, M) planes, subcarriers
         innermost. The Grams G_T = A_T^H A_T and G_R = A_R^H A_R come by :func:`_gram`
@@ -358,13 +359,12 @@ class ChannelSet:
         formed on its lower triangle, core_ij = sum_{a >= i} conj((D S)_ai) F_aj, and s^2
         and z are its top eigenpair (:func:`_top_eigenpair`). y = D S z / s and x =
         D^H G_R y / s, which is v = H^H u / s; where s = 0, y = 0 and x = e_1. v_1 =
-        sum(x) / sqrt(N_T) is real >= 0. x and y are stored (K, L, M), the layout the path
-        weights of atom selection read, and returned as (K, M, L) views.
+        sum(x) / sqrt(N_T) is real >= 0.
         """
         S = _cholesky(_gram(self.N_T, self.vartheta_sines))
         G_R = _gram(self.N_R, self.theta_sines)
-        K, M, L = self.gain.shape
-        gain = np.moveaxis(self.gain, -1, 0)                          # (L, K, M)
+        K, L, M = self.gain.shape
+        gain = np.moveaxis(self.gain, 1, 0)                           # (L, K, M)
         with np.errstate(over="ignore", invalid="ignore"):     # refused just below
             DS = gain[:, None] * S
             F = np.empty_like(DS)
@@ -397,7 +397,7 @@ class ChannelSet:
         x, y = mode
         for part in (s, x, y):
             part.setflags(write=False)
-        return s, x.transpose(0, 2, 1), y.transpose(0, 2, 1)
+        return s, x, y
 
 
 def generate_channel(cfg: SystemConfig, paths: PathParams) -> ChannelSet:
@@ -414,10 +414,8 @@ def generate_channel(cfg: SystemConfig, paths: PathParams) -> ChannelSet:
     freqs = subcarrier_frequencies(cfg)
     eta = freqs / cfg.f_c
     zeta = np.sqrt(cfg.N_R * cfg.N_T / cfg.L)
-    gain = (zeta * paths.alpha[:, None, :] / eta[:, None]
-            * np.exp(-2j * np.pi * paths.tau[:, None, :] * freqs[:, None]))
-    return ChannelSet(theta=paths.phi[:, None, :] * eta[:, None],
-                      vartheta=paths.varphi[:, None, :] * eta[:, None],
+    gain = zeta * paths.alpha[..., None] / eta * np.exp(-2j * np.pi * paths.tau[..., None] * freqs)
+    return ChannelSet(theta=paths.phi[..., None] * eta, vartheta=paths.varphi[..., None] * eta,
                       gain=gain, eta=eta, N_R=cfg.N_R, N_T=cfg.N_T)
 
 

@@ -72,9 +72,9 @@ class BeamformerSet:
     ``F_RF`` is the fixed (N_T, N_RF) analog matrix, steered to the directions
     ``psi_t``, and ``R_RF`` its triangular QR factor, which every power sum reads
     (:func:`analog_power`). ``H_eff`` is the effective channel ``F_BB`` was solved on,
-    so every method is scored by the coupling H_eff[m] F_BB[m]; ``receive``, when set, is
-    the (K, L, M) receive coupling of ``W_RF`` that it was contracted from
-    (:func:`effective_channel`), which the SD oracle's effective channel reuses.
+    so every method is scored by the coupling H_eff[m] F_BB[m]; ``receive`` is the (K, L, M)
+    receive coupling of ``W_RF`` that it was contracted from (:func:`effective_channel`),
+    which the SD oracle's effective channel reads too.
 
     The SD oracle's analog stage is ``F_RF`` dilated per subcarrier,
     a_N(eta_m psi_t), which it never holds (:func:`thzbsa.bsa.sd_oracle_beamformers`
@@ -91,7 +91,7 @@ class BeamformerSet:
     psi_t: np.ndarray       # (N_RF,), the fixed analog stage's steering directions
     psi_r: np.ndarray       # (K,), the steering directions of W_RF
     R_RF: np.ndarray        # (min(N_T, N_RF), N_RF) with F_RF = Q R_RF
-    receive: np.ndarray | None = None       # (K, L, M), the receive coupling of W_RF
+    receive: np.ndarray     # (K, L, M), the receive coupling of W_RF
     power: np.ndarray | None = None         # (M,), the SD oracle's measured power
     projection: np.ndarray | None = None    # (M, N_RF, N_RF), the SD oracle's pinv(F_RF) F_bar
 
@@ -116,18 +116,18 @@ sd_dictionary = scale_analog_matrix
 
 
 def unconstrained_precoders(channels: ChannelSet) -> np.ndarray:
-    """Dominant right singular vectors v = A_T x, as the path coordinates x (K, M, L)."""
+    """Dominant right singular vectors v = A_T x, as the path coordinates x (K, L, M)."""
     return channels.dominant_mode[1]
 
 
 def unconstrained_combiners(channels: ChannelSet, sigma_n2: float) -> np.ndarray:
-    """MMSE-scaled matched-filter combiners w = A_R y, as the path coordinates y (K, M, L).
+    """MMSE-scaled matched-filter combiners w = A_R y, as the path coordinates y (K, L, M).
 
     w_k[m] = s / (s^2 + sigma^2) u = (||H_k v||^2 + sigma^2)^{-1} H_k[m] v at unit power,
     for the dominant mode (s, u, v) of H_k[m]: a positive multiple of the matched filter.
     """
     s, _, y = channels.dominant_mode
-    return y * (s / (s**2 + sigma_n2))[..., None]
+    return y * (s / (s**2 + sigma_n2))[:, None, :]
 
 
 @lru_cache(maxsize=8)      # atom tables kept per process; a config uses two
@@ -143,10 +143,10 @@ def _atom_sines(N: int, psi: bytes, eta: bytes) -> np.ndarray:
 def _path_weights(N: int, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """The weights coords_l exp(-j pi (N-1) paths_l / 2) / N of the path kernels, as a
     (2, ..., L, M) pair of real and imaginary parts, from a (7, ..., L, M) path table,
-    whose phase rows it reads, and (..., M, L) path coordinates: what :func:`omp_select`
+    whose phase rows it reads, and (..., L, M) path coordinates: what :func:`omp_select`
     hands :func:`_correlations` for the precoders' and the combiners' coordinates."""
     cos, sin = paths[5:]
-    c = np.swapaxes(coords, -1, -2) / N
+    c = coords / N
     weights = np.empty((2,) + cos.shape)
     re = np.multiply(c.real, cos, out=weights[0])
     re += c.imag * sin
@@ -182,7 +182,7 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     """Per-user joint atom selection against the dilated dictionaries, exact by
     bound-and-prune.
 
-    ``x`` / ``y`` are the path coordinates of the unconstrained precoders
+    ``x`` / ``y`` are the (K, L, M) path coordinates of the unconstrained precoders
     f_k[m] = A_T x and combiners w_k[m] = A_R y. For user k the pair (p*, q*)
     maximizes the objective sum_m |d_{p,q}[m]^H g_k[m]| with d the Kronecker
     dictionary atom and g_k[m] = conj(f_k[m]) kron w_k[m], which factors as
@@ -196,7 +196,7 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     transmit paths eta_m times fixed directions, as :func:`generate_channel` builds them: a
     ValueError if one is over ``_DILATION_ATOL`` from its largest-eta direction rescaled by eta.
     By the triangle inequality the objective is at most sum_l B[k, l, p] c[k, l, q],
-    c[k, l, q] = sum_m |x_kml| corr_w[k, q, m] / N_T, so UB[k, p] = max_q of that bounds
+    c[k, l, q] = sum_m |x_klm| corr_w[k, q, m] / N_T, so UB[k, p] = max_q of that bounds
     atom p. The ``_SEEDS`` atoms of largest UB per user are evaluated for all users in
     one call. Then, user by user, the best seed no earlier user took is a lower bound
     LB (0 if all are taken: the objective is never negative), and the candidates are
@@ -227,7 +227,7 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
                          "for the band-edge bound of omp_select")
     bound = _dirichlet_bound(N_T, np.swapaxes(tx[:, :, ends], 1, 2),
                              paths_t[..., ends, None])                    # (K, L, P)
-    c = np.abs(np.swapaxes(x, -1, -2)) @ np.swapaxes(corr_w, -1, -2) / N_T  # (K, L, N_W)
+    c = np.abs(x) @ np.swapaxes(corr_w, -1, -2) / N_T                      # (K, L, N_W)
     upper = (np.swapaxes(c, -1, -2) @ bound).max(axis=-2)                 # (K, P)
 
     S = min(_SEEDS, N_F)
@@ -262,24 +262,22 @@ def _receive_coupling(channels: ChannelSet, psi_r: np.ndarray) -> np.ndarray:
     if psi_r.shape != (K,):
         raise ValueError(f"psi_r must be (K,) = {(K,)}, got {psi_r.shape}")
     rx = _sines(channels.N_R, psi_r)[..., None, None]                  # (7, K, 1, 1)
-    return channels.gain.transpose(0, 2, 1) * _kernel(channels.N_R, rx, channels.theta_sines)
+    return channels.gain * _kernel(channels.N_R, rx, channels.theta_sines)
 
 
-def effective_channel(channels: ChannelSet, psi_r: np.ndarray, psi_t: np.ndarray,
-                      receive: np.ndarray | None = None) -> np.ndarray:
+def effective_channel(channels: ChannelSet, receive: np.ndarray, psi_t: np.ndarray) -> np.ndarray:
     """Per-subcarrier K x N_RF effective channel w_k^H H_k[m] f_i between steering beams.
 
     w_k = a_R(psi_r[k]) and f_i = a_T(psi_t[..., i]), with ``psi_t`` (N_RF,) for one
     analog matrix or (M, N_RF) for a per-subcarrier stack. The entry is
-    sum_l gain_l a_R(psi_r)^H a_R(theta_l) a_T(vartheta_l)^H a_T(psi_t): both couplings
-    are :func:`_kernel` of the beams' :func:`_sines` tables against the channel's path
-    tables, as the Grams of ``dominant_mode`` are, then one contraction over the paths.
-    ``receive``, the :func:`_receive_coupling` of ``psi_r`` when the caller holds it, is
-    reused instead of built again.
+    sum_l gain_l a_R(psi_r)^H a_R(theta_l) a_T(vartheta_l)^H a_T(psi_t): ``receive`` is
+    the (K, L, M) :func:`_receive_coupling` of psi_r, the transmit coupling :func:`_kernel`
+    of the beams' :func:`_sines` table against the channel's path table, as the Grams of
+    ``dominant_mode`` are, then one contraction over the paths.
     """
-    M = channels.gain.shape[1]
-    if receive is None:
-        receive = _receive_coupling(channels, psi_r)
+    if np.shape(receive) != channels.gain.shape:
+        raise ValueError(f"receive must be {channels.gain.shape}, got {np.shape(receive)}")
+    M = channels.gain.shape[-1]
     psi_t = np.asarray(psi_t, dtype=float)
     if psi_t.ndim == 0 or psi_t.shape[:-1] not in ((), (M,)):
         raise ValueError(f"psi_t must be (N_RF,) or (M, N_RF) with M = {M}, got {psi_t.shape}")
@@ -363,7 +361,7 @@ def omp_hybrid_beamformer(cfg: SystemConfig, channels: ChannelSet,
     F_RF = steering_vector(cfg.N_T, psi_t)
     R_RF = np.linalg.qr(F_RF, mode="r")         # the trial's one QR of the fixed stage
     receive = _receive_coupling(channels, psi_r)
-    H_eff = effective_channel(channels, psi_r, psi_t, receive)
+    H_eff = effective_channel(channels, receive, psi_t)
     return BeamformerSet(F_RF=F_RF, W_RF=steering_vector(cfg.N_R, psi_r), H_eff=H_eff,
                          F_BB=unit_power(R_RF, baseband_zf(H_eff)), psi_t=psi_t, psi_r=psi_r,
                          R_RF=R_RF, receive=receive)

@@ -159,7 +159,7 @@ class TestGenerateChannel:
 
 def _along_paths(N, directions, coords):
     """The dense vectors sum_l coords_l a_N(directions_l), shape (K, M, N)."""
-    return np.einsum("kml,nkml->kmn", coords, t.steering_vector(N, directions))
+    return np.einsum("klm,nklm->kmn", coords, t.steering_vector(N, directions))
 
 
 def _svd_dominant_mode(H):
@@ -201,7 +201,7 @@ class TestDominantMode:
         ch = t.generate_channel(desk_cfg, t.draw_paths(desk_cfg, rng))
         s, x, y = ch.dominant_mode
         K, M, L = desk_cfg.K, desk_cfg.M, desk_cfg.L
-        assert (s.shape, x.shape, y.shape) == ((K, M), (K, M, L), (K, M, L))
+        assert (s.shape, x.shape, y.shape) == ((K, M), (K, L, M), (K, L, M))
         u = _along_paths(desk_cfg.N_R, ch.theta, y)
         v = _along_paths(desk_cfg.N_T, ch.vartheta, x)
         Hv = np.einsum("kmrt,kmt->kmr", ch.H, v)
@@ -215,12 +215,20 @@ class TestDominantMode:
                 assert abs(first.imag) < 1e-15 and first.real > 0
 
     def test_stored_with_subcarriers_innermost(self, desk_cfg, rng):
-        # x and y are (K, M, L) views of C-contiguous (K, L, M) arrays, the layout the
-        # path weights of atom selection read
+        # every path array of a trial is one C-contiguous (K, L, M) layout, or a (7, K, L, M)
+        # table of it, from the draw to the receive coupling: no kernel transposes
         ch = t.generate_channel(desk_cfg, t.draw_paths(desk_cfg, rng))
         K, M, L = desk_cfg.K, desk_cfg.M, desk_cfg.L
-        for part in ch.dominant_mode[1:]:
-            assert part.shape == (K, M, L) and np.swapaxes(part, 1, 2).flags.c_contiguous
+        psi_r = np.linspace(-0.5, 0.5, K)
+        parts = {"theta": ch.theta, "vartheta": ch.vartheta, "gain": ch.gain,
+                 "x": ch.dominant_mode[1], "y": ch.dominant_mode[2],
+                 "precoders": t.unconstrained_precoders(ch),
+                 "combiners": t.unconstrained_combiners(ch, desk_cfg.sigma_n2),
+                 "receive": t.omp._receive_coupling(ch, psi_r)}
+        for name, part in parts.items():
+            assert part.shape == (K, L, M) and part.flags.c_contiguous, name
+        for table in (ch.theta_sines, ch.vartheta_sines):
+            assert table.shape == (7, K, L, M) and table.flags.c_contiguous
 
     def test_computed_once_and_read_only(self, tiny_cfg, rng):
         ch = t.generate_channel(tiny_cfg, t.draw_paths(tiny_cfg, rng))
@@ -232,14 +240,14 @@ class TestDominantMode:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_channel_rejected(self, tiny_cfg, rng, bad):
         ch = t.generate_channel(tiny_cfg, t.draw_paths(tiny_cfg, rng))
-        ch.gain[1, 2, 0] = bad
+        ch.gain[1, 0, 2] = bad
         with pytest.raises(FloatingPointError, match="non-finite"):
             ch.dominant_mode
 
     def test_nan_direction_rejected(self, tiny_cfg, rng, eigh_entries):
         # a NaN pivot is not refused, so no Gram goes to eigh: the NaN reaches the core
         ch = t.generate_channel(tiny_cfg, t.draw_paths(tiny_cfg, rng))
-        ch.vartheta[1, 2, 0] = np.nan
+        ch.vartheta[1, 0, 2] = np.nan
         with pytest.raises(FloatingPointError, match="non-finite channel Gram core"):
             ch.dominant_mode
         assert eigh_entries[0] == 0
@@ -541,7 +549,7 @@ class TestGram:
                                 (ch.N_R, ch.theta, ch.theta_sines)):
                 self._assert_full_kernel(N, table)
                 A = t.steering_vector(N, v)
-                dense = np.einsum("nkml,nkmj->ljkm", A.conj(), A)
+                dense = np.einsum("nklm,nkjm->ljkm", A.conj(), A)
                 np.testing.assert_allclose(t.channel._gram(N, table), dense, rtol=0, atol=1e-12)
 
     def test_coincident_directions(self, tiny_cfg, rng):
@@ -596,16 +604,20 @@ class TestFactorPathOracles:
         cols = np.append(rng.integers(d.D_F.shape[1], size=K), [0, d.D_F.shape[1] - 1])
         W_RF, F_RF = d.D_W[:, rows], d.D_F[:, cols]
         psi_r, psi_t = d.psi_w[rows], d.psi_f[cols]
+        receive = t.omp._receive_coupling(ch, psi_r)
         for analog, psi in ((F_RF, psi_t),
                             (t.sd_analog(F_RF, ch.eta), np.multiply.outer(ch.eta, psi_t))):
-            got = t.effective_channel(ch, psi_r, psi)
+            got = t.effective_channel(ch, receive, psi)
             want = _dense_effective_channel(ch, W_RF, analog)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
         with pytest.raises(ValueError, match="psi_r must be"):
-            t.effective_channel(ch, psi_r[None], psi_t)
+            t.omp._receive_coupling(ch, psi_r[None])
+        for bad in (receive[:, :, :-1], receive[None], None):
+            with pytest.raises(ValueError, match="receive must be"):
+                t.effective_channel(ch, bad, psi_t)
         for bad in (np.ones((M + 1, psi_t.size)), np.ones((1, M, psi_t.size)), np.float64(0.1)):
             with pytest.raises(ValueError, match="psi_t must be"):
-                t.effective_channel(ch, psi_r, bad)
+                t.effective_channel(ch, receive, bad)
 
     @pytest.mark.parametrize("L,K", [(1, 1), (4, 1), (7, 1), (3, 2)],
                              ids=["1", "4", "7", "3-user_1_distinct"])
@@ -627,7 +639,7 @@ class TestFactorPathOracles:
         # the worst cond(G_T) over 300 desk draws of _trial_seed(7, 0, i): i = 104
         rng = np.random.default_rng(np.random.SeedSequence([17396115121014715433, 0]))
         ch = t.generate_channel(desk_cfg, t.draw_paths(desk_cfg, rng))
-        gram = np.einsum("nkml,nkmj->kmlj", t.steering_vector(desk_cfg.N_T, ch.vartheta).conj(),
+        gram = np.einsum("nklm,nkjm->kmlj", t.steering_vector(desk_cfg.N_T, ch.vartheta).conj(),
                          t.steering_vector(desk_cfg.N_T, ch.vartheta))
         assert np.linalg.cond(gram).max() > 6e6
         _assert_matches_svd(ch, 1e-13)

@@ -15,10 +15,11 @@ def _matched_single_user(alpha=0.7, tau=2e-9, M=4):
     F_RF = t.steering_vector(16, -0.2)[:, None]
     W_RF = t.steering_vector(4, 0.3)[:, None]
     psi_t, psi_r = np.array([-0.2]), np.array([0.3])
-    H_eff = t.effective_channel(ch, psi_r, psi_t)
+    receive = t.omp._receive_coupling(ch, psi_r)
+    H_eff = t.effective_channel(ch, receive, psi_t)
     F_BB = unit_power(F_RF, t.baseband_zf(H_eff))
     bf = t.BeamformerSet(F_RF=F_RF, W_RF=W_RF, H_eff=H_eff, F_BB=F_BB, psi_t=psi_t, psi_r=psi_r,
-                         R_RF=F_RF)
+                         R_RF=F_RF, receive=receive)
     return cfg, ch, bf, paths
 
 
@@ -117,7 +118,7 @@ class TestSumRate:
         cfg, ch, bf, _ = _matched_single_user()
         silent = t.BeamformerSet(F_RF=bf.F_RF, W_RF=bf.W_RF, H_eff=bf.H_eff,
                                  F_BB=np.zeros_like(bf.F_BB), psi_t=bf.psi_t, psi_r=bf.psi_r,
-                                 R_RF=bf.R_RF)
+                                 R_RF=bf.R_RF, receive=bf.receive)
         report = t.sum_rate(silent, 1.0)
         assert report.sum_rate == 0.0
 

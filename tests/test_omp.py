@@ -17,7 +17,12 @@ def _random_channelset(cfg, seed):
 
 def _dense(N, directions, coords):
     """(M, N, K) stack of the vectors sum_l coords_l a_N(directions_l) of each user."""
-    return np.einsum("kml,nkml->mnk", coords, t.steering_vector(N, directions))
+    return np.einsum("klm,nklm->mnk", coords, t.steering_vector(N, directions))
+
+
+def _effective_channel(ch, psi_r, psi_t):
+    """The effective channel between receive beams ``psi_r`` and transmit beams ``psi_t``."""
+    return t.effective_channel(ch, omp._receive_coupling(ch, psi_r), psi_t)
 
 
 def _dense_designs(ch, sigma_n2):
@@ -219,7 +224,7 @@ class TestOmpSelect:
     def test_too_many_users_rejected(self):
         # each user needs its own transmit atom; receive atoms may repeat
         ch = _random_channelset(t.SystemConfig(N_T=8, N_R=4, K=6, N_RF=6, M=1), 3)
-        x = np.zeros((6, 1, 3), complex)
+        x = np.zeros((6, 3, 1), complex)
         d = t.build_dictionaries(t.SystemConfig(N_T=8, N_R=4, K=2, N_RF=2, N_F=9, N_W=5))
         assert len(set(t.omp_select(ch, x, x, d)[0])) == 6
         d = t.build_dictionaries(t.SystemConfig(N_T=8, N_R=4, K=2, N_RF=2, N_F=5, N_W=9))
@@ -307,22 +312,23 @@ class TestBatchedReceiveSide:
 
 
 def _kernel_paths(case, eta, psi, rng, dilated=False):
-    """(M, 3) path directions: one singular column by ``case``, two random ones, drawn
-    per subcarrier or, if ``dilated``, as eta_m times one direction per path."""
-    shape = (3,) if dilated else (eta.size, 3)
-    paths = rng.uniform(-1.0, 1.0, shape) * eta[:, None]
+    """(3, M) path directions, subcarriers innermost: one singular path by ``case``, two
+    random ones, drawn per subcarrier or, if ``dilated``, as eta_m times one direction per
+    path."""
+    shape = (3, 1) if dilated else (3, eta.size)
+    paths = rng.uniform(-1.0, 1.0, shape) * eta
     p0 = psi.size // 3
     if case == "on_atom":
-        paths[:, 0] = eta * psi[p0]
+        paths[0] = eta * psi[p0]
     elif case.startswith("near_atom"):
-        paths[:, 0] = eta * psi[p0] + float(case.split("_")[-1])
+        paths[0] = eta * psi[p0] + float(case.split("_")[-1])
     elif case == "grating_lobe":
-        paths[:, 0] = -eta            # at eta = 1, d = 2 against the +1 atom
-        paths[:, 1] = eta - 2.0       # d = 2 against the +1 atom on every subcarrier
+        paths[0] = -eta            # at eta = 1, d = 2 against the +1 atom
+        paths[1] = eta - 2.0       # d = 2 against the +1 atom on every subcarrier
     elif case == "crossing":
         # undilated directions: over the band, d crosses 0 against atom p0, +2 against
         # the +1 atom, and -2 against the atoms just above -1
-        paths[:] = [psi[p0], -1.0, 1.0]
+        paths[:] = np.array([psi[p0], -1.0, 1.0])[:, None]
     return paths
 
 
@@ -342,7 +348,7 @@ class TestAtomKernel:
                           eta=eta, N_R=N, N_T=N)
         corr = _side_correlations(N, psi, ch.vartheta_sines[:, 0], coords, eta)
         atoms = t.steering_vector(N, psi[:, None] * eta)                         # (N, P, M)
-        design = np.einsum("nml,ml->nm", t.steering_vector(N, paths), coords)
+        design = np.einsum("nlm,lm->nm", t.steering_vector(N, paths), coords)
         oracle = np.abs(np.einsum("npm,nm->pm", atoms.conj(), design))
         assert np.abs(corr - oracle).max() <= 1e-12 * oracle.max()
 
@@ -388,7 +394,7 @@ class TestDirichletBound:
                                          ch.vartheta_sines[..., ends, None])
         kernel = channel._dirichlet_kernel(N, table[:, :, None, :],
                                            ch.vartheta_sines[:, :, None, :, :])
-        d = psi[:, None, None] * eta - paths.T                                   # (P, L, M)
+        d = psi[:, None, None] * eta - paths                                     # (P, L, M)
         exact = N * np.abs(t.dirichlet_sinc(d / 2.0, N))
         assert bound.shape == (1, 3, psi.size)
         bound = np.swapaxes(bound, -1, -2)[..., None]                            # (1, P, L, 1)
@@ -511,7 +517,7 @@ class TestEffectiveChannel:
         paths = t.PathParams(alpha=[[0.8]], phi=[[0.25]], varphi=[[-0.5]],
                              tau=[[1e-9]])
         ch = t.generate_channel(cfg, paths)
-        h_eff = t.effective_channel(ch, [0.25], [-0.5])
+        h_eff = _effective_channel(ch, [0.25], [-0.5])
         zeta = np.sqrt(16 * 4 / 1)
         expected = zeta * 0.8 * np.exp(-2j * np.pi * 1e-9 * t.subcarrier_frequencies(cfg)[0])
         assert h_eff[0, 0, 0] == pytest.approx(expected, abs=1e-10)
@@ -519,14 +525,14 @@ class TestEffectiveChannel:
     def test_zero_channel(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 1)
         ch.gain[:] = 0
-        assert np.all(t.effective_channel(ch, [0.2, 0.2], [0.1, 0.1]) == 0)
+        assert np.all(_effective_channel(ch, [0.2, 0.2], [0.1, 0.1]) == 0)
 
     def test_entrywise_loop_oracle(self, tiny_cfg):
         ch = _random_channelset(tiny_cfg, 9)
         bf_dict = t.build_dictionaries(tiny_cfg)
         F_RF = bf_dict.D_F[:, [3, 17]]
         W_RF = bf_dict.D_W[:, [1, 6]]
-        h_eff = t.effective_channel(ch, bf_dict.psi_w[[1, 6]], bf_dict.psi_f[[3, 17]])
+        h_eff = _effective_channel(ch, bf_dict.psi_w[[1, 6]], bf_dict.psi_f[[3, 17]])
         for m in range(tiny_cfg.M):
             for k in range(tiny_cfg.K):
                 row = W_RF[:, k].conj() @ ch.H[k, m] @ F_RF
@@ -539,7 +545,7 @@ class TestEffectiveChannel:
         W_RF = d.D_W[:, [1, 6]]
         stack = np.stack([t.sd_analog(F_RF, e) for e in ch.eta])
         psi_stack = np.multiply.outer(ch.eta, d.psi_f[[3, 17]])
-        h_eff = t.effective_channel(ch, d.psi_w[[1, 6]], psi_stack)
+        h_eff = _effective_channel(ch, d.psi_w[[1, 6]], psi_stack)
         for m in range(tiny_cfg.M):
             expected = np.stack([W_RF[:, k].conj() @ ch.H[k, m] @ stack[m]
                                  for k in range(tiny_cfg.K)])
@@ -566,14 +572,14 @@ class TestEffectiveChannel:
         beams = np.multiply.outer(eta, psi) if stacked else np.broadcast_to(psi, (3, 3))
         rng = np.random.default_rng(N_T)
         gain = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
-        theta = rng.uniform(-1.0, 1.0, (2, 3, 3)) * eta[:, None]
-        vartheta = beams[None] + np.array(self.OFFSETS[case])[:, None, :]   # (K, M, L)
+        theta = rng.uniform(-1.0, 1.0, (2, 3, 3)) * eta
+        vartheta = beams.T[None] + np.array(self.OFFSETS[case])[:, :, None]  # (K, L, M)
         ch = t.ChannelSet(theta=theta, vartheta=vartheta, gain=gain, eta=eta, N_R=4, N_T=N_T)
         psi_r = np.array([0.2, -0.6])
         psi_t = beams if stacked else psi
         F = np.moveaxis(t.steering_vector(N_T, beams), 0, 1)              # (M, N_T, N_RF)
         want = np.einsum("rk,kmrt,mti->mki", t.steering_vector(4, psi_r).conj(), ch.H, F)
-        got = t.effective_channel(ch, psi_r, psi_t)
+        got = _effective_channel(ch, psi_r, psi_t)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     @pytest.mark.parametrize("N_R", [1, 2, 3, 16])
@@ -583,15 +589,15 @@ class TestEffectiveChannel:
         eta = np.array([0.95, 1.0, 1.05])
         psi_r = np.array([0.2, -0.6])
         offsets = np.array([[0.0, 2.0, 1e-13, 0.4], [0.0, -2.0, 2.0 - 1e-13, -0.3]])
-        theta = np.broadcast_to((psi_r[:, None] - offsets)[:, None, :], (2, 3, 4))
+        theta = np.broadcast_to((psi_r[:, None] - offsets)[:, :, None], (2, 4, 3))
         rng = np.random.default_rng(N_R)
-        gain = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
-        vartheta = rng.uniform(-1.0, 1.0, (2, 3, 4)) * eta[:, None]
+        gain = rng.standard_normal((2, 4, 3)) + 1j * rng.standard_normal((2, 4, 3))
+        vartheta = rng.uniform(-1.0, 1.0, (2, 4, 3)) * eta
         ch = t.ChannelSet(theta=theta, vartheta=vartheta, gain=gain, eta=eta, N_R=N_R, N_T=8)
         psi_t = np.array([0.1, -0.7])
         want = np.einsum("rk,kmrt,ti->mki", t.steering_vector(N_R, psi_r).conj(), ch.H,
                          t.steering_vector(8, psi_t))
-        got = t.effective_channel(ch, psi_r, psi_t)
+        got = _effective_channel(ch, psi_r, psi_t)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -711,16 +717,16 @@ def _spread_beams(M, N_T, K, rng):
     psi_t = np.linspace(-1.0, 1.0, K, endpoint=False) + 1.0 / K
     psi_r = rng.uniform(-1.0, 1.0, K)
     phi, varphi = (np.stack([psi, rng.uniform(-1.0, 1.0, K)], axis=-1) for psi in (psi_r, psi_t))
-    gain = np.array([1.0, 0.3]) * np.exp(2j * np.pi * rng.uniform(size=(K, M, 2)))
-    ch = t.ChannelSet(theta=np.multiply.outer(phi, eta).transpose(0, 2, 1),
-                      vartheta=np.multiply.outer(varphi, eta).transpose(0, 2, 1),
+    gain = np.array([1.0, 0.3])[:, None] * np.exp(2j * np.pi * rng.uniform(size=(K, 2, M)))
+    ch = t.ChannelSet(theta=np.multiply.outer(phi, eta), vartheta=np.multiply.outer(varphi, eta),
                       gain=gain, eta=eta, N_R=2, N_T=N_T)
     F_RF = t.steering_vector(N_T, psi_t)
     R_RF = np.linalg.qr(F_RF, mode="r")
-    H_eff = t.effective_channel(ch, psi_r, psi_t)
+    receive = omp._receive_coupling(ch, psi_r)
+    H_eff = t.effective_channel(ch, receive, psi_t)
     return ch, t.BeamformerSet(F_RF=F_RF, W_RF=t.steering_vector(2, psi_r), H_eff=H_eff,
                                F_BB=unit_power(R_RF, t.baseband_zf(H_eff)), psi_t=psi_t,
-                               psi_r=psi_r, R_RF=R_RF)
+                               psi_r=psi_r, R_RF=R_RF, receive=receive)
 
 
 def _real_view_power(stack, X):
@@ -932,10 +938,8 @@ class TestPathTables:
         assert drawn
         for ch in drawn:
             for N, v in ((ch.N_R, ch.theta), (ch.N_T, ch.vartheta)):
-                v = v.transpose(0, 2, 1)
                 assert sum(n == N and np.array_equal(x, v) for n, x in built) == 1
-        assert sum(x.shape == drawn[0].theta.transpose(0, 2, 1).shape
-                   for _, x in built) == 2 * len(drawn)
+        assert sum(x.shape == drawn[0].theta.shape for _, x in built) == 2 * len(drawn)
 
     def test_tables_are_read_only_and_laid_out_by_path(self, desk_cfg):
         ch = _random_channelset(desk_cfg, 5)
@@ -944,7 +948,7 @@ class TestPathTables:
             table = getattr(ch, name)
             assert getattr(ch, name) is table
             assert table.shape == (7, c.K, c.L, c.M) and table.flags.c_contiguous
-            np.testing.assert_array_equal(table[0], v.transpose(0, 2, 1))
+            np.testing.assert_array_equal(table[0], v)
             for array in table:
                 assert array.flags.c_contiguous
                 with pytest.raises(ValueError, match="read-only"):
