@@ -141,32 +141,22 @@ def _atom_sines(N: int, psi: bytes, eta: bytes) -> np.ndarray:
 
 
 def _path_weights(N: int, paths: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """The weights coords_l exp(-j pi (N-1) paths_l / 2) / N of the path kernels, as a
-    (2, ..., L, M) pair of real and imaginary parts, from a (7, ..., L, M) path table,
-    whose phase rows it reads, and (..., L, M) path coordinates: what :func:`omp_select`
-    hands :func:`_correlations` for the precoders' and the combiners' coordinates."""
-    cos, sin = paths[5:]
-    c = coords / N
-    weights = np.empty((2,) + cos.shape)
-    re = np.multiply(c.real, cos, out=weights[0])
-    re += c.imag * sin
-    im = np.multiply(c.imag, cos, out=weights[1])
-    im -= c.real * sin
-    return weights
+    """The complex weights coords_l exp(-j pi (N-1) paths_l / 2) / N of the path kernels,
+    shaped as the (..., L, M) ``coords``, from the phase rows of a (7, ..., L, M) path table:
+    what :func:`omp_select` hands :func:`_correlations` for the precoders and the combiners."""
+    return coords / N * (paths[5] - 1j * paths[6])
 
 
 def _correlations(N: int, atoms: np.ndarray, paths: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """|a_N(atom)^H sum_l coords_l a_N(paths_l)| as (..., P, M), over the atoms of
     :func:`_atom_sines`, all or a gather of rows: |sum_l weights_l N D_N(d/2)|, d = atom -
     paths_l, so no atom phase is read. ``paths`` is a (7, ..., L, M) :func:`_sines` table and
-    ``weights`` its :func:`_path_weights`; the kernel is laid out (..., P, L, M), subcarriers
-    innermost. Each entry is one rounded product per path and a sum over paths in an order
-    set by the layout alone, so its value does not depend on which other atoms share the call.
+    ``weights`` its complex :func:`_path_weights`; the kernel is laid out (..., P, L, M),
+    subcarriers innermost. Each entry is one product per path, a sum over paths in an order
+    set by the layout alone and a modulus, so it does not depend on which atoms share the call.
     """
     kernel = _dirichlet_kernel(N, atoms[..., None, :], paths[..., None, :, :])
-    parts = np.multiply(weights[..., None, :, :], kernel, order="C").sum(axis=-2)
-    parts *= parts
-    return np.sqrt(np.add(*parts, out=parts[0]))
+    return np.abs(np.multiply(weights[..., None, :, :], kernel, order="C").sum(axis=-2))
 
 
 def _objective(corr_f: np.ndarray, corr_w: np.ndarray) -> np.ndarray:
@@ -186,9 +176,10 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     f_k[m] = A_T x and combiners w_k[m] = A_R y. For user k the pair (p*, q*)
     maximizes the objective sum_m |d_{p,q}[m]^H g_k[m]| with d the Kronecker
     dictionary atom and g_k[m] = conj(f_k[m]) kron w_k[m], which factors as
-    conj(atom_F^H f) * (atom_W^H w). Both factors are closed-form Dirichlet kernels
-    (:func:`_correlations`) pairing the dilated atoms' sine tables (:func:`_atom_sines`,
-    shared by every trial of a config) with the channel's path tables.
+    conj(atom_F^H f) * (atom_W^H w). Each factor is the modulus of closed-form Dirichlet
+    kernels, which pair the dilated atoms' sine tables (:func:`_atom_sines`, shared by every
+    trial of a config) with the channel's path tables, summed over the paths with one complex
+    weight each (:func:`_path_weights`, :func:`_correlations`).
 
     The receive side is evaluated for every atom of every user. The transmit side is
     evaluated only where a bound cannot rule an atom out: |N D_N(d/2)| <= B[k, l, p],
@@ -218,7 +209,7 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
     paths_t, paths_r = channels.vartheta_sines, channels.theta_sines
     corr_w = _correlations(channels.N_R, rx, paths_r,
                            _path_weights(channels.N_R, paths_r, y))      # (K, N_W, M)
-    weights = _path_weights(N_T, paths_t, x)                              # (2, K, L, M)
+    weights = _path_weights(N_T, paths_t, x)                              # (K, L, M)
 
     ends = [int(np.argmin(eta)), int(np.argmax(eta))]
     dilated = paths_t[0, ..., ends[1], None] * (eta / eta[ends[1]])
@@ -244,7 +235,7 @@ def omp_select(channels: ChannelSet, x: np.ndarray, y: np.ndarray,
         fresh = row < 0
         objective = seed_obj[k, row]                # a fresh atom's row is filled below
         if fresh.any():
-            corr_f = _correlations(N_T, tx[:, cand[fresh]], paths_t[:, k], weights[:, k])
+            corr_f = _correlations(N_T, tx[:, cand[fresh]], paths_t[:, k], weights[k])
             objective[fresh] = _objective(corr_f, corr_w[k])
         i, q_star[k] = divmod(int(np.argmax(objective)), objective.shape[1])
         p = p_star[k] = cand[i]

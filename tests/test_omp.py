@@ -263,6 +263,25 @@ def _side_correlations(N, psi, paths, coords, eta):
     return omp._correlations(N, table, paths, omp._path_weights(N, paths, coords))
 
 
+class TestPathWeights:
+    @pytest.mark.parametrize("profile", ["desk", "paper"])
+    def test_one_complex_weight_per_path(self, profile):
+        # coords_l exp(-j pi (N-1) x_l / 2) / N, shaped as coords; the table's phase rows
+        # and np.exp each round an argument as large as pi (N-1) / 2, so they differ by
+        # about N eps
+        cfg = t.build_config(profile)
+        for seed in range(3):
+            ch = _random_channelset(cfg, seed)
+            x = t.unconstrained_precoders(ch)
+            y = t.unconstrained_combiners(ch, cfg.sigma_n2)
+            for N, paths, coords in ((ch.N_T, ch.vartheta_sines, x), (ch.N_R, ch.theta_sines, y)):
+                weights = omp._path_weights(N, paths, coords)
+                assert weights.dtype == complex and weights.shape == coords.shape
+                oracle = coords * np.exp(-1j * np.pi * (N - 1) * paths[0] / 2) / N
+                error = np.abs(weights - oracle) / np.abs(oracle)
+                assert error.max() <= 4 * N * np.finfo(float).eps
+
+
 def _exhaustive_select(ch, x, y, d):
     """omp_select by exhaustive search: every atom of both sides, user by user, as (p*, q*)."""
     p_star, q_star = [], []
